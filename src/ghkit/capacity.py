@@ -7,7 +7,29 @@ sums and flow augmentation without magic numbers.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+
+
+def _as_cap(x):
+    """x as a Cap, or None if it is not a real number."""
+    if isinstance(x, Cap):
+        return x
+    if isinstance(x, (int, Fraction, float)):
+        return Cap(x)
+    return None
+
+
+def _comparison(op):
+    """A rich comparison in the lexicographic order, infinite tier first."""
+
+    def compare(self, other):
+        other = _as_cap(other)
+        if other is None:
+            return NotImplemented
+        return op((self.inf, self.fin), (other.inf, other.fin))
+
+    return compare
 
 
 class Cap:
@@ -37,18 +59,38 @@ class Cap:
             return value
         return Cap(Fraction(value))
 
+    def to_int(self, denom: int, bits: int) -> int:
+        """This Cap as the int ``inf * 2**bits + fin * denom``; denom must
+        be a multiple of the denominator of fin."""
+        return (self.inf << bits) + self.fin.numerator * (denom // self.fin.denominator)
+
+    @staticmethod
+    def from_int(x: int, denom: int, bits: int) -> "Cap":
+        """The inverse of to_int, for finite parts with
+        ``|fin * denom| < 2**(bits-1)``: the multiple of 2**bits nearest
+        to x gives the infinite tier, the rest the finite part."""
+        inf = (x + (1 << (bits - 1))) >> bits
+        return Cap(Fraction(x - (inf << bits), denom), inf)
+
     def __add__(self, other):
-        other = Cap.of(other)
+        other = _as_cap(other)
+        if other is None:
+            return NotImplemented
         return Cap(self.fin + other.fin, self.inf + other.inf)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Cap.of(other)
+        other = _as_cap(other)
+        if other is None:
+            return NotImplemented
         return Cap(self.fin - other.fin, self.inf - other.inf)
 
     def __rsub__(self, other):
-        return Cap.of(other) - self
+        other = _as_cap(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __neg__(self):
         return Cap(-self.fin, -self.inf)
@@ -60,26 +102,15 @@ class Cap:
 
     __rmul__ = __mul__
 
-    def _key(self):
-        return (self.inf, self.fin)
-
-    def __eq__(self, other):
-        return self._key() == Cap.of(other)._key()
-
-    def __lt__(self, other):
-        return self._key() < Cap.of(other)._key()
-
-    def __le__(self, other):
-        return self._key() <= Cap.of(other)._key()
-
-    def __gt__(self, other):
-        return self._key() > Cap.of(other)._key()
-
-    def __ge__(self, other):
-        return self._key() >= Cap.of(other)._key()
+    __eq__ = _comparison(operator.eq)
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
 
     def __hash__(self):
-        return hash(self._key())
+        # A finite Cap equals its Fraction, so it must hash like it too.
+        return hash(self.fin) if self.inf == 0 else hash((self.inf, self.fin))
 
     def __bool__(self):
         return self.inf != 0 or self.fin != 0

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import CapGraph, GraphError, has_crossing_edge
+from .graph import CapGraph, GraphError
 from .ghtree import GHTree, build_gh_tree
 from .maxflow import BoundExceeded
 

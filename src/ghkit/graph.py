@@ -8,12 +8,12 @@ construction, so they can be shared freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .capacity import Cap, INF
+from .capacity import ZERO, Cap
 
 
 class GraphError(ValueError):
@@ -51,7 +51,7 @@ class CapGraph:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphError(f"edge {u}-{v} out of range")
-            if cap <= Cap(0):
+            if cap <= ZERO:
                 raise GraphError(f"non-positive capacity on edge {u}-{v}")
             key = (min(u, v), max(u, v))
             if key in seen:
@@ -75,6 +75,33 @@ class CapGraph:
             a[u].append((v, i))
             a[v].append((u, i))
         return a
+
+    @cached_property
+    def arcs(self):
+        """arcs[v] = list of (neighbor, arc id), in the order of adj[v].
+
+        Edge i gives arc 2i from its u to its v and arc 2i+1 back, so
+        arc ^ 1 is the reverse arc.
+        """
+        a = [[] for _ in range(self.n)]
+        for i, (u, v, _) in enumerate(self.edges):
+            a[u].append((v, 2 * i))
+            a[v].append((u, 2 * i + 1))
+        return a
+
+    @cached_property
+    def scaled_capacities(self):
+        """(D, B, caps) with caps[i] = edges[i].cap.to_int(D, B).
+
+        D is the common denominator of the finite parts, and
+        B = S.bit_length() + 1 with S = sum(|fin_i * D|), so 2**B > 2S.
+        Sums of distinct edges' capacities then compare as ints exactly as
+        they do as Caps; see ``maxflow.max_flow``.
+        """
+        denom = math.lcm(*(e.cap.fin.denominator for e in self.edges))
+        total = sum(abs(e.cap.fin.numerator) * (denom // e.cap.fin.denominator) for e in self.edges)
+        bits = total.bit_length() + 1
+        return denom, bits, tuple(e.cap.to_int(denom, bits) for e in self.edges)
 
     @cached_property
     def edge_index(self):
@@ -167,14 +194,6 @@ def cross_capacity(g: CapGraph, x, y) -> Cap:
         if (u in xs and v in ys) or (v in xs and u in ys):
             total = total + cap
     return total
-
-
-def has_crossing_edge(g: CapGraph, x, y) -> bool:
-    xs, ys = set(x), set(y)
-    for u, v, _ in g.edges:
-        if (u in xs and v in ys) or (v in xs and u in ys):
-            return True
-    return False
 
 
 def is_central(g: CapGraph, shore) -> bool:

@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacity import Cap
@@ -46,51 +46,64 @@ def format_capacity(cap: Cap) -> str:
 
 
 def parse_instance(text: str) -> ParsedInstance:
+    """Parse the text format; malformed input raises a GraphError that
+    names its line."""
     lines = [
-        ln.strip()
-        for ln in text.splitlines()
+        (no, ln.strip())
+        for no, ln in enumerate(text.splitlines(), 1)
         if ln.strip() and not ln.strip().startswith("#")
     ]
     if not lines:
         raise GraphError("empty input")
+    end = (lines[-1][0] + 1, None)  # what a truncated input yields
+    items = iter(lines)
+    no, ln = next(items)
     try:
-        n, m, k = (int(x) for x in lines[0].split())
+        n, m, k = _ints(ln, 3, "header")
+        if min(n, m, k) < 0:
+            raise ValueError("negative count in header")
+        terminals = ()
+        if k > 0:
+            no, ln = next(items, end)
+            terminals = _ints(ln, k, "terminal line")
+        edges = []
+        for i in range(m):
+            no, ln = next(items, end)
+            u, v, cap = _fields(ln, 3, f"edge line {i + 1} of {m}")
+            edges.append((int(u), int(v), parse_capacity(cap)))
+        demands = []
+        tsets = []
+        for no, ln in items:
+            if ln.startswith("D "):
+                _, s, t, d = _fields(ln, 4, "demand line")
+                demands.append((int(s), int(t), Fraction(d)))
+            elif ln.startswith("F:"):
+                head, _, tail = ln[2:].partition(":")
+                attach = tuple(int(x) for x in head.split())
+                if len(attach) != 3:
+                    raise ValueError(f"3-separated set needs 3 attachment vertices: {ln!r}")
+                tsets.append(ThreeSeparatedSet(attach, frozenset(int(x) for x in tail.split())))
+            else:
+                raise ValueError(f"unrecognized trailer line: {ln!r}")
+    except ZeroDivisionError as e:
+        raise GraphError(f"line {no}: zero denominator in {ln!r}") from e
     except ValueError as e:
-        raise GraphError(f"bad header line: {lines[0]!r}") from e
-    idx = 1
-    terminals = ()
-    if k > 0:
-        terminals = tuple(int(x) for x in lines[idx].split())
-        if len(terminals) != k:
-            raise GraphError(f"expected {k} terminals, got {len(terminals)}")
-        idx += 1
-    edges = []
-    for _ in range(m):
-        parts = lines[idx].split()
-        if len(parts) != 3:
-            raise GraphError(f"bad edge line: {lines[idx]!r}")
-        edges.append((int(parts[0]), int(parts[1]), parse_capacity(parts[2])))
-        idx += 1
-    demands = []
-    tsets = []
-    while idx < len(lines):
-        ln = lines[idx]
-        idx += 1
-        if ln.startswith("D "):
-            parts = ln.split()
-            demands.append((int(parts[1]), int(parts[2]), Fraction(parts[3])))
-        elif ln.startswith("F:"):
-            body = ln[2:]
-            head, _, tail = body.partition(":")
-            attach = tuple(int(x) for x in head.split())
-            if len(attach) != 3:
-                raise GraphError(f"3-separated set needs 3 attachment vertices: {ln!r}")
-            interior = frozenset(int(x) for x in tail.split())
-            tsets.append(ThreeSeparatedSet(attach, interior))
-        else:
-            raise GraphError(f"unrecognized trailer line: {ln!r}")
+        raise GraphError(f"line {no}: {e}") from e
     g = capgraph(n, edges, terminals)
     return ParsedInstance(g, tuple(demands), tuple(tsets))
+
+
+def _fields(ln, count, what):
+    if ln is None:
+        raise ValueError(f"input ends before {what}")
+    parts = ln.split()
+    if len(parts) != count:
+        raise ValueError(f"{what} needs {count} fields: {ln!r}")
+    return parts
+
+
+def _ints(ln, count, what):
+    return tuple(int(x) for x in _fields(ln, count, what))
 
 
 def format_instance(

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .capacity import Cap
-from .graph import CapGraph, Cut, GraphError, make_cut
+from .capacity import ZERO, Cap
+from .graph import CapGraph, Cut, GraphError, is_central, make_cut
 
 
 DEFAULT_ORACLE_BOUND = 16
@@ -24,75 +23,106 @@ class FlowResult:
 
 
 def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
-    """Shortest-augmenting-path max flow with exact arithmetic.
+    """Shortest-augmenting-path max flow, exact, on one int per capacity.
 
     The returned cut shore is the set of vertices residual-reachable from
     s, which on perturbed inputs is the unique minimum st-cut (and is
     central).
+
+    Encoding.  With D the common denominator of the finite parts and
+    S = sum(|fin_e * D|), capacity c becomes the int
+    ``c.inf * 2**B + c.fin * D`` (``Cap.to_int``), where
+    B = S.bit_length() + 1, so that 2**B > 2S
+    (``CapGraph.scaled_capacities``).  The map is additive, so
+    augmenting and conserving flow mean the same on ints as on Caps, and
+    every positive Cap maps to a positive int.
+
+    Bit budget.  A cut capacity is a sum of distinct edge capacities, so
+    its finite part times D lies in [-S, S].  If cut X has more infinite
+    units than cut Y, the ints differ by at least 2**B - 2S > 0; if they
+    have as many, the ints differ by D times the finite difference.  The
+    ints therefore order cuts exactly as the Caps do: the int max-flow
+    value is the image of the lexicographic minimum cut capacity, and the
+    residual-reachable shore is a minimum cut for both.  The value
+    decodes exactly, as the multiple of 2**B nearest to it gives the
+    infinite tier and the rest, of magnitude at most S < 2**(B-1), the
+    finite part.  Edmonds-Karp needs O(nm) augmentations whatever the
+    capacity values.
+
+    Flows.  Each edge's net flow is decoded in the same way
+    (``Cap.from_int``).  On a finite edge its magnitude is at most
+    fin * D < 2**(B-1), so it decodes exactly.  Rounding to the nearest
+    tier keeps every decoded flow within its capacity.  On infinite edges
+    the split into tiers is checked: if the infinite units do not balance
+    at some vertex, B is doubled and the flow recomputed.  Once 2**(B-1)
+    exceeds D times the finite part of every difference that the same
+    algorithm on Caps compares, the int run follows it step for step and
+    its flows decode to that run's flows, so the widening ends.
     """
     if s == t:
         raise GraphError("source equals sink")
-    n, m = g.n, g.m
-    # Each undirected edge becomes a pair of arcs, each with the full capacity.
-    fwd = [Cap(0)] * m  # flow on arc u->v
-    bwd = [Cap(0)] * m  # flow on arc v->u
-    value = Cap(0)
-
-    def residual(eid, from_u):
-        u, v, cap = g.edges[eid]
-        if from_u:
-            return cap - fwd[eid] + bwd[eid]
-        return cap - bwd[eid] + fwd[eid]
-
+    denom, bits, caps = g.scaled_capacities
     while True:
-        # BFS for a shortest augmenting path in the residual graph.
-        prev = [None] * n
-        prev[s] = (s, -1, True)
-        q = deque([s])
-        while q and prev[t] is None:
-            x = q.popleft()
-            for y, eid in g.adj[x]:
-                if prev[y] is None and residual(eid, g.edges[eid].u == x) > Cap(0):
-                    prev[y] = (x, eid, g.edges[eid].u == x)
-                    q.append(y)
-        if prev[t] is None:
-            break
-        # Bottleneck.
-        bott = None
-        y = t
-        while y != s:
-            x, eid, from_u = prev[y]
-            r = residual(eid, from_u)
-            if bott is None or r < bott:
-                bott = r
-            y = x
-        # Augment, cancelling opposite flow first.
-        y = t
-        while y != s:
-            x, eid, from_u = prev[y]
-            if from_u:
-                cancel = bwd[eid] if bwd[eid] < bott else bott
-                bwd[eid] = bwd[eid] - cancel
-                fwd[eid] = fwd[eid] + (bott - cancel)
-            else:
-                cancel = fwd[eid] if fwd[eid] < bott else bott
-                fwd[eid] = fwd[eid] - cancel
-                bwd[eid] = bwd[eid] + (bott - cancel)
-            y = x
-        value = value + bott
+        result = _int_max_flow(g, s, t, denom, bits, caps)
+        if result is not None:
+            return result
+        bits *= 2
+        caps = tuple(e.cap.to_int(denom, bits) for e in g.edges)
 
-    # Min-cut shore: residual-reachable set from s.
-    reach = {s}
-    stack = [s]
-    while stack:
-        x = stack.pop()
-        for y, eid in g.adj[x]:
-            if y not in reach and residual(eid, g.edges[eid].u == x) > Cap(0):
-                reach.add(y)
-                stack.append(y)
-    shore = frozenset(reach)
-    flows = {i: fwd[i] - bwd[i] for i in range(m)}
-    return FlowResult(value, make_cut(g, shore), flows)
+
+def _int_max_flow(g, s, t, denom, bits, caps):
+    """Edmonds-Karp on the int capacities; None if the flows' infinite
+    tiers do not balance (see max_flow)."""
+    n, edges, arcs = g.n, g.edges, g.arcs
+    r = [0] * (2 * len(caps))  # residual capacity of each arc
+    r[0::2] = caps
+    r[1::2] = caps
+    value = 0
+    while True:
+        # BFS for a shortest augmenting path; pred[y] is the arc into y.
+        pred = [None] * n
+        pred[s] = -1
+        queue = [s]
+        for x in queue:
+            for y, a in arcs[x]:
+                if pred[y] is None and r[a] > 0:
+                    pred[y] = a
+                    queue.append(y)
+            if pred[t] is not None:
+                break
+        else:
+            break
+        # Bottleneck, then augment: arc a loses it, its reverse gains it.
+        y, bott = t, None
+        while y != s:
+            a = pred[y]
+            if bott is None or r[a] < bott:
+                bott = r[a]
+            y = edges[a >> 1][a & 1]
+        y = t
+        while y != s:
+            a = pred[y]
+            r[a] -= bott
+            r[a ^ 1] += bott
+            y = edges[a >> 1][a & 1]
+        value += bott
+
+    # The last search reached exactly the residual-reachable set from s.
+    shore = frozenset(v for v in range(n) if pred[v] is not None)
+    val = Cap.from_int(value, denom, bits)
+    flows = {}
+    balance = [0] * n
+    for i, (u, v, _) in enumerate(edges):
+        f = caps[i] - r[2 * i]  # net flow from u to v
+        flows[i] = flow = ZERO if f == 0 else Cap.from_int(f, denom, bits)
+        if flow.inf:
+            balance[u] -= flow.inf
+            balance[v] += flow.inf
+    balance[s] += val.inf
+    balance[t] -= val.inf
+    if any(balance):
+        return None
+    return FlowResult(val, Cut(shore, val, is_central(g, shore)), flows)
 
 
 def all_shore_capacities(g: CapGraph):

@@ -64,6 +64,40 @@ def test_hash_consistent_with_eq():
     assert hash(Cap(Fraction(2, 4))) == hash(Cap(Fraction(1, 2)))
 
 
+@given(fractions)
+def test_finite_cap_hashes_like_its_number(f):
+    assert Cap(f) == f and hash(Cap(f)) == hash(f)
+    assert {f: 1}.get(Cap(f)) == 1
+
+
+def test_int_keys_find_caps():
+    assert Cap(3) == 3 and hash(Cap(3)) == hash(3)
+    assert {3: "x"}.get(Cap(3)) == "x"
+    assert {Cap(3): "x"}.get(3) == "x"
+    assert len({Cap(3), 3, Fraction(3)}) == 1
+
+
+def test_comparison_with_non_numbers_is_not_implemented():
+    assert Cap.__eq__(Cap(1), "a") is NotImplemented
+    assert Cap.__lt__(Cap(1), None) is NotImplemented
+    assert Cap(1) != "a" and not (Cap(1) == "a")
+    assert INF != object()
+    with pytest.raises(TypeError):
+        Cap(1) < "a"
+    with pytest.raises(TypeError):
+        Cap(1) + "a"
+
+
+@given(caps, st.integers(min_value=0, max_value=8))
+def test_int_encoding_round_trip(a, extra_bits):
+    denom = a.fin.denominator * 3
+    bits = abs(a.fin.numerator * 3).bit_length() + 1 + extra_bits
+    x = a.to_int(denom, bits)
+    assert x == a.inf * 2**bits + a.fin * denom
+    assert Cap.from_int(x, denom, bits) == a
+    assert Cap.from_int(-x, denom, bits) == -a
+
+
 def test_immutable():
     c = Cap(1)
     with pytest.raises(AttributeError):

@@ -45,6 +45,18 @@ def test_usage_errors(tmp_path):
     assert main(["ghtree", str(bad)]) == 3
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["3 2 0\n0 1 1\n", "2 1 0\n0 1 1/0\n", "2 1 0\n0 1 1\nD 0 1\n"],
+    ids=["truncated-edges", "zero-denominator", "demand-without-value"],
+)
+def test_malformed_input_exits_3(tmp_path, capsys, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["ghtree", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error: line ")
+
+
 def test_gen_and_flowcheck_pipeline(k23_file, tmp_path, capsys):
     adv = tmp_path / "adv.txt"
     assert main(["gen", "adversarial", "--input", k23_file, "--out", str(adv)]) == 0

@@ -55,6 +55,46 @@ def test_parse_errors():
         parse_instance("2 1 0\n0 1 1\nF: 0 1 : \n")  # 2-vertex attachment
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("3 2 0\n0 1 1\n", "line 3"),  # truncated edge list
+        ("2 1 0\n0 1 1/0\n", "line 2"),  # zero denominator
+        ("2 1 0\n0 1 1\nD 0 1\n", "line 3"),  # demand without a value
+    ],
+)
+def test_malformed_input_names_the_line(text, line):
+    with pytest.raises(GraphError, match=line):
+        parse_instance(text)
+
+
+BAD_TOKENS = ["", "x", "1/0", "-1", "0", "inf", "2*inf+1/0", "99", "0 1", "D", "F:"]
+
+
+@given(
+    st.integers(min_value=0, max_value=2**40),
+    st.data(),
+)
+def test_corrupted_instances_raise_only_graph_error(seed, data):
+    """Truncating a valid instance or replacing one of its tokens either
+    parses or raises GraphError, never anything else."""
+    from ghkit.suiteutil import random_connected_graph
+
+    g = random_connected_graph(seed, max_n=5)
+    text = format_instance(g, demands=((0, 1, Fraction(1, 2)),))
+    tokens = text.split(" ")
+    i = data.draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+    if data.draw(st.booleans()):
+        corrupted = " ".join(tokens[:i])
+    else:
+        tokens[i] = data.draw(st.sampled_from(BAD_TOKENS))
+        corrupted = " ".join(tokens)
+    try:
+        parse_instance(corrupted)
+    except GraphError:
+        pass
+
+
 @given(st.integers(min_value=0, max_value=2**40))
 def test_round_trip_random_graphs(seed):
     from ghkit.suiteutil import random_connected_graph

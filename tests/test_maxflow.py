@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ghkit import capgraph
-from ghkit.capacity import INF, Cap
+from ghkit.capacity import INF, ZERO, Cap
 from ghkit.generators import split_seed
 from ghkit.graph import cut_capacity, perturb
 from ghkit.maxflow import (
@@ -82,3 +84,67 @@ def test_lambda_matrix_symmetry():
     for (s, t), v in lam.items():
         assert lam[(t, s)] == v
         assert v == max_flow(g, s, t).value
+
+
+# Rational, INF, 2*INF and INF-plus-rational capacities.
+mixed_caps = st.one_of(
+    st.fractions(min_value=Fraction(1, 6), max_value=20, max_denominator=6).map(Cap),
+    st.just(INF),
+    st.just(INF * 2),
+    st.builds(Cap, st.fractions(min_value=-5, max_value=5, max_denominator=4), st.integers(1, 2)),
+)
+infinite_caps = st.sampled_from([INF, INF * 2])
+
+
+@st.composite
+def flow_instances(draw):
+    """A connected graph on 2..7 vertices with distinct s and t; in about
+    half of them s and t are joined by a path of infinite edges."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    edges = {}
+    for v in range(1, n):
+        edges[draw(st.integers(min_value=0, max_value=v - 1)), v] = draw(mixed_caps)
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    for u, v, c in draw(st.lists(st.tuples(vertex, vertex, mixed_caps), max_size=2 * n)):
+        if u != v:
+            edges[min(u, v), max(u, v)] = c
+    s, t = draw(st.lists(vertex, min_size=2, max_size=2, unique=True))
+    if draw(st.booleans()):
+        inner = draw(st.lists(vertex.filter(lambda x: x not in (s, t)), unique=True, max_size=n - 2))
+        path = [s, *inner, t]
+        for a, b in zip(path, path[1:]):
+            edges[min(a, b), max(a, b)] = draw(infinite_caps)
+    return capgraph(n, [(u, v, c) for (u, v), c in edges.items()]), s, t
+
+
+def assert_valid_flow(g, s, t, r):
+    """Decoded flows fit their capacities and conserve exactly as Caps."""
+    net = [ZERO] * g.n
+    for eid, f in r.flows.items():
+        u, v, cap = g.edges[eid]
+        assert -cap <= f <= cap
+        net[u] = net[u] - f
+        net[v] = net[v] + f
+    assert net[s] == -r.value and net[t] == r.value
+    assert all(net[v] == ZERO for v in range(g.n) if v not in (s, t))
+
+
+@given(flow_instances())
+def test_int_kernel_matches_cap_oracle(inst):
+    g, s, t = inst
+    r = max_flow(g, s, t)
+    assert r.value == brute_min_cut(g, s, t).capacity
+    assert s in r.min_cut.shore and t not in r.min_cut.shore
+    assert r.min_cut.capacity == r.value == cut_capacity(g, r.min_cut.shore)
+    assert_valid_flow(g, s, t, r)
+
+
+@given(flow_instances())
+def test_int_kernel_matches_cap_oracle_perturbed(inst):
+    g, s, t = inst
+    gp = perturb(g)
+    r = max_flow(gp, s, t)
+    want = brute_min_cut(gp, s, t)
+    assert r.value == want.capacity
+    assert r.min_cut.shore == want.shore
+    assert_valid_flow(gp, s, t, r)
