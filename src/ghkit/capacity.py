@@ -121,10 +121,11 @@ class Cap:
         return f"Cap({self.fin}, inf={self.inf})"
 
     def __str__(self):
+        """The text format's capacity token (``io.parse_capacity`` reads it)."""
         if self.inf == 0:
             return str(self.fin)
-        if self.inf == 1 and self.fin == 0:
-            return "inf"
+        if self.fin == 0:
+            return "inf" if self.inf == 1 else f"{self.inf}*inf"
         return f"{self.inf}*inf+{self.fin}"
 
 

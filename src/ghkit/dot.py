@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from .graph import CapGraph
 from .ghtree import GHTree
-from .io import format_capacity
 
 
 def graph_dot(g: CapGraph, highlight_edges=(), name="G") -> str:
@@ -15,7 +14,7 @@ def graph_dot(g: CapGraph, highlight_edges=(), name="G") -> str:
         shape = ' [shape=doublecircle]' if v in terms else ""
         lines.append(f"  {v}{shape};")
     for i, (u, v, cap) in enumerate(g.edges):
-        attrs = [f'label="{format_capacity(cap)}"']
+        attrs = [f'label="{cap}"']
         if i in hl:
             attrs.append("penwidth=3")
             attrs.append("color=red")
@@ -35,7 +34,7 @@ def tree_dot(t: GHTree, name="T") -> str:
                 lines.append(f"    {v};")
         lines.append("  }")
     for e in t.edges:
-        lines.append(f'  {e.s} -- {e.t} [label="{format_capacity(e.cap)}"];')
+        lines.append(f'  {e.s} -- {e.t} [label="{e.cap}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -56,6 +55,6 @@ def embedding_dot(g: CapGraph, branch_sets, name="M") -> str:
         if v not in assigned:
             lines.append(f"  {v} [style=dotted];")
     for u, v, cap in g.edges:
-        lines.append(f'  {u} -- {v} [label="{format_capacity(cap)}"];')
+        lines.append(f'  {u} -- {v} [label="{cap}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

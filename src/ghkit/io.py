@@ -37,14 +37,6 @@ def parse_capacity(token: str) -> Cap:
     return Cap(Fraction(token))
 
 
-def format_capacity(cap: Cap) -> str:
-    if cap.inf == 0:
-        return str(cap.fin)
-    if cap.fin == 0:
-        return "inf" if cap.inf == 1 else f"{cap.inf}*inf"
-    return f"{cap.inf}*inf+{cap.fin}"
-
-
 def parse_instance(text: str) -> ParsedInstance:
     """Parse the text format; malformed input raises a GraphError that
     names its line."""
@@ -117,7 +109,7 @@ def format_instance(
     if g.terminals:
         out.append(" ".join(str(t) for t in g.terminals))
     for u, v, cap in g.edges:
-        out.append(f"{u} {v} {format_capacity(cap)}")
+        out.append(f"{u} {v} {cap}")
     for s, t, d in demands:
         out.append(f"D {s} {t} {d}")
     for ts in tsets:

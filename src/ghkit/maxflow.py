@@ -125,49 +125,61 @@ def _int_max_flow(g, s, t, denom, bits, caps):
     return FlowResult(val, Cut(shore, val, is_central(g, shore)), flows)
 
 
+def shore_cuts(g: CapGraph, base: int, free):
+    """Yield (mask, capacity of delta(mask)) for every shore
+    ``base | subset(free)``, in Gray-code order.
+
+    ``base`` is a vertex bitmask and ``free`` a sequence of distinct
+    vertices outside it.  Consecutive shores differ in one vertex, so each
+    step adds or subtracts only that vertex's incident edges: O(deg) Cap
+    operations per shore instead of O(m).
+    """
+    cap = ZERO
+    for u, v, c in g.edges:
+        if (base >> u ^ base >> v) & 1:
+            cap = cap + c
+    mask = base
+    yield mask, cap
+    incident = [[(w, g.edges[i].cap) for w, i in g.adj[v]] for v in free]
+    for step in range(1, 1 << len(free)):
+        j = (step & -step).bit_length() - 1
+        mask ^= 1 << free[j]
+        inside = mask >> free[j] & 1
+        for w, c in incident[j]:
+            # the edge to w crosses now iff it did not before the flip
+            cap = cap + c if (mask >> w & 1) != inside else cap - c
+        yield mask, cap
+
+
 def all_shore_capacities(g: CapGraph):
-    """Capacity of delta(S) for every bitmask S, computed edge by edge.
+    """Capacity of delta(S) for every bitmask S.
 
     Index is the bitmask of the shore; entries for the empty and full
     shore are None.
     """
-    n = g.n
-    caps = [Cap(0)] * (1 << n)
-    for u, v, cap in g.edges:
-        bu, bv = 1 << u, 1 << v
-        for mask in range(1 << n):
-            if bool(mask & bu) != bool(mask & bv):
-                caps[mask] = caps[mask] + cap
-    caps[0] = None
-    caps[(1 << n) - 1] = None
+    caps = [None] * (1 << g.n)
+    for mask, cap in shore_cuts(g, 0, range(g.n)):
+        caps[mask] = cap
+    caps[0] = caps[-1] = None
     return caps
 
 
 def brute_min_cut(g: CapGraph, s: int, t: int, bound: int = DEFAULT_ORACLE_BOUND) -> Cut:
-    """Minimum st-cut by enumerating every shore containing s but not t."""
+    """Minimum st-cut by enumerating every shore containing s but not t.
+
+    It sums capacities as Caps and never calls max_flow, so it stays an
+    independent oracle for the int kernel.
+    """
     if s == t:
         raise GraphError("source equals sink")
     n = g.n
     if n > bound:
         raise BoundExceeded(f"brute_min_cut bound {bound} exceeded (n={n})")
-    best_mask = None
-    best_cap = None
-    bs, bt = 1 << s, 1 << t
-    free = [i for i in range(n) if i not in (s, t)]
-    for sub in range(1 << len(free)):
-        mask = bs
-        for j, v in enumerate(free):
-            if sub >> j & 1:
-                mask |= 1 << v
-        cap = Cap(0)
-        for u, v, c in g.edges:
-            if bool(mask & (1 << u)) != bool(mask & (1 << v)):
-                cap = cap + c
+    best_mask = best_cap = None
+    for mask, cap in shore_cuts(g, 1 << s, [v for v in range(n) if v not in (s, t)]):
         if best_cap is None or cap < best_cap:
-            best_cap = cap
-            best_mask = mask
-    shore = frozenset(v for v in range(n) if best_mask >> v & 1)
-    return make_cut(g, shore)
+            best_mask, best_cap = mask, cap
+    return make_cut(g, frozenset(v for v in range(n) if best_mask >> v & 1))
 
 
 def lambda_matrix(g: CapGraph, z=None):

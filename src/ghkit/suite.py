@@ -11,24 +11,21 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .capacity import Cap
 from .embedding import check_bag_minor, check_weak_bag_minor, is_gh_subgraph
 from .generators import (
     ZWebSpec,
     gen_adversarial_from_minor,
     gen_k23_subdivision,
     gen_onesum,
-    gen_outerplanar,
     gen_zweb,
-    random_capacity,
     random_connected_subgraph,
     reduce_all,
     split_seed,
 )
 from .ghtree import build_gh_tree, tree_lambda
-from .graph import capgraph, perturb
+from .graph import perturb
 from .io import format_instance
-from .maxflow import brute_min_cut, lambda_matrix, max_flow
+from .maxflow import brute_min_cut, lambda_matrix
 from .minors import detect_terminal_minor, k23
 from .multiflow import MultiflowInstance, cut_condition, feasible
 from .suiteutil import random_connected_graph
@@ -192,13 +189,14 @@ def suite_reduction(seed: int, trials: int) -> SuiteResult:
         g = web.graph
         before = lambda_matrix(g)
         reduced, vmap = reduce_all(web)
+        after = lambda_matrix(reduced)
         ok = True
         terms = g.terminals
         for a in range(len(terms)):
             for b in range(a + 1, len(terms)):
                 s, t = terms[a], terms[b]
                 val = before[(s, t)]
-                if lambda_matrix(reduced)[(vmap[s], vmap[t])] != val:
+                if after[(vmap[s], vmap[t])] != val:
                     ok = False
                 if brute_min_cut(g, s, t).capacity != val:
                     ok = False

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ghkit.capacity import INF, ONE, ZERO, Cap, cap_min
-from ghkit.io import format_capacity, parse_capacity
+from ghkit.io import parse_capacity
 
 fractions = st.fractions(max_denominator=50)
 caps = st.builds(Cap, fractions, st.integers(min_value=0, max_value=5))
@@ -48,9 +48,17 @@ def test_cap_min(a, b):
     assert cap_min([a, b]) == (a if a <= b else b)
 
 
-@given(caps)
+@given(st.builds(Cap, fractions, st.integers(min_value=-3, max_value=5)))
 def test_capacity_text_round_trip(a):
-    assert parse_capacity(format_capacity(a)) == a
+    assert parse_capacity(str(a)) == a
+
+
+@pytest.mark.parametrize(
+    "cap, text",
+    [(INF * 2, "2*inf"), (-INF, "-1*inf"), (INF, "inf"), (Cap(Fraction(1, 3), 2), "2*inf+1/3")],
+)
+def test_capacity_text_form(cap, text):
+    assert str(cap) == text and parse_capacity(text) == cap
 
 
 def test_parse_capacity_forms():

@@ -68,6 +68,16 @@ def test_gen_and_flowcheck_pipeline(k23_file, tmp_path, capsys):
     assert "feasible: no" in out
 
 
+def test_flowcheck_reports_violated_star(tmp_path, capsys):
+    star = tmp_path / "star.txt"
+    star.write_text("4 3 4\n0 1 2 3\n0 1 9\n0 2 9\n0 3 9\nD 0 1 10\nD 0 2 10\nD 0 3 10\n")
+    assert main(["flowcheck", str(star)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "cut_condition: violated" in out
+    assert "max_concurrent_flow: 9/10" in out
+    assert any(ln.startswith("violated_shore: ") for ln in out)
+
+
 def test_gen_zweb_and_reduce(tmp_path, capsys):
     web = tmp_path / "web.txt"
     assert main(["gen", "zweb", "--k", "5", "--interior", "1", "--attach", "2",

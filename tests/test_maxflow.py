@@ -14,6 +14,7 @@ from ghkit.maxflow import (
     brute_min_cut,
     lambda_matrix,
     max_flow,
+    shore_cuts,
 )
 from ghkit.suiteutil import random_connected_graph
 
@@ -148,3 +149,34 @@ def test_int_kernel_matches_cap_oracle_perturbed(inst):
     assert r.value == want.capacity
     assert r.min_cut.shore == want.shore
     assert_valid_flow(gp, s, t, r)
+
+
+@st.composite
+def shore_instances(draw):
+    """A graph on 1..7 vertices (not always connected) and a base mask
+    with a sequence of free vertices outside it."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = {}
+    for u, v, c in draw(st.lists(st.tuples(vertex, vertex, mixed_caps), max_size=2 * n)):
+        if u != v:
+            edges[min(u, v), max(u, v)] = c
+    role = draw(st.lists(st.sampled_from(["base", "free", "out"]), min_size=n, max_size=n))
+    base = sum(1 << v for v in range(n) if role[v] == "base")
+    free = draw(st.permutations([v for v in range(n) if role[v] == "free"]))
+    return capgraph(n, [(u, v, c) for (u, v), c in edges.items()]), base, free
+
+
+@given(shore_instances())
+def test_shore_cuts_match_cut_capacity(inst):
+    g, base, free = inst
+    seen = set()
+    for mask, cap in shore_cuts(g, base, free):
+        assert mask & base == base and mask & ~base & ~sum(1 << v for v in free) == 0
+        shore = {v for v in range(g.n) if mask >> v & 1}
+        if 0 < len(shore) < g.n:
+            assert cap == cut_capacity(g, shore)
+        else:
+            assert cap == ZERO
+        seen.add(mask)
+    assert len(seen) == 1 << len(free)
