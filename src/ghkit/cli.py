@@ -25,7 +25,7 @@ from .ghtree import build_gh_tree
 from .graph import GraphError
 from .maxflow import BoundExceeded
 from .minors import PATTERNS, cycle, detect_terminal_minor, k23
-from .multiflow import MultiflowInstance, cut_condition, feasible
+from .multiflow import MultiflowInstance, cut_condition, max_concurrent_flow
 from .suite import SuiteConfig, run_suite
 
 EXIT_OK = 0
@@ -164,15 +164,14 @@ def cmd_flowcheck(args):
     mf = MultiflowInstance(inst.graph, inst.demands)
     try:
         cc = cut_condition(mf, args.bound_n)
-        cert = feasible(mf)  # the one LP solve: lambda* and feasibility
+        lam = max_concurrent_flow(mf)  # the one LP solve: feasible iff lambda* >= 1
     except BoundExceeded as e:
         print(f"inconclusive: {e}")
         return EXIT_INCONCLUSIVE
-    lam = cert.concurrent_value
     lines = [
         f"cut_condition: {'holds' if cc.holds else 'violated'}",
         f"max_concurrent_flow: {lam}",
-        f"feasible: {'yes' if cert.feasible else 'no'}",
+        f"feasible: {'yes' if lam >= 1 else 'no'}",
     ]
     if not cc.holds:
         lines.append("violated_shore: " + " ".join(str(v) for v in sorted(cc.shore)))

@@ -143,41 +143,31 @@ def _concurrent_lp(inst: MultiflowInstance):
             row = {}
             for eid, (a, b, _) in enumerate(g.edges):
                 if a == v:
-                    row[var(ki, eid, True)] = row.get(var(ki, eid, True), Fraction(0)) + 1
-                    row[var(ki, eid, False)] = row.get(var(ki, eid, False), Fraction(0)) - 1
+                    row[var(ki, eid, True)] = 1
+                    row[var(ki, eid, False)] = -1
                 elif b == v:
-                    row[var(ki, eid, False)] = row.get(var(ki, eid, False), Fraction(0)) + 1
-                    row[var(ki, eid, True)] = row.get(var(ki, eid, True), Fraction(0)) - 1
+                    row[var(ki, eid, False)] = 1
+                    row[var(ki, eid, True)] = -1
             if v == s:
-                row[0] = -Fraction(d)
+                row[0] = -d
             rows.append(row)
-            rhs.append(Fraction(0))
+            rhs.append(0)
     # capacity, with slacks
-    slack_rows = []
-    for eid, (a, b, cap) in enumerate(g.edges):
-        if not cap.is_finite:
-            continue
-        row = {}
-        for ki in range(k):
-            row[var(ki, eid, True)] = Fraction(1)
-            row[var(ki, eid, False)] = Fraction(1)
-        slack_rows.append((row, cap.fin))
-    total_vars = nv + len(slack_rows)
+    finite = [(eid, cap.fin) for eid, (_, _, cap) in enumerate(g.edges) if cap.is_finite]
+    for i, (eid, capval) in enumerate(finite):
+        row = {var(ki, eid, fwd): 1 for ki in range(k) for fwd in (True, False)}
+        row[nv + i] = 1
+        rows.append(row)
+        rhs.append(capval)
+    total_vars = nv + len(finite)
     dense = []
     for row in rows:
-        vec = [Fraction(0)] * total_vars
+        vec = [0] * total_vars
         for j, val in row.items():
             vec[j] = val
         dense.append(vec)
-    for i, (row, capval) in enumerate(slack_rows):
-        vec = [Fraction(0)] * total_vars
-        for j, val in row.items():
-            vec[j] = val
-        vec[nv + i] = Fraction(1)
-        dense.append(vec)
-        rhs.append(capval)
-    c = [Fraction(0)] * total_vars
-    c[0] = Fraction(-1)  # maximize lambda
+    c = [0] * total_vars
+    c[0] = -1  # maximize lambda
     res = solve_lp(c, dense, rhs, total_vars)
     if res.status == UNBOUNDED:
         raise GraphError("concurrent flow unbounded (demands routable at any scale)")

@@ -27,7 +27,7 @@ from .graph import perturb
 from .io import format_instance
 from .maxflow import brute_min_cut, lambda_matrix
 from .minors import detect_terminal_minor, k23
-from .multiflow import MultiflowInstance, cut_condition, feasible
+from .multiflow import MultiflowInstance, cut_condition, max_concurrent_flow
 from .suiteutil import random_connected_graph
 
 
@@ -228,9 +228,8 @@ def suite_flows(seed: int, trials: int) -> SuiteResult:
         demands = random_demands(g, split_seed(seed, i) ^ 7)
         inst = MultiflowInstance(g, demands)
         cc = cut_condition(inst)
-        cert = feasible(inst)
         res.record(
-            cc.holds == cert.feasible,
+            cc.holds == (max_concurrent_flow(inst) >= 1),
             f"cut condition vs feasibility mismatch (seed {i})",
             g,
             demands,

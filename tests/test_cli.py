@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ghkit
 from ghkit.cli import main
 from ghkit.io import dump
 
@@ -76,6 +82,19 @@ def test_flowcheck_reports_violated_star(tmp_path, capsys):
     assert "cut_condition: violated" in out
     assert "max_concurrent_flow: 9/10" in out
     assert any(ln.startswith("violated_shore: ") for ln in out)
+
+
+def test_python_dash_m_runs_flowcheck(tmp_path):
+    star = tmp_path / "star.txt"
+    star.write_text("4 3 4\n0 1 2 3\n0 1 9\n0 2 9\n0 3 9\nD 0 1 10\nD 0 2 10\nD 0 3 10\n")
+    src = str(Path(ghkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghkit", "flowcheck", str(star)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "max_concurrent_flow: 9/10" in proc.stdout.splitlines()
 
 
 def test_gen_zweb_and_reduce(tmp_path, capsys):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghkit import capgraph
@@ -11,6 +11,7 @@ from ghkit.graph import GraphError, cut_capacity, is_central
 from ghkit.maxflow import BoundExceeded
 from ghkit.multiflow import (
     MultiflowInstance,
+    _concurrent_lp,
     cut_condition,
     feasible,
     flow_cut_gap,
@@ -43,6 +44,44 @@ def test_canonical_gap_fixture():
     cert = feasible(inst)
     assert not cert.feasible
     assert cert.concurrent_value == F(3, 4)
+
+
+def test_canonical_gap_lp_solution_is_pinned():
+    # Bland's rule picks one optimal vertex; a different pivot sequence shows here.
+    q, e = F(1, 4), F(3, 8)
+    lam, flows = _concurrent_lp(canonical_gap_instance())
+    assert lam == F(3, 4)
+    assert flows == {
+        (0, 0): (q, 0), (0, 1): (q, 0), (0, 2): (q, 0),
+        (0, 3): (0, q), (0, 4): (0, q), (0, 5): (0, q),
+        (1, 0): (0, e), (1, 1): (e, 0), (1, 3): (0, e), (1, 4): (e, 0),
+        (2, 1): (0, e), (2, 2): (e, 0), (2, 4): (0, e), (2, 5): (e, 0),
+        (3, 0): (e, 0), (3, 2): (0, e), (3, 3): (e, 0), (3, 5): (0, e),
+    }
+
+
+def assert_routes_demands(inst, cert):
+    """Check a feasible certificate on its own: every commodity conserves
+    flow away from its ends and delivers exactly its demand, flows are
+    non-negative, and on each finite edge all commodities together use
+    at most the capacity."""
+    g = inst.supply
+    assert cert.feasible
+    assert all(0 <= ki < len(inst.demands) and 0 <= eid < g.m for ki, eid in cert.flows)
+    load = [F(0)] * g.m
+    for ki, (s, t, d) in enumerate(inst.demands):
+        net = [F(0)] * g.n  # outflow minus inflow
+        for eid, (a, b, _) in enumerate(g.edges):
+            f, r = cert.flows.get((ki, eid), (0, 0))
+            assert f >= 0 and r >= 0
+            net[a] += f - r
+            net[b] += r - f
+            load[eid] += f + r
+        assert net[s] == d and net[t] == -d
+        assert all(net[v] == 0 for v in range(g.n) if v not in (s, t))
+    for eid, (_, _, cap) in enumerate(g.edges):
+        if cap.is_finite:
+            assert load[eid] <= cap.fin
 
 
 def test_single_edge_feasibility():
@@ -88,7 +127,7 @@ def test_feasible_flow_certificate_routes_demands():
     cert = feasible(inst)
     assert cert.feasible
     assert cert.concurrent_value >= 1
-    assert cert.flows  # per-commodity directed flows are reported
+    assert_routes_demands(inst, cert)
 
 
 def test_equivalence_on_k23_free_instances():
@@ -96,7 +135,10 @@ def test_equivalence_on_k23_free_instances():
         web = gen_zweb(ZWebSpec(4, 0, (2,)), split_seed(97, i))
         g = web.graph
         inst = MultiflowInstance(g, ((0, 2, F(2)), (1, 3, F(1))))
-        assert cut_condition(inst).holds == feasible(inst).feasible
+        cert = feasible(inst)
+        assert cut_condition(inst).holds == cert.feasible
+        if cert.feasible:
+            assert_routes_demands(inst, cert)
 
 
 def test_k4_demand_route_on_triangle():
@@ -168,3 +210,27 @@ def test_cut_condition_matches_naive_enumeration(inst):
         assert cc.capacity < Cap(cc.demand)
         if g.is_connected():
             assert is_central(g, cc.shore)
+
+
+@settings(deadline=None)
+@given(multiflow_instances())
+def test_feasibility_certificates_check_independently(inst):
+    cc = cut_condition(inst)
+    if cc.ratio is None:  # every demand pair is joined by infinite edges
+        with pytest.raises(GraphError):
+            feasible(inst)
+        return
+    cert = feasible(inst)
+    lam = cert.concurrent_value
+    assert cert.feasible == (lam >= 1)
+    if cert.feasible:
+        assert cc.holds
+        assert_routes_demands(inst, cert)
+    elif not cc.holds:
+        assert cert.violated_cut == cc
+    if lam > 0:
+        # lambda* is attained: the demands scaled by it route exactly
+        tight = MultiflowInstance(inst.supply, tuple((s, t, d * lam) for s, t, d in inst.demands))
+        tight_cert = feasible(tight)
+        assert tight_cert.concurrent_value == 1
+        assert_routes_demands(tight, tight_cert)

@@ -1,4 +1,8 @@
 from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghkit.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
@@ -72,3 +76,85 @@ def test_beale_cycling_example_terminates():
     res = solve_lp(c, rows, b, 7)
     assert res.status == OPTIMAL
     assert res.objective == F(-1, 20)
+    assert res.x == [F(1, 25), 0, 1, 0, F(3, 100), 0, 0]
+
+
+def test_vertex_is_the_one_blands_rule_reaches():
+    # With c = 0 every feasible x is optimal.  Bland's rule on the
+    # unscaled tableau ends at (0, 1/7, 13/7, 0); scaling each row by its
+    # own denominator would change the phase-1 reduced costs and end at
+    # (1/9, 0, 17/9, 0).
+    rows = [[F(-1), F(-1, 3), F(2), F(0)], [F(1), F(1), F(1), F(1)]]
+    res = solve_lp([F(0)] * 4, rows, [F(11, 3), F(2)], 4)
+    assert res.status == OPTIMAL
+    assert res.x == [0, F(1, 7), F(13, 7), 0]
+
+
+def _basic_solution(cols, rows, b):
+    """The unique y >= 0 with sum_j y_j * column_j = b over ``cols``, by
+    Fraction Gauss-Jordan elimination; None if the columns are dependent,
+    the system is inconsistent or some y_j < 0."""
+    aug = [[row[j] for j in cols] + [bi] for row, bi in zip(rows, b)]
+    for j in range(len(cols)):
+        piv = next((i for i in range(j, len(aug)) if aug[i][j] != 0), None)
+        if piv is None:
+            return None
+        aug[j], aug[piv] = aug[piv], aug[j]
+        aug[j] = [v / aug[j][j] for v in aug[j]]
+        for i in range(len(aug)):
+            if i != j and aug[i][j] != 0:
+                f = aug[i][j]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[j])]
+    if any(row[-1] != 0 for row in aug[len(cols):]):
+        return None
+    y = [row[-1] for row in aug[: len(cols)]]
+    return y if all(v >= 0 for v in y) else None
+
+
+def _optimum_by_basis_enumeration(c, rows, b, nvars):
+    """Minimum of c.x over all basic feasible solutions; None if there are
+    none.  On a bounded LP this is the optimum, or infeasibility."""
+    best = None
+    for size in range(len(rows) + 1):
+        for cols in combinations(range(nvars), size):
+            y = _basic_solution(cols, rows, b)
+            if y is not None:
+                val = sum((c[j] * v for j, v in zip(cols, y)), F(0))
+                best = val if best is None else min(best, val)
+    return best
+
+
+@st.composite
+def bounded_lps(draw):
+    """At most 4 rows and 6 columns: up to two random rows, sometimes a
+    redundant combination of them, and the bounding row sum(x) + s = M,
+    in random order."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rows = draw(st.lists(st.lists(q, min_size=n, max_size=n), max_size=2))
+    b = [draw(q) for _ in rows]
+    if rows and draw(st.booleans()):
+        k = [draw(q) for _ in rows]
+        rows.append([sum(ki * row[j] for ki, row in zip(k, rows)) for j in range(n)])
+        b.append(sum(ki * bi for ki, bi in zip(k, b)))
+    rows = [row + [F(0)] for row in rows] + [[F(1)] * (n + 1)]
+    b.append(draw(st.fractions(min_value=1, max_value=6, max_denominator=3)))
+    order = draw(st.permutations(range(len(rows))))
+    c = draw(st.lists(q, min_size=n, max_size=n)) + [F(0)]
+    return c, [rows[i] for i in order], [b[i] for i in order], n + 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(bounded_lps())
+def test_solve_lp_matches_basis_enumeration(lp):
+    c, rows, b, nvars = lp
+    res = solve_lp(c, rows, b, nvars)
+    best = _optimum_by_basis_enumeration(c, rows, b, nvars)
+    if best is None:
+        assert res.status == INFEASIBLE
+        return
+    assert res.status == OPTIMAL and res.objective == best
+    x = res.x
+    assert all(v >= 0 for v in x)
+    assert all(sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(rows, b))
+    assert sum(ci * v for ci, v in zip(c, x)) == res.objective
