@@ -87,7 +87,13 @@ def cmd_detect_minor(args):
     g = inst.graph
     z = g.terminals if g.terminals else tuple(range(g.n))
     if args.pattern.startswith("cycle:"):
-        pattern = cycle(int(args.pattern.split(":", 1)[1]))
+        k = int(args.pattern.split(":", 1)[1])
+        if k > max(len(z), 2):
+            # A valid cycle (k >= 3) with more vertices than terminals: no
+            # terminal minor, and the k-edge pattern is never built.
+            print("none")
+            return EXIT_VIOLATION
+        pattern = cycle(k)
     elif args.pattern in PATTERNS:
         pattern = PATTERNS[args.pattern]()
     else:

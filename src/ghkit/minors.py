@@ -6,12 +6,19 @@ a distinct terminal, with a G-edge between the branch sets of every
 pattern edge.  The search fixes the pattern-vertex -> terminal seeding
 first (up to pattern automorphisms), then grows branch sets only when a
 pending pattern edge demands it.
+
+The search returns the first solution in a fixed depth-first order, and
+generated instances (`gen_adversarial_from_minor`) are built from that
+exact embedding.  Its prune only cuts subtrees that hold no solution
+(see `_search`), so it changes the work done, never the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
+from operator import itemgetter
 
 from .graph import CapGraph, GraphError
 from .maxflow import BoundExceeded
@@ -31,15 +38,20 @@ class MinorPattern:
 
     def automorphisms(self):
         """All vertex permutations preserving the edge set."""
-        eset = set(self.edges)
-        out = []
-        for perm in permutations(range(self.k)):
-            if all(
-                (min(perm[a], perm[b]), max(perm[a], perm[b])) in eset
-                for a, b in self.edges
-            ):
-                out.append(perm)
-        return out
+        return list(_automorphisms(self))
+
+
+@cache
+def _automorphisms(pattern: MinorPattern):
+    """`MinorPattern.automorphisms`, enumerated once per pattern value."""
+    eset = set(pattern.edges)
+    return tuple(
+        perm for perm in permutations(range(pattern.k))
+        if all(
+            (min(perm[a], perm[b]), max(perm[a], perm[b])) in eset
+            for a, b in pattern.edges
+        )
+    )
 
 
 def k23() -> MinorPattern:
@@ -103,74 +115,112 @@ def verify_embedding(g: CapGraph, z, pattern: MinorPattern, emb: MinorEmbedding)
 
 
 def _seed_assignments(pattern: MinorPattern, z):
-    """Injections pattern vertex -> terminal, deduplicated by automorphism."""
-    auts = pattern.automorphisms()
-    seen = set()
+    """Injections pattern vertex -> terminal, one per automorphism orbit.
+
+    The orbit of an injection p is {p∘σ : σ in Aut(H)}, and the action is
+    free, so each member turns up exactly once in `permutations` order.
+    The first member of each orbit is yielded; the rest of its orbit is
+    kept in `later` and dropped from it when its turn comes.
+    """
+    if pattern.k < 2:  # only the identity, and itemgetter needs two indices for a tuple
+        yield from permutations(z, pattern.k)
+        return
+    orbit = [itemgetter(*a) for a in _automorphisms(pattern)]  # perm -> perm∘σ
+    later = set()
     for perm in permutations(z, pattern.k):
-        rep = min(tuple(perm[a[i]] for i in range(pattern.k)) for a in auts)
-        if rep in seen:
+        if perm in later:
+            later.remove(perm)
             continue
-        seen.add(rep)
+        later.update([image(perm) for image in orbit])
+        later.remove(perm)  # the identity's image
         yield perm
 
 
-def _search(g: CapGraph, pattern, seeds):
+def _search(g: CapGraph, pattern, seeds, nbrs):
     """Grow branch sets from seeds until every pattern edge is realized.
 
     Branches only when the currently pending pattern edge has no
     connecting graph edge yet: every free vertex adjacent to either
     endpoint's branch set may be added to that set.  Complete because any
-    valid embedding extends some branch explored here.
+    valid embedding extends some branch explored here.  `nbrs[v]` is the
+    neighbour set of v.
+
+    A state is cut when some pending edge (a, b) has no component of
+    G[free vertices] adjacent to both branch sets.  Sets only grow and
+    stay connected, so in any embedding extending the state, a shortest
+    path from sets[a] to sets[b] has a non-empty interior made of free
+    vertices, all in one such component.  A cut subtree thus holds no
+    solution, and neither does a state found in `visited` (it was left
+    without one).  Every other subtree is searched in the same order as
+    without the cut, so the first solution in DFS order, the one returned,
+    does not change.
     """
-    k = pattern.k
+    adj = g.adj
     init = tuple(frozenset([s]) for s in seeds)
+    used = set(seeds)
     visited = set()
 
-    adj = g.adj
-
-    def realized(sets, a, b):
-        sa, sb = sets[a], sets[b]
-        for u in sa:
-            for v, _ in adj[u]:
-                if v in sb:
-                    return True
-        return False
-
-    def rec(sets, used):
-        if sets in visited:
-            return None
+    def rec(sets, pending):
         visited.add(sets)
-        pending = [(a, b) for a, b in pattern.edges if not realized(sets, a, b)]
         if not pending:
             return sets
-        # Expand the pending edge with the fewest growth options.
+        # Free neighbours of each branch set a pending edge touches, in
+        # the order the moves are tried.
+        free = {}
+        for edge in pending:
+            for side in edge:
+                if side not in free:
+                    free[side] = [v for u in sets[side] for v, _ in adj[u] if v not in used]
+        # Label the components of G[free vertices] that touch those sets.
+        label = {}
+        for vs in free.values():
+            for root in vs:
+                if root in label:
+                    continue
+                label[root] = root
+                stack = [root]
+                while stack:
+                    for y in nbrs[stack.pop()]:
+                        if y not in used and y not in label:
+                            label[y] = root
+                            stack.append(y)
+        comps = {side: {label[v] for v in vs} for side, vs in free.items()}
+        # Expand the pending edge with the fewest growth options, counted
+        # with multiplicity; the first such edge on a tie.
         best = None
-        best_moves = None
+        best_moves = 0
         for a, b in pending:
-            moves = []
-            for side in (a, b):
-                for u in sets[side]:
-                    for v, _ in adj[u]:
-                        if v not in used:
-                            moves.append((side, v))
-            if not moves:
+            if comps[a].isdisjoint(comps[b]):
                 return None  # this edge can never be realized
-            if best_moves is None or len(moves) < len(best_moves):
+            moves = len(free[a]) + len(free[b])
+            if best is None or moves < best_moves:
                 best, best_moves = (a, b), moves
-        seen_moves = set()
-        for side, v in best_moves:
-            if (side, v) in seen_moves:
-                continue
-            seen_moves.add((side, v))
-            nsets = tuple(
-                s | {v} if i == side else s for i, s in enumerate(sets)
-            )
-            res = rec(nsets, used | {v})
-            if res is not None:
-                return res
+        for side in best:
+            tried = set()
+            for v in free[side]:
+                if v in tried:
+                    continue
+                tried.add(v)
+                nsets = sets[:side] + (sets[side] | {v},) + sets[side + 1:]
+                if nsets in visited:
+                    continue
+                # v realizes a pending edge (side, other) when it touches sets[other].
+                near = nbrs[v]
+                npending = [
+                    (a, b) for a, b in pending
+                    if not (
+                        (a == side and not near.isdisjoint(sets[b]))
+                        or (b == side and not near.isdisjoint(sets[a]))
+                    )
+                ]
+                used.add(v)
+                res = rec(nsets, npending)
+                used.remove(v)
+                if res is not None:
+                    return res
         return None
 
-    return rec(init, set(seeds))
+    return rec(init, [(a, b) for a, b in pattern.edges if seeds[b] not in nbrs[seeds[a]]])
 
 
 def detect_terminal_minor(
@@ -182,8 +232,9 @@ def detect_terminal_minor(
     z = tuple(z)
     if len(z) < pattern.k:
         return None
+    nbrs = [frozenset(v for v, _ in row) for row in g.adj]
     for seeds in _seed_assignments(pattern, z):
-        sets = _search(g, pattern, seeds)
+        sets = _search(g, pattern, seeds, nbrs)
         if sets is not None:
             emb = MinorEmbedding(pattern, sets, seeds)
             assert verify_embedding(g, z, pattern, emb)
@@ -290,7 +341,6 @@ def two_disjoint_paths(g: CapGraph, s1, t1, s2, t2, bound: int = DEFAULT_MINOR_B
                     stack.append(y)
         return False
 
-    path = [s1]
     on_path = {s1}
 
     def rec(x):
@@ -300,10 +350,8 @@ def two_disjoint_paths(g: CapGraph, s1, t1, s2, t2, bound: int = DEFAULT_MINOR_B
             if y in on_path or y in (s2, t2):
                 continue
             on_path.add(y)
-            path.append(y)
             if connected_avoiding(s2, t2, on_path) and rec(y):
                 return True
-            path.pop()
             on_path.remove(y)
         return False
 

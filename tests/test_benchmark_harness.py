@@ -1,0 +1,45 @@
+"""The benchmark harness under perfbench/ against the current package.
+
+Its self-tests run here too, and every per-layer metric of BENCHMARK.json
+named ``<module>.<function>.<metric>`` must name a function the tracer
+can wrap: a public function defined at module level in ``ghkit.<module>``.
+A rename that breaks that stops the traced benchmark run.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_self_tests_pass():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench", "-p", "test_*.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_per_layer_metric_names_resolve_to_public_functions():
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    span_names = {n.rsplit(".", 1)[0] for n in names if n.count(".") == 2}
+    assert span_names  # the file still names per-function metrics
+    missing = []
+    for span in sorted(span_names):
+        module, function = span.split(".")
+        mod = importlib.import_module(f"ghkit.{module}")
+        fn = getattr(mod, function, None)
+        if not (
+            isinstance(fn, types.FunctionType)
+            and fn.__module__ == mod.__name__
+            and not function.startswith("_")
+            and fn.__qualname__ == function
+        ):
+            missing.append(span)
+    assert not missing

@@ -43,6 +43,20 @@ def test_detect_minor_exit_codes(k23_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_detect_minor_cycle_longer_than_terminals(k23_file, monkeypatch, capsys):
+    assert main(["detect-minor", k23_file, "--pattern", "cycle:4"]) == 0
+    assert main(["detect-minor", k23_file, "--pattern", "cycle:2"]) == 3
+    capsys.readouterr()
+
+    def refuse(k):
+        raise AssertionError(f"cycle({k}) built for a 5-terminal instance")
+
+    monkeypatch.setattr("ghkit.cli.cycle", refuse)
+    assert main(["detect-minor", k23_file, "--pattern", "cycle:6"]) == 1
+    assert main(["detect-minor", k23_file, "--pattern", f"cycle:{10**12}"]) == 1
+    assert capsys.readouterr().out == "none\nnone\n"
+
+
 def test_usage_errors(tmp_path):
     assert main(["ghtree", str(tmp_path / "missing.txt")]) == 3
     assert main(["no-such-command"]) == 3

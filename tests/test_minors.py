@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghkit import capgraph
-from ghkit.generators import split_seed
+from ghkit.generators import gen_k23_subdivision, split_seed
 from ghkit.minors import (
     MinorEmbedding,
     crossing_linkage,
@@ -137,3 +139,107 @@ def test_k5_implies_k4_implies_k23():
     assert detect_terminal_minor(g, g.terminals, k23()) is not None
     report = implied_minor_checks(g, g.terminals)
     assert report.ok
+
+
+PATTERN_MAKERS = {
+    "k23": k23,
+    "k4": k4,
+    "k4plus": k4_plus,
+    "cycle3": lambda: cycle(3),
+    "cycle4": lambda: cycle(4),
+    "cycle5": lambda: cycle(5),
+}
+
+
+@st.composite
+def minor_cases(draw):
+    """A pattern, a graph on 5..8 vertices (possibly disconnected) and an
+    ordered terminal subset with at least as many terminals as the
+    pattern has vertices."""
+    pattern = PATTERN_MAKERS[draw(st.sampled_from(sorted(PATTERN_MAKERS)))]()
+    n = draw(st.integers(min_value=5, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # sparse graphs, whose minors need long paths inside branch sets
+    present = draw(st.sets(st.sampled_from(pairs), min_size=n - 1, max_size=n + 3))
+    g = capgraph(n, [(u, v, ONE) for u, v in sorted(present)], ())
+    order = draw(st.permutations(range(n)))
+    z = tuple(order[: draw(st.integers(min_value=pattern.k, max_value=n))])
+    return g, z, pattern
+
+
+@settings(max_examples=200, deadline=None)
+@given(minor_cases())
+def test_fast_agrees_with_slow_on_all_patterns(case):
+    g, z, pattern = case
+    fast = detect_terminal_minor(g, z, pattern)
+    slow = slow_detect_terminal_minor(g, z, pattern)
+    assert (fast is None) == (slow is None)
+    if fast is not None:
+        assert verify_embedding(g, z, pattern, fast)
+        assert verify_embedding(g, z, pattern, slow)
+
+
+def _pinned(emb):
+    return emb.seeds, [sorted(s) for s in emb.branch_sets]
+
+
+def test_pinned_embeddings():
+    # The search returns the first solution in its DFS order; generated
+    # adversarial instances are built from exactly these branch sets.
+    k33 = unit_k33()
+    assert _pinned(detect_terminal_minor(k33, tuple(range(6)), k23())) == (
+        (0, 1, 2, 3, 4), [[0], [1], [2, 5], [3], [4]]
+    )
+    k5 = capgraph(5, [(i, j, ONE) for i in range(5) for j in range(i + 1, 5)], tuple(range(5)))
+    assert _pinned(detect_terminal_minor(k5, tuple(range(5)), k4())) == (
+        (0, 1, 2, 3), [[0], [1], [2], [3]]
+    )
+    g = gen_k23_subdivision(1, max_subdiv=1)
+    assert _pinned(detect_terminal_minor(g, g.terminals, k23())) == (
+        (0, 1, 2, 3, 4), [[0, 5, 6], [1, 7, 8, 9], [2], [3], [4]]
+    )
+    g = gen_k23_subdivision(2, max_subdiv=1)
+    assert _pinned(detect_terminal_minor(g, g.terminals, k23())) == (
+        (0, 1, 2, 3, 4), [[0, 5], [1, 6, 7, 8], [2], [3], [4]]
+    )
+    g = gen_k23_subdivision(1, max_subdiv=2)
+    assert _pinned(detect_terminal_minor(g, g.terminals, k23())) == (
+        (0, 1, 2, 3, 4), [[0, 5, 6, 7], [1, 8, 9, 10], [2], [3], [4]]
+    )
+    # a graph with many embeddings: the move order and the tie-break decide
+    g = random_connected_graph(split_seed(71, 15), max_n=8, min_n=6)
+    z = tuple(range(5))
+    assert _pinned(detect_terminal_minor(g, z, k23())) == (
+        (0, 1, 2, 3, 4), [[0, 7], [1, 5], [2], [3], [4]]
+    )
+    assert _pinned(detect_terminal_minor(g, z, k4())) == (
+        (0, 1, 2, 3), [[0, 4, 6], [1, 5], [2], [3, 7]]
+    )
+    assert _pinned(detect_terminal_minor(g, z, k4_plus())) == (
+        (0, 1, 2, 3, 4), [[0], [1, 6], [2], [3, 5, 7], [4]]
+    )
+    assert _pinned(detect_terminal_minor(g, z, cycle(5))) == (
+        (0, 2, 1, 3, 4), [[0], [2], [1, 6], [3, 5], [4]]
+    )
+    # the terminals are three apart: no two branch sets share a free neighbour
+    g = unit_cycle(9)
+    assert _pinned(detect_terminal_minor(g, (0, 3, 6), cycle(3))) == (
+        (0, 3, 6), [[0, 1, 2, 7, 8], [3, 4, 5], [6]]
+    )
+
+
+def test_automorphisms_are_enumerated_once_per_pattern_value():
+    from itertools import permutations
+
+    from ghkit.minors import _automorphisms
+
+    for pattern in (k23(), k4(), k4_plus(), cycle(5)):
+        eset = set(pattern.edges)
+        brute = [
+            p for p in permutations(range(pattern.k))
+            if {tuple(sorted((p[a], p[b]))) for a, b in pattern.edges} == eset
+        ]
+        assert pattern.automorphisms() == brute
+    assert [len(p.automorphisms()) for p in (k23(), k4(), k4_plus(), cycle(5))] == [12, 24, 4, 10]
+    # a fresh but equal pattern value hits the cache
+    assert _automorphisms(cycle(6)) is _automorphisms(cycle(6))
