@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 pass/yes, 1 property violation/no, 2 inconclusive (bound
-exceeded), 3 usage or parse error.
+Exit codes: 0 pass/yes, 1 property violation/no, 2 inconclusive (a
+bounded search exceeded its bound), 3 usage or parse error.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import sys
 
 from . import io as gio
 from .dot import embedding_dot, graph_dot, tree_dot
-from .embedding import Inconclusive, check_bag_minor, check_weak_bag_minor, is_gh_subgraph
+from .embedding import check_bag_minor, check_weak_bag_minor, is_gh_subgraph
 from .generators import (
     ZWebSpec,
     gen_adversarial_from_minor,
@@ -64,18 +64,14 @@ def cmd_verify_embed(args):
     g = inst.graph
     z = g.terminals if g.terminals else tuple(range(g.n))
     tree = build_gh_tree(g, z)
-    try:
-        if args.mode == "subgraph":
-            ok, witness = is_gh_subgraph(g, tree if set(z) == set(range(g.n)) else None)
-        elif args.mode == "bag":
-            ok, witness = check_bag_minor(g, tree)
-        else:
-            ok, deleted, witness = check_weak_bag_minor(g, tree, args.deletion_bound)
-            if ok:
-                print(f"deleted: {' '.join(str(v) for v in sorted(deleted))}")
-    except Inconclusive as e:
-        print(f"inconclusive: {e}")
-        return EXIT_INCONCLUSIVE
+    if args.mode == "subgraph":
+        ok, witness = is_gh_subgraph(g, tree if set(z) == set(range(g.n)) else None)
+    elif args.mode == "bag":
+        ok, witness = check_bag_minor(g, tree)
+    else:
+        ok, deleted, witness = check_weak_bag_minor(g, tree)
+        if ok:
+            print(f"deleted: {' '.join(str(v) for v in sorted(deleted))}")
     if args.dot and ok and args.mode != "subgraph":
         _write(args.out, tree_dot(tree))
     print("yes" if ok else "no")
@@ -99,11 +95,7 @@ def cmd_detect_minor(args):
     else:
         print(f"unknown pattern {args.pattern!r}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        emb = detect_terminal_minor(g, z, pattern, args.bound_n)
-    except BoundExceeded as e:
-        print(f"inconclusive: {e}")
-        return EXIT_INCONCLUSIVE
+    emb = detect_terminal_minor(g, z, pattern, args.bound_n)
     if emb is None:
         print("none")
         return EXIT_VIOLATION
@@ -168,12 +160,8 @@ def cmd_flowcheck(args):
         print("no demands in input", file=sys.stderr)
         return EXIT_USAGE
     mf = MultiflowInstance(inst.graph, inst.demands)
-    try:
-        cc = cut_condition(mf, args.bound_n)
-        lam = max_concurrent_flow(mf)  # the one LP solve: feasible iff lambda* >= 1
-    except BoundExceeded as e:
-        print(f"inconclusive: {e}")
-        return EXIT_INCONCLUSIVE
+    cc = cut_condition(mf, args.bound_n)
+    lam = max_concurrent_flow(mf)  # the one LP solve: feasible iff lambda* >= 1
     lines = [
         f"cut_condition: {'holds' if cc.holds else 'violated'}",
         f"max_concurrent_flow: {lam}",
@@ -237,7 +225,6 @@ def build_parser():
         parents=[common], help="check a GH tree embedding mode")
     s.add_argument("input")
     s.add_argument("--mode", choices=["subgraph", "bag", "weak"], required=True)
-    s.add_argument("--deletion-bound", type=int, default=12)
     s.add_argument("--dot", action="store_true")
     s.set_defaults(func=cmd_verify_embed)
 
@@ -293,6 +280,9 @@ def main(argv=None) -> int:
             setattr(args, name, default)
     try:
         return args.func(args)
+    except BoundExceeded as e:
+        print(f"inconclusive: {e}")
+        return EXIT_INCONCLUSIVE
     except (GraphError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graph import CapGraph, GraphError
-from .ghtree import GHTree, build_gh_tree
-from .maxflow import BoundExceeded
-
-
-DEFAULT_DELETION_BOUND = 12
+from .ghtree import GHTree, build_gh_tree, require_partition
 
 
 @dataclass(frozen=True)
@@ -83,49 +78,36 @@ def check_bag_minor(g: CapGraph, t: GHTree):
     return True, w
 
 
-class Inconclusive(RuntimeError):
-    """The bounded exhaustive search ran out of budget without a verdict."""
-
-
-def check_weak_bag_minor(g: CapGraph, t: GHTree, deletion_bound=DEFAULT_DELETION_BOUND):
+def check_weak_bag_minor(g: CapGraph, t: GHTree):
     """Does the tree occur as a bag minor after deleting non-terminals?
 
-    Tries the pruning heuristic first (drop, in each bag, the vertices
-    outside the terminal's component), then falls back to exhaustive
-    search over deletion subsets of non-terminal vertices.
+    The bags must partition V (GraphError otherwise).  The only deletion
+    set to try is D* = union over z of B_z minus comp(z, B_z), the
+    vertices of each bag outside its terminal's component.  If any set D
+    works, then each B_z minus D is connected and contains z, so it lies
+    in comp(z, B_z) and D contains D*.  Deleting D* instead leaves each
+    bag exactly comp(z, B_z), since disjoint bags keep the other bags'
+    deletions out of it, and every connector that survived D survives
+    the smaller D*.  So D* works whenever any set does; it is empty
+    exactly when the plain bag minor holds.  With overlapping bags the
+    second step fails: a vertex pruned from one bag may be needed in
+    another.
 
-    Returns (True, deleted_set, witness) or (False, None, None).
+    Returns (True, D*, witness) or (False, None, None).
     """
-    w = _bag_minor_witness(g, t)
-    if w is not None:
-        return True, frozenset(), w
-
-    # Heuristic: keep only the terminal's component inside each bag.
-    pruned_away = set()
+    require_partition(g, t)
+    deleted = set()
     for z in t.terminals:
-        bag = set(t.bags[z])
-        comp = g.component_of(z, bag)
-        pruned_away |= bag - comp
-    if pruned_away:
-        w = _bag_minor_witness(g, t, frozenset(pruned_away))
-        if w is not None:
-            return True, frozenset(pruned_away), w
-
-    nonterminals = sorted(set(range(g.n)) - set(t.terminals))
-    if len(nonterminals) > deletion_bound:
-        raise Inconclusive(
-            f"{len(nonterminals)} non-terminals exceeds deletion bound {deletion_bound}"
-        )
-    for k in range(1, len(nonterminals) + 1):
-        for combo in combinations(nonterminals, k):
-            deleted = frozenset(combo)
-            w = _bag_minor_witness(g, t, deleted)
-            if w is not None:
-                return True, deleted, w
-    return False, None, None
+        bag = t.bags[z]
+        deleted |= bag - g.component_of(z, bag)
+    deleted = frozenset(deleted)
+    w = _bag_minor_witness(g, t, deleted)
+    if w is None:
+        return False, None, None
+    return True, deleted, w
 
 
-def embedding_verdict(g: CapGraph, t: GHTree, deletion_bound=DEFAULT_DELETION_BOUND):
+def embedding_verdict(g: CapGraph, t: GHTree):
     """Strongest embedding mode this tree achieves in g."""
     if set(t.terminals) == set(range(g.n)):
         ok, w = is_gh_subgraph(g, t)
@@ -134,7 +116,7 @@ def embedding_verdict(g: CapGraph, t: GHTree, deletion_bound=DEFAULT_DELETION_BO
     ok, w = check_bag_minor(g, t)
     if ok:
         return EmbeddingVerdict("bag_minor", w)
-    ok, deleted, w = check_weak_bag_minor(g, t, deletion_bound)
+    ok, deleted, w = check_weak_bag_minor(g, t)
     if ok:
         return EmbeddingVerdict("weak_bag_minor", {"deleted": deleted, **w})
     return EmbeddingVerdict("none")

@@ -1,10 +1,17 @@
 """Gomory-Hu trees on terminal sets: construction, queries, verification.
 
-Construction follows the classical split procedure: pick a tree node
-holding two or more terminals, contract every other subtree hanging off
-it to a supervertex, compute the exact minimum cut between the two
-lowest-id terminals, and split the node along that cut.  On perturbed
-inputs every minimum cut is unique, so the result is canonical.
+Construction follows the classical split procedure without contraction:
+pick the first tree node holding two or more terminals, compute the
+minimum cut between its two lowest-id terminals s, t on the whole
+perturbed graph, and split the node along that cut.  Gomory and Hu
+contract every subtree hanging off the node first; on a perturbed graph
+that changes nothing.  Let W be the vertex set of such a subtree: its
+tree edge's fundamental cut delta(W) is a minimum cut between a terminal
+in W and one outside, and s, t lie outside W.  By the uncrossing lemma
+some minimum s-t cut does not cross W.  Perturbation makes the minimum
+s-t cut unique and max_flow returns it, so that cut never splits W and
+is exactly the cut the contracted graph would give.  The result is
+canonical.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capacity import Cap, cap_min
-from .graph import CapGraph, GraphError, capgraph, cut_capacity, deperturb_value, perturb
+from .graph import CapGraph, GraphError, cut_capacity, deperturb_value, perturb
 from .maxflow import max_flow
 
 
@@ -96,6 +103,14 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
     Unperturbed inputs are perturbed internally so all minimum cuts are
     unique, and the reported edge capacities are rounded back to the
     input capacity grid.  Already-perturbed inputs are used as-is.
+
+    Every split runs max_flow on the one perturbed graph gp, with no
+    contraction.  This is exact: a neighbouring subtree W of the split
+    node has a fundamental cut delta(W) that is a minimum cut and keeps
+    s, t outside W, so some minimum s-t cut does not cross W (the GH
+    uncrossing lemma).  On gp the minimum s-t cut is unique, so the cut
+    max_flow returns never splits W: it is the contracted graph's cut,
+    and each subtree is reattached by any one vertex of its neighbour.
     """
     if z is None:
         z = g.terminals if g.terminals else tuple(range(g.n))
@@ -113,24 +128,6 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
     node_terms = [sorted(z)]
     tree = []  # (a, b, cap) with a, b node indices
 
-    def side_vertices(node, banned_edge, via):
-        """Vertices of all nodes reachable from `via` without crossing node."""
-        seen = {via}
-        stack = [via]
-        while stack:
-            x = stack.pop()
-            for k, (a, b, _) in enumerate(tree):
-                if k == banned_edge:
-                    continue
-                other = b if a == x else a if b == x else None
-                if other is not None and other != node and other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        verts = set()
-        for i in seen:
-            verts |= nodes[i]
-        return verts
-
     while True:
         target = None
         for i, terms in enumerate(node_terms):
@@ -141,34 +138,10 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
             break
         s, t = node_terms[target][0], node_terms[target][1]
 
-        # Contract each neighboring subtree to a single supervertex.
-        nbr_edges = [k for k, (a, b, _) in enumerate(tree) if target in (a, b)]
-        groups = [[v] for v in sorted(nodes[target])]
-        group_sets = []
-        for k in nbr_edges:
-            a, b, _ = tree[k]
-            via = b if a == target else a
-            verts = side_vertices(target, k, via)
-            group_sets.append(verts)
-            groups.append(sorted(verts))
-        local_of = {}
-        for gi, grp in enumerate(groups):
-            for v in grp:
-                local_of[v] = gi
-        edges = []
-        for u, v, cap in gp.edges:
-            a, b = local_of[u], local_of[v]
-            if a != b:
-                edges.append((a, b, cap))
-        cg = capgraph(len(groups), edges)
-        res = max_flow(cg, local_of[s], local_of[t])
-
-        # Lift the shore back to original vertices.
-        shore = set()
-        for v in nodes[target]:
-            if local_of[v] in res.min_cut.shore:
-                shore.add(v)
-        side_a = shore  # contains s
+        # The unique minimum s-t cut of gp crosses no neighbouring subtree.
+        res = max_flow(gp, s, t)
+        shore = res.min_cut.shore
+        side_a = nodes[target] & shore  # contains s
         side_b = nodes[target] - shore
 
         new_idx = len(nodes)
@@ -177,16 +150,13 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
         nodes[target] = side_a
         node_terms[target] = [x for x in node_terms[target] if x in side_a]
 
-        # Reattach neighbor subtrees to whichever side their supervertex fell.
-        for k, verts in zip(nbr_edges, group_sets):
-            a, b, cap = tree[k]
-            gi = local_of[next(iter(verts))]
-            on_s_side = gi in res.min_cut.shore
-            keep = target if on_s_side else new_idx
-            if a == target:
-                tree[k] = (keep, b, cap)
-            else:
-                tree[k] = (a, keep, cap)
+        # Reattach each neighbour subtree to the side its vertices fell on.
+        for k, (a, b, cap) in enumerate(tree):
+            if target not in (a, b):
+                continue
+            via = b if a == target else a
+            keep = target if next(iter(nodes[via])) in shore else new_idx
+            tree[k] = (keep, b, cap) if a == target else (a, keep, cap)
         tree.append((target, new_idx, res.value))
 
     term_of_node = {}
@@ -222,9 +192,8 @@ class EdgeCheck:
         return self.cut_ok and self.flow_ok
 
 
-def verify_encoding(g: CapGraph, t: GHTree):
-    """Per-edge encoding check: fundamental-cut capacity and max-flow value
-    must both equal the stored tree capacity."""
+def require_partition(g: CapGraph, t: GHTree):
+    """Raise GraphError unless the bags partition V, each holding its terminal."""
     covered = set()
     for z in t.terminals:
         bag = t.bags[z]
@@ -233,6 +202,12 @@ def verify_encoding(g: CapGraph, t: GHTree):
         covered |= bag
     if covered != set(range(g.n)):
         raise GraphError("bags do not partition V")
+
+
+def verify_encoding(g: CapGraph, t: GHTree):
+    """Per-edge encoding check: fundamental-cut capacity and max-flow value
+    must both equal the stored tree capacity."""
+    require_partition(g, t)
     report = []
     for i, e in enumerate(t.edges):
         shore = t.certificates[i] if t.certificates else t.fundamental_shore(i)

@@ -40,6 +40,7 @@ class CapGraph:
     n: int
     edges: tuple  # tuple[Edge, ...], edge id == index
     terminals: tuple = ()
+    # set only by `perturb`; promises that every minimum cut is unique
     perturbed: bool = False
     grid: int = 1  # common denominator of the pre-perturbation capacities
 

@@ -54,8 +54,6 @@ class SuiteConfig:
     seed: int = 1
     trials: int = 20
     suites: tuple = ("gh-oracle", "gh-subtrees", "bag-minors", "minors", "reduction", "flows")
-    oracle_bound: int = 16
-    minor_bound: int = 20
 
 
 def suite_gh_oracle(seed: int, trials: int) -> SuiteResult:
@@ -248,6 +246,8 @@ SUITES = {
 
 
 def run_suite(cfg: SuiteConfig):
+    if cfg.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {cfg.trials}")
     results = []
     for name in cfg.suites:
         if name not in SUITES:

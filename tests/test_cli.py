@@ -139,3 +139,23 @@ def test_suite_command(capsys):
     assert main(["suite", "--suites", "gh-oracle", "--trials", "2", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "gh-oracle: pass (2/2)" in out
+
+
+def test_suite_rejects_nonpositive_trials(capsys):
+    assert main(["suite", "--suites", "gh-oracle", "--trials", "-1"]) == 3
+    assert main(["suite", "--suites", "gh-oracle", "--trials", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: trials must be at least 1")
+
+
+def test_gen_adversarial_above_bound_is_inconclusive(k23_file):
+    src = str(Path(ghkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghkit", "gen", "adversarial", "--input", k23_file, "--bound-n", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.startswith("inconclusive: ")
+    assert "Traceback" not in proc.stderr + proc.stdout

@@ -1,9 +1,13 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghkit import capgraph
 from ghkit.capacity import Cap
 from ghkit.embedding import (
-    Inconclusive,
+    _bag_minor_witness,
     check_bag_minor,
     check_weak_bag_minor,
     embedding_verdict,
@@ -11,7 +15,7 @@ from ghkit.embedding import (
     is_gh_subgraph,
 )
 from ghkit.generators import gen_onesum, split_seed
-from ghkit.ghtree import build_gh_tree
+from ghkit.ghtree import GHEdge, GHTree, build_gh_tree
 from ghkit.graph import GraphError, perturb
 
 from conftest import ONE, unit_k23
@@ -88,8 +92,6 @@ def test_weak_bag_minor_exhaustive_search_and_bound():
     # Bag of terminal 0 is {0, 3} with 0 isolated: the bag is
     # disconnected, pruning 3 removes the only connecting edge 3-4, and
     # no deletion subset can fix it either.
-    from ghkit.ghtree import GHEdge, GHTree
-
     g = capgraph(5, [(1, 2, ONE), (1, 4, ONE), (2, 4, ONE), (3, 4, ONE)], (0, 1))
     t = GHTree(
         (0, 1),
@@ -98,7 +100,66 @@ def test_weak_bag_minor_exhaustive_search_and_bound():
         (),
     )
     assert not check_bag_minor(g, t)[0]
-    with pytest.raises(Inconclusive):
-        check_weak_bag_minor(g, t, deletion_bound=0)
+    assert exhaustive_weak_bag_minor(g, t) is None
     ok, deleted, witness = check_weak_bag_minor(g, t)
     assert not ok and deleted is None and witness is None
+
+
+def exhaustive_weak_bag_minor(g, t):
+    """Smallest deletion set of non-terminals (first in size, then
+    lexicographic order) that leaves a bag minor, or None."""
+    nonterminals = sorted(set(range(g.n)) - set(t.terminals))
+    for k in range(len(nonterminals) + 1):
+        for combo in combinations(nonterminals, k):
+            if _bag_minor_witness(g, t, frozenset(combo)) is not None:
+                return frozenset(combo)
+    return None
+
+
+@st.composite
+def partition_trees(draw):
+    """A random graph on 2..8 vertices with a random tree over a random
+    terminal set whose bags partition V."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=3 * n))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    g = capgraph(n, [(u, v, ONE) for u, v in sorted(edges)])
+    z = draw(st.lists(vertex, min_size=2, max_size=n, unique=True))
+    owner = {v: v for v in z}
+    for v in range(n):
+        if v not in owner:
+            owner[v] = draw(st.sampled_from(z))
+    bags = {x: frozenset(v for v in range(n) if owner[v] == x) for x in z}
+    tree_edges = tuple(
+        GHEdge(draw(st.sampled_from(z[:i])), z[i], ONE) for i in range(1, len(z))
+    )
+    return g, GHTree(tuple(z), bags, tree_edges, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_trees())
+def test_weak_bag_minor_matches_exhaustive_deletion_search(inst):
+    g, t = inst
+    smallest = exhaustive_weak_bag_minor(g, t)
+    ok, deleted, witness = check_weak_bag_minor(g, t)
+    assert ok == (smallest is not None)
+    if ok:
+        # the one set tried is the unique smallest working deletion set
+        assert deleted == smallest
+        assert witness == _bag_minor_witness(g, t, deleted)
+        assert (deleted == frozenset()) == check_bag_minor(g, t)[0]
+
+
+def test_weak_bag_minor_rejects_overlapping_bags():
+    # Deleting {2, 3} would leave a bag minor, but 3 lies in both bags:
+    # pruning it from the bag of 1 breaks the bag of 0.
+    g = capgraph(4, [(0, 3, ONE), (3, 2, ONE), (0, 1, ONE)], (0, 1))
+    t = GHTree(
+        (0, 1),
+        {0: frozenset({0, 2, 3}), 1: frozenset({1, 3})},
+        (GHEdge(0, 1, ONE),),
+        (),
+    )
+    with pytest.raises(GraphError):
+        check_weak_bag_minor(g, t)

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghkit import capgraph
-from ghkit.capacity import Cap
+from ghkit.capacity import INF, Cap
 from ghkit.generators import split_seed
 from ghkit.ghtree import (
     GHEdge,
@@ -141,3 +143,100 @@ def test_path_edges_and_fundamental_shore():
         assert (e.s in shore) != (e.t in shore)
     path = t.path_edges(t.terminals[0], t.terminals[-1])
     assert path, "terminals must be connected in the tree"
+
+
+def _pinned_graphs():
+    k23 = capgraph(5, [(u, v, ONE) for u in (0, 1) for v in (2, 3, 4)])
+    rational = capgraph(7, [
+        (0, 1, Cap(Fraction(3, 2))), (1, 2, Cap(2)), (2, 3, Cap(1)), (3, 4, Cap(Fraction(5, 3))),
+        (4, 5, Cap(2)), (5, 0, Cap(1)), (6, 0, Cap(1)), (6, 2, Cap(Fraction(1, 2))),
+        (6, 4, Cap(3)), (1, 6, Cap(1)),
+    ])
+    infinite = capgraph(6, [
+        (0, 1, INF), (1, 2, Cap(2)), (2, 3, INF), (3, 4, Cap(1)), (4, 5, Cap(3, 1)),
+        (5, 0, Cap(1)), (1, 4, Cap(Fraction(1, 3))), (2, 5, Cap(2)),
+    ])
+    return {
+        "k23": (k23, (0, 1, 2, 3, 4)),
+        "rational": (rational, (0, 2, 4, 5)),
+        "infinite": (infinite, (0, 2, 3, 5)),
+        "infinite-all": (infinite, tuple(range(6))),
+        "pre-perturbed": (perturb(rational), (1, 3, 6)),
+    }
+
+
+# (edges as (s, t, str(cap)), bags, certificates), recorded from the
+# contraction-based construction.
+PINNED_TREES = {
+    "k23": (
+        [(0, 1, "3"), (1, 2, "2"), (1, 3, "2"), (1, 4, "2")],
+        {0: [0], 1: [1], 2: [2], 3: [3], 4: [4]},
+        [[0], [0, 1, 3, 4], [0, 1, 2, 4], [0, 1, 2, 3]],
+    ),
+    "rational": (
+        [(0, 4, "7/2"), (2, 4, "7/2"), (4, 5, "3")],
+        {0: [0], 2: [2], 4: [1, 3, 4, 6], 5: [5]},
+        [[0], [2], [0, 1, 2, 3, 4, 6]],
+    ),
+    "infinite": (
+        [(0, 2, "10/3"), (2, 3, "1*inf+1"), (2, 5, "13/3")],
+        {0: [0, 1], 2: [2], 3: [3], 5: [4, 5]},
+        [[0, 1], [0, 1, 2, 4, 5], [0, 1, 2, 3]],
+    ),
+    "infinite-all": (
+        [(0, 1, "1*inf+1"), (1, 2, "10/3"), (2, 3, "1*inf+1"), (2, 5, "13/3"), (4, 5, "1*inf+13/3")],
+        {0: [0], 1: [1], 2: [2], 3: [3], 4: [4], 5: [5]},
+        [[0], [0, 1], [0, 1, 2, 4, 5], [0, 1, 2, 3], [4]],
+    ),
+    "pre-perturbed": (
+        [(6, 3, "4194307/1572864"), (1, 6, "8388823/2097152")],
+        {1: [1, 2], 3: [3], 6: [0, 4, 5, 6]},
+        [[0, 1, 2, 4, 5, 6], [1, 2]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TREES))
+def test_pinned_trees(name):
+    g, z = _pinned_graphs()[name]
+    edges, bags, certs = PINNED_TREES[name]
+    t = build_gh_tree(g, z)
+    assert t.terminals == z
+    assert [(e.s, e.t, str(e.cap)) for e in t.edges] == edges
+    assert {k: sorted(v) for k, v in t.bags.items()} == bags
+    assert [sorted(c) for c in t.certificates] == certs
+
+
+gh_caps = st.one_of(
+    st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4).map(Cap),
+    st.just(INF),
+)
+
+
+@st.composite
+def perturbed_instances(draw):
+    """A perturbed connected graph on 3..10 vertices and a proper terminal
+    subset of at least two vertices."""
+    n = draw(st.integers(min_value=3, max_value=10))
+    edges = {}
+    for v in range(1, n):
+        edges[draw(st.integers(min_value=0, max_value=v - 1)), v] = draw(gh_caps)
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    for u, v, c in draw(st.lists(st.tuples(vertex, vertex, gh_caps), max_size=n)):
+        if u != v:
+            edges[min(u, v), max(u, v)] = c
+    z = draw(st.lists(vertex, min_size=2, max_size=n - 1, unique=True))
+    return perturb(capgraph(n, [(u, v, c) for (u, v), c in edges.items()])), tuple(z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_instances())
+def test_certificates_are_the_unique_minimum_cuts(inst):
+    gp, z = inst
+    t = build_gh_tree(gp, z)
+    assert set(t.terminals) == set(z) and len(t.edges) == len(z) - 1
+    for e, shore in zip(t.edges, t.certificates):
+        cut = brute_min_cut(gp, e.s, e.t)
+        assert shore == cut.shore
+        assert e.cap == cut.capacity
+    assert all(c.ok for c in verify_encoding(gp, t))
