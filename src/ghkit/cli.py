@@ -128,6 +128,9 @@ def cmd_gen(args):
         web = gen_zweb(ZWebSpec(args.k, args.interior, attach), args.seed)
         _write(args.out, gio.format_instance(web.graph, tsets=web.tsets))
     elif args.family == "adversarial":
+        if args.input is None:
+            print("error: gen adversarial needs --input", file=sys.stderr)
+            return EXIT_USAGE
         inst = gio.load(args.input)
         g = inst.graph
         z = g.terminals if g.terminals else tuple(range(g.n))

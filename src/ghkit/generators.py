@@ -145,6 +145,8 @@ class ZWebSpec:
             raise GraphError("need k >= 3 outer terminals")
         if any(m < 1 or m > 4 for m in self.attachments):
             raise GraphError("attachment clique sizes must be in 1..4")
+        if self.interior_vertices < 0:
+            raise GraphError("interior vertex count must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,25 @@ class CapGraph:
         return denom, bits, tuple(e.cap.to_int(denom, bits) for e in self.edges)
 
     @cached_property
+    def shore_table(self):
+        """Every shore that leaves out vertex n-1, as (key, mask, cap) rows
+        sorted by cut capacity.
+
+        mask is the shore's vertex bitmask and cap the Cap capacity of its
+        cut, summed by ``shore_cuts``; each of the 2**(n-1) - 1 proper cuts
+        appears once, through the shore without n-1.  The exact sort key is
+        key = (cap.inf, cap.fin * D) with D the common denominator of the
+        edges' finite parts, which divides that of every cut's finite part.
+        """
+        denom = math.lcm(*(e.cap.fin.denominator for e in self.edges))
+        rows = [
+            ((cap.inf, cap.fin.numerator * (denom // cap.fin.denominator)), mask, cap)
+            for mask, cap in shore_cuts(self, 0, range(self.n - 1))
+        ]
+        rows.sort()  # masks are distinct, so Caps are never compared
+        return tuple(rows)
+
+    @cached_property
     def edge_index(self):
         return {(min(u, v), max(u, v)): i for i, (u, v, _) in enumerate(self.edges)}
 
@@ -185,6 +204,32 @@ def cut_capacity(g: CapGraph, shore) -> Cap:
     return total
 
 
+def shore_cuts(g: CapGraph, base: int, free):
+    """Yield (mask, capacity of delta(mask)) for every shore
+    ``base | subset(free)``, in Gray-code order.
+
+    ``base`` is a vertex bitmask and ``free`` a sequence of distinct
+    vertices outside it.  Consecutive shores differ in one vertex, so each
+    step adds or subtracts only that vertex's incident edges: O(deg) Cap
+    operations per shore instead of O(m).
+    """
+    cap = ZERO
+    for u, v, c in g.edges:
+        if (base >> u ^ base >> v) & 1:
+            cap = cap + c
+    mask = base
+    yield mask, cap
+    incident = [[(w, g.edges[i].cap) for w, i in g.adj[v]] for v in free]
+    for step in range(1, 1 << len(free)):
+        j = (step & -step).bit_length() - 1
+        mask ^= 1 << free[j]
+        inside = mask >> free[j] & 1
+        for w, c in incident[j]:
+            # the edge to w crosses now iff it did not before the flip
+            cap = cap + c if (mask >> w & 1) != inside else cap - c
+        yield mask, cap
+
+
 def cross_capacity(g: CapGraph, x, y) -> Cap:
     """Sum of capacities of edges with one end in x and the other in y."""
     xs, ys = set(x), set(y)
@@ -204,11 +249,6 @@ def is_central(g: CapGraph, shore) -> bool:
         raise GraphError("shore must be a proper nonempty vertex subset")
     rest = set(range(g.n)) - s
     return g.induced_connected(s) and g.induced_connected(rest)
-
-
-def make_cut(g: CapGraph, shore) -> Cut:
-    s = frozenset(shore)
-    return Cut(s, cut_capacity(g, s), is_central(g, s))
 
 
 def perturb(g: CapGraph) -> CapGraph:

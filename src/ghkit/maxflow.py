@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capacity import ZERO, Cap
-from .graph import CapGraph, Cut, GraphError, is_central, make_cut
+from .graph import CapGraph, Cut, GraphError, is_central, shore_cuts  # noqa: F401 (re-exported)
 
 
 DEFAULT_ORACLE_BOUND = 16
@@ -20,6 +20,13 @@ class FlowResult:
     value: Cap
     min_cut: Cut
     flows: dict  # edge_id -> signed Cap, positive in the stored u->v direction
+
+
+def _check_pair(g, s, t):
+    if s == t:
+        raise GraphError("source equals sink")
+    if not (0 <= s < g.n and 0 <= t < g.n):
+        raise GraphError(f"vertex out of range (n={g.n})")
 
 
 def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
@@ -59,8 +66,7 @@ def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
     algorithm on Caps compares, the int run follows it step for step and
     its flows decode to that run's flows, so the widening ends.
     """
-    if s == t:
-        raise GraphError("source equals sink")
+    _check_pair(g, s, t)
     denom, bits, caps = g.scaled_capacities
     while True:
         result = _int_max_flow(g, s, t, denom, bits, caps)
@@ -125,61 +131,44 @@ def _int_max_flow(g, s, t, denom, bits, caps):
     return FlowResult(val, Cut(shore, val, is_central(g, shore)), flows)
 
 
-def shore_cuts(g: CapGraph, base: int, free):
-    """Yield (mask, capacity of delta(mask)) for every shore
-    ``base | subset(free)``, in Gray-code order.
-
-    ``base`` is a vertex bitmask and ``free`` a sequence of distinct
-    vertices outside it.  Consecutive shores differ in one vertex, so each
-    step adds or subtracts only that vertex's incident edges: O(deg) Cap
-    operations per shore instead of O(m).
-    """
-    cap = ZERO
-    for u, v, c in g.edges:
-        if (base >> u ^ base >> v) & 1:
-            cap = cap + c
-    mask = base
-    yield mask, cap
-    incident = [[(w, g.edges[i].cap) for w, i in g.adj[v]] for v in free]
-    for step in range(1, 1 << len(free)):
-        j = (step & -step).bit_length() - 1
-        mask ^= 1 << free[j]
-        inside = mask >> free[j] & 1
-        for w, c in incident[j]:
-            # the edge to w crosses now iff it did not before the flip
-            cap = cap + c if (mask >> w & 1) != inside else cap - c
-        yield mask, cap
-
-
 def all_shore_capacities(g: CapGraph):
-    """Capacity of delta(S) for every bitmask S.
+    """Capacity of delta(S) for every bitmask S, read from
+    ``CapGraph.shore_table``.
 
     Index is the bitmask of the shore; entries for the empty and full
     shore are None.
     """
-    caps = [None] * (1 << g.n)
-    for mask, cap in shore_cuts(g, 0, range(g.n)):
-        caps[mask] = cap
+    full = (1 << g.n) - 1
+    caps = [None] * (full + 1)
+    for _, mask, cap in g.shore_table:
+        caps[mask] = caps[full ^ mask] = cap
     caps[0] = caps[-1] = None
     return caps
 
 
 def brute_min_cut(g: CapGraph, s: int, t: int, bound: int = DEFAULT_ORACLE_BOUND) -> Cut:
-    """Minimum st-cut by enumerating every shore containing s but not t.
+    """Minimum st-cut read from the graph's table of every cut
+    (``CapGraph.shore_table``); the returned shore is the s-side.
 
-    It sums capacities as Caps and never calls max_flow, so it stays an
-    independent oracle for the int kernel.
+    The table is built on the first call and memoised on the graph: it
+    sums 2**(n-1) cuts once, about as many Cap sums as three per-pair
+    walks of 2**(n-2) shores, and keeps 2**(n-1) rows for as long as the
+    graph lives.  Every later pair only scans it.  Among tied minimum
+    cuts it returns the first separating row, lowest key then lowest
+    mask.  The table sums capacities as Caps and never calls max_flow,
+    so this stays an independent oracle for the int kernel.
     """
-    if s == t:
-        raise GraphError("source equals sink")
+    _check_pair(g, s, t)
     n = g.n
     if n > bound:
         raise BoundExceeded(f"brute_min_cut bound {bound} exceeded (n={n})")
-    best_mask = best_cap = None
-    for mask, cap in shore_cuts(g, 1 << s, [v for v in range(n) if v not in (s, t)]):
-        if best_cap is None or cap < best_cap:
-            best_mask, best_cap = mask, cap
-    return make_cut(g, frozenset(v for v in range(n) if best_mask >> v & 1))
+    for _, mask, cap in g.shore_table:
+        if (mask >> s ^ mask >> t) & 1:
+            break
+    if not mask >> s & 1:
+        mask ^= (1 << n) - 1
+    shore = frozenset(v for v in range(n) if mask >> v & 1)
+    return Cut(shore, cap, is_central(g, shore))
 
 
 def lambda_matrix(g: CapGraph, z=None):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacity import Cap
-from .graph import CapGraph, GraphError, cut_capacity
-from .maxflow import BoundExceeded, shore_cuts
+from .graph import CapGraph, GraphError, cut_capacity, shore_cuts
+from .maxflow import BoundExceeded
 from .simplex import OPTIMAL, UNBOUNDED, solve_lp
 
 

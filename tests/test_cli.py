@@ -149,6 +149,25 @@ def test_suite_rejects_nonpositive_trials(capsys):
     assert captured.err.startswith("error: trials must be at least 1")
 
 
+def test_gen_zweb_rejects_negative_interior(tmp_path, capsys):
+    out = tmp_path / "web.txt"
+    assert main(["gen", "zweb", "--interior", "-1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: interior vertex count")
+    assert not out.exists()
+
+
+def test_gen_adversarial_without_input_is_a_usage_error():
+    src = str(Path(ghkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghkit", "gen", "adversarial"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
 def test_gen_adversarial_above_bound_is_inconclusive(k23_file):
     src = str(Path(ghkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

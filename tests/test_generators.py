@@ -61,6 +61,8 @@ def test_zweb_shape_and_k23_freeness():
 def test_zweb_spec_validation():
     with pytest.raises(GraphError):
         gen_zweb(ZWebSpec(2, 0, ()), 1)
+    with pytest.raises(GraphError, match="interior"):
+        ZWebSpec(5, -1, ())
 
 
 def test_star_reduce_identity_claw():

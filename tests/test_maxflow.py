@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from ghkit import capgraph
 from ghkit.capacity import INF, ZERO, Cap
 from ghkit.generators import split_seed
-from ghkit.graph import cut_capacity, perturb
+import ghkit.graph
+from ghkit.graph import GraphError, cut_capacity, is_central, perturb
 from ghkit.maxflow import (
     BoundExceeded,
     all_shore_capacities,
@@ -68,6 +69,15 @@ def test_brute_min_cut_bound():
     g = random_connected_graph(3, max_n=8)
     with pytest.raises(BoundExceeded):
         brute_min_cut(g, 0, 1, bound=g.n - 1)
+    assert "shore_table" not in vars(g)  # raised before any shore was summed
+
+
+@pytest.mark.parametrize("oracle", [max_flow, brute_min_cut])
+def test_cut_oracles_reject_bad_vertices(oracle):
+    g = unit_k23()
+    for s, t in ((1, 1), (0, 5), (-1, 0), (7, 2)):
+        with pytest.raises(GraphError):
+            oracle(g, s, t)
 
 
 def test_all_shore_capacities_agrees_with_cut_capacity():
@@ -180,3 +190,58 @@ def test_shore_cuts_match_cut_capacity(inst):
             assert cap == ZERO
         seen.add(mask)
     assert len(seen) == 1 << len(free)
+
+
+def gray_min_cut(g, s, t):
+    """The per-pair oracle: the least capacity over every shore
+    s + subset(V - {s, t})."""
+    return min(cap for _, cap in shore_cuts(g, 1 << s, [v for v in range(g.n) if v not in (s, t)]))
+
+
+# Few distinct values, so that many cuts tie.
+tie_caps = st.one_of(st.sampled_from([Cap(1), Cap(2), Cap(Fraction(1, 2))]), infinite_caps)
+
+
+@st.composite
+def oracle_graphs(draw):
+    """A graph on 2..9 vertices, connected or not, with tie-heavy
+    capacities, perturbed about half of the time."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = {}
+    if draw(st.booleans()):
+        for v in range(1, n):
+            edges[draw(st.integers(min_value=0, max_value=v - 1)), v] = draw(tie_caps)
+    for u, v, c in draw(st.lists(st.tuples(vertex, vertex, tie_caps), min_size=1, max_size=2 * n)):
+        if u != v:
+            edges[min(u, v), max(u, v)] = c
+    g = capgraph(n, [(u, v, c) for (u, v), c in edges.items()])
+    return perturb(g) if g.m and draw(st.booleans()) else g
+
+
+@given(oracle_graphs())
+def test_brute_min_cut_matches_per_pair_gray_walk(g):
+    for s in range(g.n):
+        for t in range(g.n):
+            if s != t:
+                cut = brute_min_cut(g, s, t)
+                assert s in cut.shore and t not in cut.shore
+                assert cut.capacity == cut_capacity(g, cut.shore) == gray_min_cut(g, s, t)
+                assert cut.central == is_central(g, cut.shore)
+
+
+def test_brute_min_cut_sums_shores_once_per_graph(monkeypatch):
+    calls = []
+    original = ghkit.graph.shore_cuts
+
+    def counting(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(ghkit.graph, "shore_cuts", counting)
+    g = perturb(random_connected_graph(split_seed(41, 2), max_n=8, min_n=6))
+    for s in range(g.n):
+        for t in range(g.n):
+            if s != t:
+                assert brute_min_cut(g, s, t).capacity == max_flow(g, s, t).value
+    assert calls == [(0, range(g.n - 1))]

@@ -1,0 +1,182 @@
+"""Before/after numbers for a change: alternating pairs of perfbench runs.
+
+    python3 tools/bench_pairs.py --base HEAD --out BENCH_<n>.json \\
+        --pairs cut-oracles=6,gh-trees=3,flowcheck=3,minor-search=3
+
+Run from the root of the repository.  The base side is the committed
+files of ``--base`` (``git archive``); the change side is the working
+tree's tracked and untracked, not ignored, files.  Each side is copied
+into its own temporary directory, so ``perfbench/run.py`` runs on each
+exactly as it would in a fresh checkout.
+
+For every workload, pair i runs ``perfbench/run.py --seed <seed + i>`` on
+both sides, base first in even pairs and change first in odd ones, so
+that drift in machine speed falls on both sides alike.  After the pairs,
+one ``--trace 1`` run per side keeps the per-layer metrics, work counts
+included.  The output file holds the environment, every pair, and per
+end-to-end metric the median and interquartile range of each side, the
+ratio of the medians (change / base) and the number of pairs the change
+wins.  A run that reports a failure or exits non-zero stops the script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+TRACE_SEED = 11  # a traced pass is the same work for every seed
+
+
+def git(*args, cwd):
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True).stdout
+
+
+def export_revision(repo, rev, dest):
+    """The committed files of `rev`, unpacked under `dest`."""
+    data = git("archive", "--format=tar", rev, cwd=repo)
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest)
+
+
+def export_working_tree(repo, dest):
+    """The working tree's tracked and untracked, not ignored, files."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard", cwd=repo)
+    for name in names.decode().split("\0"):
+        src = repo / name
+        if name and src.is_file():  # a tracked file may be deleted
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+
+
+def run_bench(tree, workload, seed, seconds, trace=0):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"{workload} seed {seed} in {tree}: exit {proc.returncode}\n{proc.stderr}")
+    detail = json.loads(lines[-2])["detail"]
+    result = json.loads(lines[-1])
+    if result["failed"]:
+        raise SystemExit(f"{workload} seed {seed} in {tree}: {result['failed']} failed instances")
+    return detail, result
+
+
+def spread(values):
+    """Median and interquartile range (q3 - q1)."""
+    if len(values) < 2:
+        return values[0], 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return statistics.median(values), q3 - q1
+
+
+def summarise(pairs, end_to_end):
+    out = {}
+    for m in end_to_end:
+        name = m["name"]
+        base = [p["base"][name] for p in pairs]
+        head = [p["change"][name] for p in pairs]
+        base_median, base_iqr = spread(base)
+        head_median, head_iqr = spread(head)
+        higher = m["better"] == "higher"
+        out[name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "base_median": base_median,
+            "base_iqr": base_iqr,
+            "change_median": head_median,
+            "change_iqr": head_iqr,
+            "ratio": head_median / base_median if base_median else None,
+            "wins": sum((h > b) if higher else (h < b) for b, h in zip(base, head)),
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def parse_pairs(text):
+    out = {}
+    for item in text.split(","):
+        name, _, count = item.partition("=")
+        out[name.strip()] = int(count)
+    return out
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--base", default="HEAD", help="git revision of the base side")
+    p.add_argument("--pairs", required=True, help="workload=count,... in the order to run")
+    p.add_argument("--seed", type=int, default=301, help="seed of the first pair")
+    p.add_argument("--out", required=True)
+    args = p.parse_args(argv)
+
+    repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).decode().strip())
+    spec = json.loads((repo / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    counts = parse_pairs(args.pairs)
+    base_rev = git("rev-parse", args.base, cwd=repo).decode().strip()
+
+    report = {
+        "environment": {
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "platform": platform.platform(),
+            "nproc": os.cpu_count(),
+            "cpus_usable": len(os.sched_getaffinity(0)),
+            "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        },
+        "base": base_rev,
+        "change": f"working tree on {git('rev-parse', 'HEAD', cwd=repo).decode().strip()}",
+        "seconds": seconds,
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        for tree in trees.values():
+            tree.mkdir()
+        export_revision(repo, base_rev, trees["base"])
+        export_working_tree(repo, trees["change"])
+
+        for workload, count in counts.items():
+            pairs = []
+            for i in range(count):
+                seed = args.seed + i
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    detail, result = run_bench(trees[side], workload, seed, seconds)
+                    pair[side] = {k: v["value"] for k, v in result["metrics"].items()}
+                    pair[side]["attempted"] = result["attempted"]
+                    pair[side + "_source_sha256"] = detail["environment"]["source_sha256"]
+                print(f"{workload} pair {i}: " + ", ".join(
+                    f"{s} {pair[s]['instances_per_s']:.1f}/s" for s in order), file=sys.stderr)
+                pairs.append(pair)
+            traced = {}
+            for side in ("base", "change"):
+                _, result = run_bench(trees[side], workload, TRACE_SEED, 1, trace=1)
+                traced[side] = {k: v["value"] for k, v in result["metrics"].items()}
+            report["workloads"][workload] = {
+                "summary": summarise(pairs, spec["end_to_end"]),
+                "pairs": pairs,
+                "traced_seed": TRACE_SEED,
+                "traced": traced,
+            }
+
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
