@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import CapGraph, GraphError
+from .graph import CapGraph, GraphError, connector
 from .ghtree import GHTree, build_gh_tree, require_partition
 
 
@@ -51,15 +51,7 @@ def _bag_minor_witness(g: CapGraph, t: GHTree, deleted=frozenset()):
         pruned[z] = bag
     connectors = {}
     for e in t.edges:
-        found = None
-        for u, v, _ in g.edges:
-            if u in deleted or v in deleted:
-                continue
-            if (u in pruned[e.s] and v in pruned[e.t]) or (
-                v in pruned[e.s] and u in pruned[e.t]
-            ):
-                found = (u, v)
-                break
+        found = connector(g, pruned[e.s], pruned[e.t])
         if found is None:
             return None
         connectors[(e.s, e.t)] = found

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacity import Cap, INF
-from .graph import CapGraph, GraphError, capgraph
+from .graph import CapGraph, GraphError, capgraph, connector
 from .maxflow import max_flow
 from .minors import MinorEmbedding
 
@@ -251,9 +251,11 @@ def star_reduce(g: CapGraph, tset: ThreeSeparatedSet):
     """Replace a 3-separated set by a degree-3 star.
 
     For each attachment vertex a, the star edge gets the capacity of a
-    minimum cut inside F (interior plus attachment triple, without the
-    triple's own edges) separating a from the other two.  Minimum cuts
-    between terminal bipartitions are preserved exactly.
+    minimum cut inside F (the edges of g inside interior plus attachment
+    triple that touch the interior) separating a from the other two: a
+    max flow on g's own vertex ids from a to a new sink g.n, glued to the
+    other two by infinite edges.  Minimum cuts between terminal
+    bipartitions are preserved exactly.
 
     Returns (graph, old->new vertex map).
     """
@@ -263,11 +265,16 @@ def star_reduce(g: CapGraph, tset: ThreeSeparatedSet):
         raise GraphError("3-separated interior contains a terminal")
     if interior & {x, y, z}:
         raise GraphError("attachment triple overlaps the interior")
-    f_graph, f_caps = _attachment_subgraph(g, tset)
+    inside = interior | {x, y, z}
+    f_edges = [
+        e for e in g.edges
+        if e.u in inside and e.v in inside and (e.u in interior or e.v in interior)
+    ]
     caps = {}
     for alpha in (x, y, z):
-        others = [a for a in (x, y, z) if a != alpha]
-        caps[alpha] = _min_cut_from_others(f_graph, f_caps, alpha, others)
+        # sink g.n glued to the two other attachment vertices
+        glue = [(o, g.n, INF) for o in (x, y, z) if o != alpha]
+        caps[alpha] = max_flow(capgraph(g.n + 1, f_edges + glue), alpha, g.n).value
     star_edges = [
         (a, None, caps[a]) for a in (x, y, z) if caps[a] > Cap(0)
     ]
@@ -275,49 +282,6 @@ def star_reduce(g: CapGraph, tset: ThreeSeparatedSet):
     # all the interior was detached and no star vertex is needed
     add_vertex = bool(star_edges)
     return _renumber(g, interior, star_edges, extra_vertex=add_vertex)[:2]
-
-
-def _attachment_subgraph(g: CapGraph, tset: ThreeSeparatedSet):
-    """F: interior plus attachment triple, without edges inside the triple."""
-    interior = set(tset.interior)
-    triple = set(tset.attachment)
-    verts = sorted(interior | triple)
-    vmap = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for u, v, cap in g.edges:
-        if u in triple and v in triple:
-            continue
-        if u in vmap and v in vmap and (u in interior or v in interior):
-            edges.append((vmap[u], vmap[v], cap))
-    return capgraph(len(verts), edges) if edges else None, vmap
-
-
-def _min_cut_from_others(f_graph, vmap, alpha, others):
-    """Min cut in F separating alpha from the other attachment vertices."""
-    if f_graph is None:
-        return Cap(0)
-    # super-sink glued to the two other attachment vertices
-    n = f_graph.n
-    edges = [(u, v, cap) for u, v, cap in f_graph.edges]
-    sink = n
-    for o in others:
-        edges.append((vmap[o], sink, INF))
-    aug = capgraph(n + 1, edges)
-    a = vmap[alpha]
-    if not aug.adj[a]:
-        return Cap(0)
-    # restrict to the component of alpha (F may be disconnected from an
-    # attachment vertex)
-    comp = aug.component_of(a)
-    if sink not in comp:
-        return Cap(0)
-    verts = sorted(comp)
-    rmap = {v: i for i, v in enumerate(verts)}
-    redges = [
-        (rmap[u], rmap[v], cap) for u, v, cap in edges if u in comp and v in comp
-    ]
-    sub = capgraph(len(verts), redges)
-    return max_flow(sub, rmap[a], rmap[sink]).value
 
 
 def reduce_all(web: ZWebInstance):
@@ -379,11 +343,7 @@ def gen_adversarial_from_minor(g: CapGraph, emb: MinorEmbedding, z=None):
             raise GraphError("branch set not connected")
     # one unit connector per pattern edge
     for a, b in emb.pattern.edges:
-        found = None
-        for u, v, _ in g.edges:
-            if (u in sets[a] and v in sets[b]) or (v in sets[a] and u in sets[b]):
-                found = (u, v)
-                break
+        found = connector(g, sets[a], sets[b])
         if found is None:
             raise GraphError("invalid embedding: missing pattern edge")
         keep_edges.append((found[0], found[1], Cap(1)))

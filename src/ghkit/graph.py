@@ -42,7 +42,9 @@ class CapGraph:
     terminals: tuple = ()
     # set only by `perturb`; promises that every minimum cut is unique
     perturbed: bool = False
-    grid: int = 1  # common denominator of the pre-perturbation capacities
+    # set only by `perturb`: the common denominator of the capacities
+    # before perturbation; 1 on every other graph
+    grid: int = 1
 
     def __post_init__(self):
         seen = {}
@@ -169,7 +171,7 @@ class CapGraph:
         return self.component_of(next(iter(vs)), vs) == vs
 
 
-def capgraph(n, edges, terminals=(), perturbed=False, grid=None) -> CapGraph:
+def capgraph(n, edges, terminals=()) -> CapGraph:
     """Build a CapGraph, merging parallel edges and normalizing capacities."""
     merged = {}
     order = []
@@ -185,11 +187,7 @@ def capgraph(n, edges, terminals=(), perturbed=False, grid=None) -> CapGraph:
             merged[key] = cap
             order.append(key)
     out = tuple(Edge(u, v, merged[(u, v)]) for u, v in order)
-    if grid is None:
-        grid = 1
-        for e in out:
-            grid = math.lcm(grid, e.cap.fin.denominator)
-    return CapGraph(n, out, tuple(terminals), perturbed, grid)
+    return CapGraph(n, out, tuple(terminals))
 
 
 def cut_capacity(g: CapGraph, shore) -> Cap:
@@ -228,6 +226,15 @@ def shore_cuts(g: CapGraph, base: int, free):
             # the edge to w crosses now iff it did not before the flip
             cap = cap + c if (mask >> w & 1) != inside else cap - c
         yield mask, cap
+
+
+def connector(g: CapGraph, a, b):
+    """The first edge (u, v) in ``g.edges`` order with one end in a and the
+    other in b, or None."""
+    for u, v, _ in g.edges:
+        if (u in a and v in b) or (v in a and u in b):
+            return u, v
+    return None
 
 
 def cross_capacity(g: CapGraph, x, y) -> Cap:
@@ -306,50 +313,9 @@ def contract(g: CapGraph, groups, terminals=()) -> tuple:
     return capgraph(len(groups), edges, terminals), mapping
 
 
-def articulation_points(g: CapGraph):
-    """Cut vertices, by iterative DFS lowpoint computation."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    points = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, iter(g.adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        children = 0
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w, _ in it:
-                if disc[w] == -1:
-                    parent[w] = v
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        children += 1
-                    stack.append((w, iter(g.adj[w])))
-                    advanced = True
-                    break
-                elif w != parent[v]:
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if p != root and low[v] >= disc[p]:
-                        points.add(p)
-        if children > 1:
-            points.add(root)
-    return points
-
-
 def blocks(g: CapGraph):
-    """Biconnected components, each as a set of vertices."""
+    """Biconnected components, each as a set of vertices; an isolated
+    vertex is a block of its own.  The one lowpoint DFS of the package."""
     n = g.n
     disc = [-1] * n
     low = [0] * n
@@ -399,5 +365,14 @@ def blocks(g: CapGraph):
     return out
 
 
+def articulation_points(g: CapGraph):
+    """Cut vertices: the vertices that lie in two or more blocks."""
+    seen, points = set(), set()
+    for block in blocks(g):
+        points |= seen & block
+        seen |= block
+    return points
+
+
 def is_two_connected(g: CapGraph) -> bool:
-    return g.n >= 3 and g.is_connected() and not articulation_points(g)
+    return g.n >= 3 and len(blocks(g)) == 1

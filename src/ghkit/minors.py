@@ -20,7 +20,7 @@ from functools import cache
 from itertools import permutations
 from operator import itemgetter
 
-from .graph import CapGraph, GraphError
+from .graph import CapGraph, GraphError, connector
 from .maxflow import BoundExceeded
 
 
@@ -43,15 +43,35 @@ class MinorPattern:
 
 @cache
 def _automorphisms(pattern: MinorPattern):
-    """`MinorPattern.automorphisms`, enumerated once per pattern value."""
+    """`MinorPattern.automorphisms`, enumerated once per pattern value.
+
+    Backtracking in position order: position i tries its images in
+    increasing order and keeps one only if every pattern edge from an
+    earlier position to i maps to an edge.  A bijection that maps every
+    edge to an edge preserves the edge set, and the maps come out in the
+    lexicographic order of `permutations`.
+    """
+    k = pattern.k
     eset = set(pattern.edges)
-    return tuple(
-        perm for perm in permutations(range(pattern.k))
-        if all(
-            (min(perm[a], perm[b]), max(perm[a], perm[b])) in eset
-            for a, b in pattern.edges
-        )
-    )
+    earlier = [[a for a, b in pattern.edges if b == i] for i in range(k)]
+    out = []
+    perm = []
+
+    def extend(i):
+        if i == k:
+            out.append(tuple(perm))
+            return
+        for img in range(k):
+            if img in perm or any(
+                (min(perm[a], img), max(perm[a], img)) not in eset for a in earlier[i]
+            ):
+                continue
+            perm.append(img)
+            extend(i + 1)
+            perm.pop()
+
+    extend(0)
+    return tuple(out)
 
 
 def k23() -> MinorPattern:
@@ -105,13 +125,7 @@ def verify_embedding(g: CapGraph, z, pattern: MinorPattern, emb: MinorEmbedding)
             return False
     if len(set(emb.seeds)) != pattern.k:
         return False
-    for a, b in pattern.edges:
-        if not any(
-            (u in sets[a] and v in sets[b]) or (v in sets[a] and u in sets[b])
-            for u, v, _ in g.edges
-        ):
-            return False
-    return True
+    return all(connector(g, sets[a], sets[b]) is not None for a, b in pattern.edges)
 
 
 def _seed_assignments(pattern: MinorPattern, z):
@@ -327,19 +341,7 @@ def two_disjoint_paths(g: CapGraph, s1, t1, s2, t2, bound: int = DEFAULT_MINOR_B
         raise GraphError("the four endpoints must be distinct")
 
     def connected_avoiding(a, b, banned):
-        if a in banned or b in banned:
-            return False
-        seen = {a}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if x == b:
-                return True
-            for y, _ in g.adj[x]:
-                if y not in seen and y not in banned:
-                    seen.add(y)
-                    stack.append(y)
-        return False
+        return b in g.component_of(a, set(range(g.n)) - banned)
 
     on_path = {s1}
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ghkit import capgraph
@@ -90,6 +92,30 @@ def test_star_reduce_triangle_inequality():
             reduced.cap_between(vmap[a], star) or Cap(0) for a in tset.attachment
         )
         assert legs[2] <= legs[0] + legs[1]
+
+
+def test_star_reduce_edge_cases():
+    # Attachment vertex 2 has no edge into the interior {3, 4}: no leg.
+    edges = [
+        (0, 1, ONE), (1, 2, ONE), (0, 2, ONE),
+        (0, 3, Cap(3)), (3, 4, Cap(Fraction(5, 2))), (4, 1, Cap(4)),
+    ]
+    g = capgraph(5, edges, (0, 1, 2))
+    reduced, vmap = star_reduce(g, ThreeSeparatedSet((0, 1, 2), frozenset({3, 4})))
+    assert reduced.n == 4 and vmap == {0: 0, 1: 1, 2: 2}
+    assert [(u, v, c) for u, v, c in reduced.edges] == [
+        (0, 1, ONE), (1, 2, ONE), (0, 2, ONE),
+        (0, 3, Cap(Fraction(5, 2))), (1, 3, Cap(Fraction(5, 2))),
+    ]
+    # The interior {3, 4} has no edge to the triple: no star vertex.
+    edges = [(0, 1, ONE), (1, 2, Cap(2)), (0, 2, Cap(3)), (3, 4, Cap(5)), (2, 5, ONE)]
+    g = capgraph(6, edges, (0, 1))
+    reduced, vmap = star_reduce(g, ThreeSeparatedSet((0, 1, 2), frozenset({3, 4})))
+    assert reduced.n == g.n - 2 and vmap == {0: 0, 1: 1, 2: 2, 5: 3}
+    assert [(u, v, c) for u, v, c in reduced.edges] == [
+        (0, 1, ONE), (1, 2, Cap(2)), (0, 2, Cap(3)), (2, 3, ONE),
+    ]
+    assert reduced.terminals == (0, 1)
 
 
 def test_star_reduce_preserves_terminal_cuts():

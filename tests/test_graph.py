@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghkit import capgraph, contract, cut_capacity
 from ghkit.capacity import Cap
@@ -9,6 +11,7 @@ from ghkit.graph import (
     GraphError,
     articulation_points,
     blocks,
+    connector,
     cross_capacity,
     deperturb_value,
     is_central,
@@ -122,6 +125,50 @@ def test_blocks_and_articulation_points():
     assert bl == {frozenset({0, 1, 2}), frozenset({2, 3, 4})}
     assert not is_two_connected(g)
     assert is_two_connected(unit_k23())
+
+
+@st.composite
+def small_graphs(draw):
+    """n 1-9 with any edge set, in any order: disconnected graphs and
+    isolated vertices included."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return capgraph(n, [(u, v, ONE) for u, v in chosen])
+
+
+def _component_count(g, removed=None):
+    """Components of g minus `removed`, by union-find over the edge list."""
+    root = list(range(g.n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, v, _ in g.edges:
+        if removed not in (u, v):
+            root[find(u)] = find(v)
+    return len({find(v) for v in range(g.n) if v != removed})
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs())
+def test_block_cut_vertices_match_deletion_oracle(g):
+    whole = _component_count(g)
+    points = {v for v in range(g.n) if _component_count(g, v) > whole}
+    assert articulation_points(g) == points
+    assert is_two_connected(g) == (g.n >= 3 and whole == 1 and not points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.data())
+def test_connector_is_the_first_joining_edge(g, data):
+    side = data.draw(st.lists(st.sampled_from("abx"), min_size=g.n, max_size=g.n))
+    a = {v for v in range(g.n) if side[v] == "a"}
+    b = {v for v in range(g.n) if side[v] == "b"}
+    joining = [(u, v) for u, v, _ in g.edges if {side[u], side[v]} == {"a", "b"}]
+    assert connector(g, a, b) == (joining[0] if joining else None)
 
 
 def test_components_and_induced_connected():

@@ -243,3 +243,10 @@ def test_automorphisms_are_enumerated_once_per_pattern_value():
     assert [len(p.automorphisms()) for p in (k23(), k4(), k4_plus(), cycle(5))] == [12, 24, 4, 10]
     # a fresh but equal pattern value hits the cache
     assert _automorphisms(cycle(6)) is _automorphisms(cycle(6))
+
+
+def test_automorphisms_of_long_cycles():
+    # a k-cycle has the 2k rotations and reflections; enumerating all k!
+    # permutations would not finish for k = 20
+    assert len(cycle(12).automorphisms()) == 24
+    assert len(cycle(20).automorphisms()) == 40
