@@ -46,44 +46,6 @@ class GHTree:
                 out.append((e.s, i))
         return out
 
-    def path_edges(self, s, t):
-        """Edge indices on the unique tree path from s to t."""
-        prev = {s: None}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            if x == t:
-                break
-            for y, i in self.neighbors(x):
-                if y not in prev:
-                    prev[y] = (x, i)
-                    stack.append(y)
-        if t not in prev:
-            raise GraphError(f"terminals {s} and {t} not connected in tree")
-        out = []
-        y = t
-        while prev[y] is not None:
-            x, i = prev[y]
-            out.append(i)
-            y = x
-        return out
-
-    def fundamental_shore(self, edge_index):
-        """Union of bags on the edge.s side of the tree edge."""
-        e = self.edges[edge_index]
-        side = {e.s}
-        stack = [e.s]
-        while stack:
-            x = stack.pop()
-            for y, i in self.neighbors(x):
-                if i != edge_index and y not in side:
-                    side.add(y)
-                    stack.append(y)
-        shore = set()
-        for z in side:
-            shore |= self.bags[z]
-        return frozenset(shore)
-
     def degree(self, z):
         return len(self.neighbors(z))
 
@@ -92,9 +54,6 @@ class GHTree:
             return False
         centers = [z for z in self.terminals if self.degree(z) == len(self.terminals) - 1]
         return len(centers) == 1
-
-    def is_path(self):
-        return all(self.degree(z) <= 2 for z in self.terminals)
 
 
 def build_gh_tree(g: CapGraph, z=None) -> GHTree:
@@ -111,6 +70,15 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
     uncrossing lemma).  On gp the minimum s-t cut is unique, so the cut
     max_flow returns never splits W: it is the contracted graph's cut,
     and each subtree is reattached by any one vertex of its neighbour.
+
+    Each split's shore is its edge's certificate.  When the edge is made,
+    the shore is exactly the vertex set on the s side of it, since the
+    cut splits no subtree.  A later split divides one tree node into two
+    halves joined by the new edge and moves each neighbour subtree of the
+    node to one half; both halves stay on the node's side of every older
+    edge, and so does every subtree.  No vertex ever crosses an edge, so
+    the shore stays the edge's fundamental cut in the final tree and
+    holds the final bag of its edge.s.
     """
     if z is None:
         z = g.terminals if g.terminals else tuple(range(g.n))
@@ -126,7 +94,7 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
     # Tree nodes hold vertex sets; adjacency via explicit edge records.
     nodes = [set(range(g.n))]
     node_terms = [sorted(z)]
-    tree = []  # (a, b, cap) with a, b node indices
+    tree = []  # (a, b, cap, shore) with a, b node indices, a on the shore
 
     while True:
         target = None
@@ -151,13 +119,13 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
         node_terms[target] = [x for x in node_terms[target] if x in side_a]
 
         # Reattach each neighbour subtree to the side its vertices fell on.
-        for k, (a, b, cap) in enumerate(tree):
+        for k, (a, b, cap, cut) in enumerate(tree):
             if target not in (a, b):
                 continue
             via = b if a == target else a
             keep = target if next(iter(nodes[via])) in shore else new_idx
-            tree[k] = (keep, b, cap) if a == target else (a, keep, cap)
-        tree.append((target, new_idx, res.value))
+            tree[k] = (keep, b, cap, cut) if a == target else (a, keep, cap, cut)
+        tree.append((target, new_idx, res.value, shore))
 
     term_of_node = {}
     for i, terms in enumerate(node_terms):
@@ -165,20 +133,26 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
         term_of_node[i] = terms[0]
     bags = {term_of_node[i]: frozenset(nodes[i]) for i in range(len(nodes))}
     edges = []
-    for a, b, cap in tree:
+    for a, b, cap, _ in tree:
         if need_deperturb:
             cap = deperturb_value(gp, cap)
         edges.append(GHEdge(term_of_node[a], term_of_node[b], cap))
-    t = GHTree(z, bags, tuple(edges), ())
-    certs = tuple(t.fundamental_shore(i) for i in range(len(edges)))
-    return GHTree(z, bags, tuple(edges), certs)
+    return GHTree(z, bags, tuple(edges), tuple(cut for *_, cut in tree))
 
 
 def tree_lambda(t: GHTree, s, u) -> Cap:
-    """Minimum edge capacity on the unique tree path between two terminals."""
+    """Minimum edge capacity on the unique tree path between two terminals.
+
+    An edge lies on the s-u path exactly when its certificate, the
+    fundamental cut of the edge, separates s from u.
+    """
     if s == u:
         raise GraphError("identical terminals")
-    return cap_min(t.edges[i].cap for i in t.path_edges(s, u))
+    if s not in t.bags or u not in t.bags:
+        raise GraphError(f"{s} and {u} must both be terminals")
+    if len(t.certificates) != len(t.edges):
+        raise GraphError("need one certificate per tree edge")
+    return cap_min(e.cap for e, c in zip(t.edges, t.certificates) if (s in c) != (u in c))
 
 
 @dataclass(frozen=True)
@@ -205,13 +179,15 @@ def require_partition(g: CapGraph, t: GHTree):
 
 
 def verify_encoding(g: CapGraph, t: GHTree):
-    """Per-edge encoding check: fundamental-cut capacity and max-flow value
-    must both equal the stored tree capacity."""
+    """Per-edge encoding check: the edge's certificate must hold e.s and
+    not e.t, and its cut capacity and the e.s-e.t max-flow value must both
+    equal the stored tree capacity."""
     require_partition(g, t)
+    if len(t.certificates) != len(t.edges):
+        raise GraphError("need one certificate per tree edge")
     report = []
-    for i, e in enumerate(t.edges):
-        shore = t.certificates[i] if t.certificates else t.fundamental_shore(i)
-        cut_ok = cut_capacity(g, shore) == e.cap
+    for e, shore in zip(t.edges, t.certificates):
+        cut_ok = e.s in shore and e.t not in shore and cut_capacity(g, shore) == e.cap
         flow_ok = max_flow(g, e.s, e.t).value == e.cap
         report.append(EdgeCheck(e, cut_ok, flow_ok))
     return report
@@ -219,7 +195,11 @@ def verify_encoding(g: CapGraph, t: GHTree):
 
 def merge_terminal(t: GHTree, v) -> GHTree:
     """Drop terminal v, merging its bag into the neighbor across the
-    max-capacity incident edge.  The result is a GH tree on Z minus v."""
+    max-capacity incident edge.  The result is a GH tree on Z minus v.
+
+    Every kept edge keeps its certificate: v and u lie on the same side
+    of it, so its fundamental cut does not change.
+    """
     if len(t.terminals) < 3:
         raise GraphError("need at least three terminals to merge")
     if v not in t.terminals:
@@ -240,6 +220,5 @@ def merge_terminal(t: GHTree, v) -> GHTree:
         s2 = u if e.s == v else e.s
         t2 = u if e.t == v else e.t
         edges.append(GHEdge(s2, t2, e.cap))
-    out = GHTree(terminals, bags, tuple(edges), ())
-    certs = tuple(out.fundamental_shore(i) for i in range(len(edges)))
+    certs = tuple(c for i, c in enumerate(t.certificates) if i != drop)
     return GHTree(terminals, bags, tuple(edges), certs)

@@ -93,15 +93,21 @@ class CapGraph:
         return a
 
     @cached_property
+    def fin_denominator(self) -> int:
+        """The common denominator D of the edges' finite capacity parts (1 if
+        there are no edges): every cut's finite part is a multiple of 1/D."""
+        return math.lcm(*(e.cap.fin.denominator for e in self.edges))
+
+    @cached_property
     def scaled_capacities(self):
         """(D, B, caps) with caps[i] = edges[i].cap.to_int(D, B).
 
-        D is the common denominator of the finite parts, and
-        B = S.bit_length() + 1 with S = sum(|fin_i * D|), so 2**B > 2S.
-        Sums of distinct edges' capacities then compare as ints exactly as
-        they do as Caps; see ``maxflow.max_flow``.
+        D is ``fin_denominator``, and B = S.bit_length() + 1 with
+        S = sum(|fin_i * D|), so 2**B > 2S.  Sums of distinct edges'
+        capacities then compare as ints exactly as they do as Caps; see
+        ``maxflow.max_flow``.
         """
-        denom = math.lcm(*(e.cap.fin.denominator for e in self.edges))
+        denom = self.fin_denominator
         total = sum(abs(e.cap.fin.numerator) * (denom // e.cap.fin.denominator) for e in self.edges)
         bits = total.bit_length() + 1
         return denom, bits, tuple(e.cap.to_int(denom, bits) for e in self.edges)
@@ -114,10 +120,9 @@ class CapGraph:
         mask is the shore's vertex bitmask and cap the Cap capacity of its
         cut, summed by ``shore_cuts``; each of the 2**(n-1) - 1 proper cuts
         appears once, through the shore without n-1.  The exact sort key is
-        key = (cap.inf, cap.fin * D) with D the common denominator of the
-        edges' finite parts, which divides that of every cut's finite part.
+        key = (cap.inf, cap.fin * D) with D = ``fin_denominator``.
         """
-        denom = math.lcm(*(e.cap.fin.denominator for e in self.edges))
+        denom = self.fin_denominator
         rows = [
             ((cap.inf, cap.fin.numerator * (denom // cap.fin.denominator)), mask, cap)
             for mask, cap in shore_cuts(self, 0, range(self.n - 1))
@@ -272,9 +277,7 @@ def perturb(g: CapGraph) -> CapGraph:
         raise GraphError("cannot perturb an edgeless graph")
     if g.perturbed:
         return g
-    base = 1
-    for e in g.edges:
-        base = math.lcm(base, e.cap.fin.denominator)
+    base = g.fin_denominator
     denom = (1 << (2 * m)) * base
     edges = tuple(
         Edge(u, v, cap + Cap(Fraction(1 << i, denom)))
@@ -288,29 +291,6 @@ def deperturb_value(g: CapGraph, value: Cap) -> Cap:
     l = g.grid
     fin = Fraction(math.floor(value.fin * l), l)
     return Cap(fin, value.inf)
-
-
-def contract(g: CapGraph, groups, terminals=()) -> tuple:
-    """Contract each vertex group to a single vertex.
-
-    `groups` is a list of disjoint vertex sets covering V.  Returns
-    (graph, mapping) where mapping[old_vertex] = new vertex id.  Edges
-    inside a group vanish; parallel edges between groups merge.
-    """
-    mapping = {}
-    for i, grp in enumerate(groups):
-        for v in grp:
-            if v in mapping:
-                raise GraphError("overlapping contraction groups")
-            mapping[v] = i
-    if len(mapping) != g.n:
-        raise GraphError("contraction groups must cover all vertices")
-    edges = []
-    for u, v, cap in g.edges:
-        a, b = mapping[u], mapping[v]
-        if a != b:
-            edges.append((a, b, cap))
-    return capgraph(len(groups), edges, terminals), mapping
 
 
 def blocks(g: CapGraph):

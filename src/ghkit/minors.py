@@ -271,33 +271,32 @@ def slow_detect_terminal_minor(g: CapGraph, z, pattern: MinorPattern, bound: int
     if len(z) < k:
         return None
 
-    # All connected induced subsets, as bitmasks.
-    connected = []
-    for mask in range(1, 1 << n):
-        verts = [v for v in range(n) if mask >> v & 1]
-        if g.component_of(verts[0], verts) == set(verts):
-            connected.append(mask)
-
-    # Adjacency between masks: precompute per-vertex neighbor masks.
-    nbr_mask = [0] * n
+    # reach[mask]: the neighbourhood of every vertex subset, as a bitmask.
+    # Two disjoint subsets are adjacent iff one's reach meets the other.
+    reach = [0] * (1 << n)
     for u, v, _ in g.edges:
-        nbr_mask[u] |= 1 << v
-        nbr_mask[v] |= 1 << u
+        reach[1 << u] |= 1 << v
+        reach[1 << v] |= 1 << u
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | reach[low]
 
-    def masks_adjacent(a, b):
-        for v in range(n):
-            if a >> v & 1 and nbr_mask[v] & b:
-                return True
-        return False
-
+    # All connected induced subsets: grow the lowest vertex's component
+    # inside the mask until it stops.
     by_seed = {}
-    for mask in connected:
+    for mask in range(1, 1 << n):
+        comp, grown = 0, mask & -mask
+        while grown != comp:
+            comp, grown = grown, (grown | reach[grown]) & mask
+        if comp != mask:
+            continue
         for t in z:
             if mask >> t & 1:
                 by_seed.setdefault(t, []).append(mask)
 
-    edges_to_prev = [
-        [(a, b) for a, b in pattern.edges if max(a, b) == p] for p in range(k)
+    # earlier[p]: the pattern neighbours of p that are placed before it
+    earlier = [
+        [a if b == p else b for a, b in pattern.edges if max(a, b) == p] for p in range(k)
     ]
 
     def rec(p, chosen, used_mask, seeds):
@@ -312,21 +311,18 @@ def slow_detect_terminal_minor(g: CapGraph, z, pattern: MinorPattern, bound: int
             for mask in by_seed.get(t, ()):
                 if mask & used_mask:
                     continue
-                ok = True
-                for a, b in edges_to_prev[p]:
-                    other = chosen[a] if b == p else chosen[b]
-                    if not masks_adjacent(mask, other):
-                        ok = False
+                near = reach[mask]
+                for q in earlier[p]:
+                    if not near & chosen[q]:
                         break
-                if not ok:
-                    continue
-                chosen.append(mask)
-                seeds.append(t)
-                res = rec(p + 1, chosen, used_mask | mask, seeds)
-                chosen.pop()
-                seeds.pop()
-                if res is not None:
-                    return res
+                else:
+                    chosen.append(mask)
+                    seeds.append(t)
+                    res = rec(p + 1, chosen, used_mask | mask, seeds)
+                    chosen.pop()
+                    seeds.pop()
+                    if res is not None:
+                        return res
         return None
 
     return rec(0, [], 0, [])

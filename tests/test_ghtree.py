@@ -135,14 +135,40 @@ def test_merge_terminal_tie_error_without_perturbation():
         merge_terminal(t, 1)
 
 
-def test_path_edges_and_fundamental_shore():
+def test_certificates_separate_edge_ends():
     g = perturb(unit_k33())
     t = build_gh_tree(g)
-    for idx, e in enumerate(t.edges):
-        shore = t.fundamental_shore(idx)
-        assert (e.s in shore) != (e.t in shore)
-    path = t.path_edges(t.terminals[0], t.terminals[-1])
-    assert path, "terminals must be connected in the tree"
+    assert len(t.certificates) == len(t.edges)
+    for e, shore in zip(t.edges, t.certificates):
+        assert e.s in shore and e.t not in shore
+    a, b = t.terminals[0], t.terminals[-1]
+    assert any((a in c) != (b in c) for c in t.certificates), "terminals must be connected in the tree"
+
+
+def test_tree_queries_reject_bad_arguments():
+    g = perturb(unit_k23())
+    t = build_gh_tree(g, (0, 1, 2))
+    with pytest.raises(GraphError):
+        tree_lambda(t, 1, 1)
+    with pytest.raises(GraphError):
+        tree_lambda(t, 0, 3)  # 3 is a vertex but not a terminal
+    with pytest.raises(GraphError):
+        tree_lambda(t, 7, 0)
+    bare = GHTree(t.terminals, t.bags, t.edges, ())
+    with pytest.raises(GraphError):
+        tree_lambda(bare, 0, 1)
+    with pytest.raises(GraphError):
+        verify_encoding(g, bare)
+
+
+def test_verify_encoding_rejects_a_certificate_on_the_wrong_side():
+    g = perturb(unit_k23())
+    t = build_gh_tree(g)
+    certs = list(t.certificates)
+    certs[0] = frozenset(range(g.n)) - certs[0]  # the same cut, holding e.t
+    checks = verify_encoding(g, GHTree(t.terminals, t.bags, t.edges, tuple(certs)))
+    assert not checks[0].cut_ok and checks[0].flow_ok
+    assert all(c.ok for c in checks[1:])
 
 
 def _pinned_graphs():
@@ -230,13 +256,18 @@ def perturbed_instances(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(perturbed_instances())
-def test_certificates_are_the_unique_minimum_cuts(inst):
+@given(perturbed_instances(), st.data())
+def test_certificates_are_the_unique_minimum_cuts(inst, data):
     gp, z = inst
     t = build_gh_tree(gp, z)
     assert set(t.terminals) == set(z) and len(t.edges) == len(z) - 1
-    for e, shore in zip(t.edges, t.certificates):
-        cut = brute_min_cut(gp, e.s, e.t)
-        assert shore == cut.shore
-        assert e.cap == cut.capacity
-    assert all(c.ok for c in verify_encoding(gp, t))
+    trees = [t]
+    if len(z) >= 3:
+        trees.append(merge_terminal(t, data.draw(st.sampled_from(z))))
+    for tree in trees:
+        assert len(tree.certificates) == len(tree.edges)
+        for e, shore in zip(tree.edges, tree.certificates):
+            cut = brute_min_cut(gp, e.s, e.t)
+            assert shore == cut.shore
+            assert e.cap == cut.capacity
+        assert all(c.ok for c in verify_encoding(gp, tree))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghkit import capgraph, contract, cut_capacity
+from ghkit import capgraph, cut_capacity
 from ghkit.capacity import Cap
 from ghkit.graph import (
     GraphError,
@@ -104,16 +104,6 @@ def test_rational_capacities_deperturb_on_their_grid():
     for v in (1, 2):
         orig = brute_min_cut(g, 0, v).capacity
         assert deperturb_value(gp, brute_min_cut(gp, 0, v).capacity) == orig
-
-
-def test_contract_merges_groups():
-    g = unit_k23()
-    h, mapping = contract(g, [{0, 1}, {2}, {3}, {4}])
-    assert h.n == 4
-    a = mapping[0]
-    assert mapping[1] == a
-    for v in (2, 3, 4):
-        assert h.cap_between(a, mapping[v]) == Cap(2)
 
 
 def test_blocks_and_articulation_points():
