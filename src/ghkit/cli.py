@@ -152,6 +152,8 @@ def cmd_reduce(args):
         return EXIT_OK
     web = ZWebInstance(inst.graph, inst.tsets, ())
     reduced, vmap = reduce_all(web)
+    if any(v not in vmap for s, t, _ in inst.demands for v in (s, t)):
+        raise GraphError("a demand endpoint lies in a 3-separated interior")
     demands = tuple((vmap[s], vmap[t], d) for s, t, d in inst.demands)
     _write(args.out, gio.format_instance(reduced, demands=demands))
     return EXIT_OK

@@ -247,6 +247,26 @@ def _renumber(g: CapGraph, drop, extra_edges=(), extra_vertex=False, terminals=N
     return capgraph(n, edges, terminals), vmap, new_id
 
 
+def require_three_separated(g: CapGraph, tset: ThreeSeparatedSet):
+    """Raise GraphError unless tset is 3-separated in g: three distinct
+    attachment vertices and an interior, all in range, disjoint, with no
+    terminal in the interior and no edge from the interior to a vertex
+    outside interior plus attachment.  O(m)."""
+    attachment, interior = tuple(tset.attachment), tset.interior
+    if len(attachment) != 3 or len(set(attachment)) != 3:
+        raise GraphError(f"attachment {attachment} is not three distinct vertices")
+    for v in (*attachment, *interior):
+        if not 0 <= v < g.n:
+            raise GraphError(f"3-separated set vertex {v} out of range (n={g.n})")
+    if interior & set(g.terminals):
+        raise GraphError("3-separated interior contains a terminal")
+    if interior & set(attachment):
+        raise GraphError("attachment triple overlaps the interior")
+    for u, v, _ in g.edges:
+        if (u in interior) != (v in interior) and (u if v in interior else v) not in attachment:
+            raise GraphError(f"edge {u}-{v} leaves the 3-separated set")
+
+
 def star_reduce(g: CapGraph, tset: ThreeSeparatedSet):
     """Replace a 3-separated set by a degree-3 star.
 
@@ -255,21 +275,15 @@ def star_reduce(g: CapGraph, tset: ThreeSeparatedSet):
     triple that touch the interior) separating a from the other two: a
     max flow on g's own vertex ids from a to a new sink g.n, glued to the
     other two by infinite edges.  Minimum cuts between terminal
-    bipartitions are preserved exactly.
+    bipartitions are preserved exactly.  Raises GraphError unless tset
+    passes ``require_three_separated``.
 
     Returns (graph, old->new vertex map).
     """
+    require_three_separated(g, tset)
     interior = set(tset.interior)
     x, y, z = tset.attachment
-    if interior & set(g.terminals):
-        raise GraphError("3-separated interior contains a terminal")
-    if interior & {x, y, z}:
-        raise GraphError("attachment triple overlaps the interior")
-    inside = interior | {x, y, z}
-    f_edges = [
-        e for e in g.edges
-        if e.u in inside and e.v in inside and (e.u in interior or e.v in interior)
-    ]
+    f_edges = [e for e in g.edges if e.u in interior or e.v in interior]
     caps = {}
     for alpha in (x, y, z):
         # sink g.n glued to the two other attachment vertices
@@ -287,14 +301,18 @@ def star_reduce(g: CapGraph, tset: ThreeSeparatedSet):
 def reduce_all(web: ZWebInstance):
     """Iterate star_reduce over every declared 3-separated set.
 
+    Every set is checked with ``require_three_separated`` on the original
+    graph, and no interior may meet another set, before any id is mapped.
+
     Returns (graph, old->new map for the surviving planar vertices).
     """
-    interiors = [set(t.interior) for t in web.tsets]
-    for i in range(len(interiors)):
-        for j in range(i + 1, len(interiors)):
-            if interiors[i] & interiors[j]:
-                raise GraphError("overlapping 3-separated interiors")
     g = web.graph
+    for tset in web.tsets:
+        require_three_separated(g, tset)
+    for i, a in enumerate(web.tsets):
+        for j, b in enumerate(web.tsets):
+            if i != j and a.interior & (b.interior | set(b.attachment)):
+                raise GraphError("a 3-separated interior meets another declared set")
     total_map = {v: v for v in range(g.n)}
     for tset in web.tsets:
         cur = ThreeSeparatedSet(

@@ -108,7 +108,7 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
 
         # The unique minimum s-t cut of gp crosses no neighbouring subtree.
         res = max_flow(gp, s, t)
-        shore = res.min_cut.shore
+        shore = res.shore
         side_a = nodes[target] & shore  # contains s
         side_b = nodes[target] - shore
 

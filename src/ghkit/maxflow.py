@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 from .capacity import ZERO, Cap
 from .graph import CapGraph, Cut, GraphError, is_central, shore_cuts  # noqa: F401 (re-exported)
@@ -15,11 +15,51 @@ class BoundExceeded(RuntimeError):
     """An exhaustive search was asked to run beyond its configured bound."""
 
 
-@dataclass(frozen=True)
 class FlowResult:
-    value: Cap
-    min_cut: Cut
-    flows: dict  # edge_id -> signed Cap, positive in the stored u->v direction
+    """The outcome of ``max_flow(g, s, t)``.
+
+    ``value`` (the max-flow value, a Cap) and ``shore`` (the vertices
+    residual-reachable from s, a frozenset) are set when the flow is
+    computed.  Two more are decoded on first read and then kept:
+
+    - ``flows``: edge_id -> signed Cap net flow, positive in the stored
+      u->v direction, decoded from the kept residuals; if the infinite
+      units do not balance, B is doubled and the kernel rerun until they
+      do (see ``max_flow``);
+    - ``min_cut``: ``Cut(shore, value, is_central(g, shore))``.
+    """
+
+    def __init__(self, g, s, t, value, shore, residuals):
+        self.value = value
+        self.shore = shore
+        self._g, self._s, self._t = g, s, t
+        self._residuals = residuals
+
+    @cached_property
+    def min_cut(self) -> Cut:
+        return Cut(self.shore, self.value, is_central(self._g, self.shore))
+
+    @cached_property
+    def flows(self) -> dict:
+        g, s, t = self._g, self._s, self._t
+        denom, bits, caps = g.scaled_capacities
+        r = self._residuals
+        while True:
+            flows = {}
+            balance = [0] * g.n
+            for i, (u, v, _) in enumerate(g.edges):
+                f = caps[i] - r[2 * i]  # net flow from u to v
+                flows[i] = flow = ZERO if f == 0 else Cap.from_int(f, denom, bits)
+                if flow.inf:
+                    balance[u] -= flow.inf
+                    balance[v] += flow.inf
+            balance[s] += self.value.inf
+            balance[t] -= self.value.inf
+            if not any(balance):
+                return flows
+            bits *= 2
+            caps = tuple(e.cap.to_int(denom, bits) for e in g.edges)
+            r = _int_max_flow(g, s, t, caps)[2]
 
 
 def _check_pair(g, s, t):
@@ -32,9 +72,11 @@ def _check_pair(g, s, t):
 def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
     """Shortest-augmenting-path max flow, exact, on one int per capacity.
 
-    The returned cut shore is the set of vertices residual-reachable from
-    s, which on perturbed inputs is the unique minimum st-cut (and is
-    central).
+    Runs the int kernel once and returns the value and the cut shore, the
+    set of vertices residual-reachable from s, which on perturbed inputs
+    is the unique minimum st-cut (and is central).  The per-edge flows and the cut's
+    centrality are decoded only when ``FlowResult.flows`` or
+    ``FlowResult.min_cut`` is first read.
 
     Encoding.  With D the common denominator of the finite parts and
     S = sum(|fin_e * D|), capacity c becomes the int
@@ -56,7 +98,13 @@ def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
     finite part.  Edmonds-Karp needs O(nm) augmentations whatever the
     capacity values.
 
-    Flows.  Each edge's net flow is decoded in the same way
+    Flows.  The value and the shore never need a wider B.  Since the ints
+    order cuts exactly as the Caps do for every B with 2**B > 2S, the
+    minimum cuts are the same for every such B; the residual-reachable
+    set of any maximum flow is the unique inclusion-minimal one among
+    them, so the first run's shore is the shore any wider run would give.
+    Only the per-edge flows may need one, and ``FlowResult.flows``
+    widens on demand.  Each edge's net flow is decoded like the value
     (``Cap.from_int``).  On a finite edge its magnitude is at most
     fin * D < 2**(B-1), so it decodes exactly.  Rounding to the nearest
     tier keeps every decoded flow within its capacity.  On infinite edges
@@ -68,17 +116,13 @@ def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
     """
     _check_pair(g, s, t)
     denom, bits, caps = g.scaled_capacities
-    while True:
-        result = _int_max_flow(g, s, t, denom, bits, caps)
-        if result is not None:
-            return result
-        bits *= 2
-        caps = tuple(e.cap.to_int(denom, bits) for e in g.edges)
+    value, shore, residuals = _int_max_flow(g, s, t, caps)
+    return FlowResult(g, s, t, Cap.from_int(value, denom, bits), shore, residuals)
 
 
-def _int_max_flow(g, s, t, denom, bits, caps):
-    """Edmonds-Karp on the int capacities; None if the flows' infinite
-    tiers do not balance (see max_flow)."""
+def _int_max_flow(g, s, t, caps):
+    """Edmonds-Karp on the int capacities: (value, residual-reachable
+    shore of s, residual capacity of each arc)."""
     n, edges, arcs = g.n, g.edges, g.arcs
     r = [0] * (2 * len(caps))  # residual capacity of each arc
     r[0::2] = caps
@@ -114,21 +158,7 @@ def _int_max_flow(g, s, t, denom, bits, caps):
         value += bott
 
     # The last search reached exactly the residual-reachable set from s.
-    shore = frozenset(v for v in range(n) if pred[v] is not None)
-    val = Cap.from_int(value, denom, bits)
-    flows = {}
-    balance = [0] * n
-    for i, (u, v, _) in enumerate(edges):
-        f = caps[i] - r[2 * i]  # net flow from u to v
-        flows[i] = flow = ZERO if f == 0 else Cap.from_int(f, denom, bits)
-        if flow.inf:
-            balance[u] -= flow.inf
-            balance[v] += flow.inf
-    balance[s] += val.inf
-    balance[t] -= val.inf
-    if any(balance):
-        return None
-    return FlowResult(val, Cut(shore, val, is_central(g, shore)), flows)
+    return value, frozenset(v for v in range(n) if pred[v] is not None), r
 
 
 def all_shore_capacities(g: CapGraph):

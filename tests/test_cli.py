@@ -178,3 +178,27 @@ def test_gen_adversarial_above_bound_is_inconclusive(k23_file):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout.startswith("inconclusive: ")
     assert "Traceback" not in proc.stderr + proc.stdout
+
+
+PATH_0_TO_4 = "5 4 1\n0\n0 1 1\n1 2 1\n2 3 1\n3 4 1\n"
+
+
+@pytest.mark.parametrize(
+    "trailer",
+    ["F: 0 1 2 : 99", "F: 0 1 9 : 3", "F: 0 1 2 : -1", "F: 0 0 2 : 3", "F: 0 1 2 : 3",
+     "D 3 1 1\nF: 0 1 2 : 3 4"],
+    ids=["interior-out-of-range", "attachment-out-of-range", "negative-vertex",
+         "repeated-attachment", "edge-leaves-the-set", "demand-in-interior"],
+)
+def test_reduce_rejects_a_bad_declaration(tmp_path, trailer):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(PATH_0_TO_4 + trailer + "\n")
+    src = str(Path(ghkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghkit", "reduce", str(bad)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stdout == ""
+    assert "Traceback" not in proc.stderr

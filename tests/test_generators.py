@@ -6,6 +6,7 @@ from ghkit import capgraph
 from ghkit.capacity import INF, Cap
 from ghkit.generators import (
     ThreeSeparatedSet,
+    ZWebInstance,
     ZWebSpec,
     gen_adversarial_from_minor,
     gen_k23_subdivision,
@@ -13,6 +14,7 @@ from ghkit.generators import (
     gen_outerplanar,
     gen_zweb,
     reduce_all,
+    require_three_separated,
     split_seed,
     star_reduce,
 )
@@ -137,6 +139,39 @@ def test_reduce_all_rejects_overlapping_interiors():
     doubled = type(web)(web.graph, (ts, ts), web.faces)
     with pytest.raises(GraphError):
         reduce_all(doubled)
+
+
+PATH_EDGES = [(0, 1, ONE), (1, 2, ONE), (2, 3, ONE), (3, 4, ONE)]
+
+
+@pytest.mark.parametrize(
+    "attachment, interior",
+    [((0, 1, 2), {99}), ((0, 1, 9), {3}), ((0, 1, 2), {-1}), ((0, 0, 2), {3}),
+     ((0, 1), {3}), ((0, 1, 2), {3}), ((0, 1, 2), {2, 3}), ((2, 3, 4), {0})],
+    ids=["interior-out-of-range", "attachment-out-of-range", "negative-vertex",
+         "repeated-attachment", "two-attachments", "edge-leaves-the-set",
+         "attachment-in-interior", "interior-edge-to-outside"],
+)
+def test_bad_three_separated_sets_are_rejected(attachment, interior):
+    g = capgraph(5, PATH_EDGES, (0,))
+    tset = ThreeSeparatedSet(attachment, frozenset(interior))
+    for check in (require_three_separated, star_reduce):
+        with pytest.raises(GraphError):
+            check(g, tset)
+    with pytest.raises(GraphError):
+        reduce_all(ZWebInstance(g, (tset,), ()))
+
+
+def test_reduce_all_checks_every_set_before_reducing():
+    # The first set is fine; the second has vertex 4 of the original
+    # graph in its interior, which the first reduction would renumber.
+    g = capgraph(6, PATH_EDGES + [(4, 5, ONE)], (0,))
+    first = ThreeSeparatedSet((0, 1, 3), frozenset({2}))
+    with pytest.raises(GraphError, match="leaves"):
+        reduce_all(ZWebInstance(g, (first, ThreeSeparatedSet((0, 1, 2), frozenset({4}))), ()))
+    # An attachment vertex of one set in the interior of another.
+    with pytest.raises(GraphError, match="another declared set"):
+        reduce_all(ZWebInstance(g, (first, ThreeSeparatedSet((2, 3, 5), frozenset({4}))), ()))
 
 
 def test_interior_terminal_rejected():

@@ -15,8 +15,9 @@ from ghkit.ghtree import (
     tree_lambda,
     verify_encoding,
 )
+import ghkit.maxflow
 from ghkit.graph import GraphError, deperturb_value, perturb
-from ghkit.maxflow import brute_min_cut
+from ghkit.maxflow import brute_min_cut, lambda_matrix
 from ghkit.suiteutil import random_connected_graph
 
 from conftest import ONE, unit_k23, unit_k33
@@ -82,6 +83,31 @@ def test_verify_encoding_passes_on_built_trees():
         g = perturb(random_connected_graph(split_seed(47, i), max_n=8))
         t = build_gh_tree(g)
         assert all(c.ok for c in verify_encoding(g, t))
+
+
+def test_building_and_checking_decode_no_flows_and_test_no_centrality(monkeypatch):
+    """GH building and checking read only each flow's value and shore: one
+    kernel run and one Cap.from_int (the value) per max_flow, and no
+    is_central call."""
+    counts = {"kernel": 0, "from_int": 0, "central": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ghkit.maxflow, "_int_max_flow", counting("kernel", ghkit.maxflow._int_max_flow))
+    monkeypatch.setattr(Cap, "from_int", staticmethod(counting("from_int", Cap.from_int)))
+    monkeypatch.setattr(ghkit.maxflow, "is_central", counting("central", ghkit.maxflow.is_central))
+    g = perturb(random_connected_graph(split_seed(47, 3), max_n=8, min_n=6))
+    t = build_gh_tree(g)
+    assert counts == {"kernel": g.n - 1, "from_int": g.n - 1, "central": 0}
+    assert all(c.ok for c in verify_encoding(g, t))
+    assert counts == {"kernel": 2 * (g.n - 1), "from_int": 2 * (g.n - 1), "central": 0}
+    lambda_matrix(g)
+    flows = 2 * (g.n - 1) + g.n * (g.n - 1) // 2
+    assert counts == {"kernel": flows, "from_int": flows, "central": 0}
 
 
 def test_verify_encoding_detects_tampered_capacity():

@@ -8,6 +8,7 @@ from ghkit import capgraph
 from ghkit.capacity import INF, ZERO, Cap
 from ghkit.generators import split_seed
 import ghkit.graph
+import ghkit.maxflow
 from ghkit.graph import GraphError, cut_capacity, is_central, perturb
 from ghkit.maxflow import (
     BoundExceeded,
@@ -148,6 +149,53 @@ def test_int_kernel_matches_cap_oracle(inst):
     assert s in r.min_cut.shore and t not in r.min_cut.shore
     assert r.min_cut.capacity == r.value == cut_capacity(g, r.min_cut.shore)
     assert_valid_flow(g, s, t, r)
+
+
+@given(flow_instances(), st.booleans())
+def test_min_cut_is_built_from_the_shore_on_first_read(inst, perturbed):
+    g, s, t = inst
+    if perturbed:
+        g = perturb(g)
+    r = max_flow(g, s, t)
+    assert "min_cut" not in vars(r) and "flows" not in vars(r)  # nothing decoded yet
+    cut = r.min_cut
+    assert cut.shore == r.shore and cut.capacity == r.value
+    assert cut.central == is_central(g, r.shore)
+    assert r.min_cut is cut
+
+
+# s = 5, t = 3: the flows of the first int run leave the infinite units
+# unbalanced, so reading them doubles B once and runs the kernel again.
+WIDENING_EDGES = [
+    (4, 5, INF), (1, 3, INF), (5, 6, INF * 2), (2, 5, Cap(-1, 1)), (0, 3, Cap(2, 3)),
+    (1, 6, Cap(-2, 1)), (0, 5, Cap(-1, 3)), (2, 3, INF * 2), (0, 2, INF * 2),
+    (4, 6, INF), (0, 4, INF), (0, 1, INF), (1, 4, INF),
+]
+
+
+def test_flows_widen_only_when_read(monkeypatch):
+    runs = []
+    kernel = ghkit.maxflow._int_max_flow
+
+    def counting(g, s, t, caps):
+        runs.append(caps)
+        return kernel(g, s, t, caps)
+
+    monkeypatch.setattr(ghkit.maxflow, "_int_max_flow", counting)
+    g = capgraph(7, WIDENING_EDGES)
+    denom, bits, caps = g.scaled_capacities
+    r = max_flow(g, 5, 3)
+    value, shore = r.value, r.shore
+    assert runs == [caps]
+    assert value == brute_min_cut(g, 5, 3).capacity == cut_capacity(g, shore)
+    assert_valid_flow(g, 5, 3, r)
+    # One rerun, on twice the bits; it reaches the same shore, and value
+    # and shore were not touched.
+    assert runs[1:] == [tuple(e.cap.to_int(denom, 2 * bits) for e in g.edges)]
+    assert kernel(g, 5, 3, runs[1])[1] == shore
+    assert r.value == value and r.shore == shore
+    r.flows
+    assert len(runs) == 2  # the decoded flows are kept
 
 
 @given(flow_instances())

@@ -106,11 +106,19 @@ def summarise(pairs, end_to_end):
     return out
 
 
-def parse_pairs(text):
+def parse_pairs(text, workloads):
+    """{workload: count} from "name=count,...", in order; ValueError unless
+    each name is one of `workloads`, appears once and has a count >= 1."""
     out = {}
     for item in text.split(","):
-        name, _, count = item.partition("=")
-        out[name.strip()] = int(count)
+        name, eq, count = (part.strip() for part in item.partition("="))
+        if name not in workloads:
+            raise ValueError(f"unknown workload {name!r}; expected one of {', '.join(workloads)}")
+        if name in out:
+            raise ValueError(f"workload {name!r} given twice")
+        if not eq or not count.isdigit() or int(count) < 1:
+            raise ValueError(f"{item.strip()!r}: expected {name}=<count>, a count of at least 1")
+        out[name] = int(count)
     return out
 
 
@@ -125,7 +133,10 @@ def main(argv=None):
     repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).decode().strip())
     spec = json.loads((repo / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    counts = parse_pairs(args.pairs)
+    try:
+        counts = parse_pairs(args.pairs, [w["name"] for w in spec["workloads"]])
+    except ValueError as e:
+        p.error(f"--pairs: {e}")
     base_rev = git("rev-parse", args.base, cwd=repo).decode().strip()
 
     report = {
