@@ -5,15 +5,23 @@ Fraction) data.  Callers add their own slack variables for inequality
 rows.  Bland's rule makes cycling impossible; everything is exact, so
 feasibility answers are certificates, not approximations.
 
-The tableau holds Python ints over one common positive denominator D
-(Bareiss 1968): the true tableau is T / D, where D is the absolute
-determinant of the current basis of the scaled input and every entry
-of T is, up to sign, a minor of it, so each pivot's division by the
-old D is exact (Sylvester's identity).  A and b are scaled by one
-common factor, which scales every phase-1 reduced cost and every ratio
-by the same positive amount; every sign test and ratio comparison
-therefore answers as it would on the Fraction tableau, and Bland's rule
-takes the same pivots.  The solution is decoded to Fractions once.
+The tableau holds Python ints (Bareiss 1968).  D is the absolute
+determinant of the current basis of the scaled input; over D, every
+entry of the tableau is, up to sign, a minor of that basis, so it is an
+int (Sylvester's identity).  Each row r keeps its own positive
+denominator den[r] and stands for tab[r] / den[r]: a pivot rewrites only
+the pivot row and the rows with a nonzero in the pivot column, each over
+the new D, and leaves every other row, whose true values do not change,
+over the older D it was last written with.  Every division is exact,
+because each result is an entry of the tableau over D.  All rows are
+brought to one denominator at the end of phase 1.
+
+A and b are scaled by one common factor, which scales every phase-1
+reduced cost and every ratio by the same positive amount, and a row's
+own denominator scales its entries by one positive amount too; every
+sign test and ratio comparison therefore answers as it would on the
+Fraction tableau, and Bland's rule takes the same pivots.  The solution
+is decoded to Fractions once.
 """
 
 from __future__ import annotations
@@ -35,23 +43,30 @@ class LPResult:
     objective: Fraction | None = None
 
 
-def _pivot(tab, basis, d, row, col):
-    """Bareiss pivot on tab[row][col] > 0; returns the new denominator."""
-    prow = tab[row]
+def _pivot(tab, den, basis, d, row, col):
+    """Bareiss pivot on tab[row][col] > 0; returns the new denominator p.
+
+    The pivot row is first brought over the current denominator d.  Each
+    row with a nonzero f in the pivot column becomes (row * p - f * prow)
+    / den[row] over p; rows with a 0 there are not touched.
+    """
+    prow = tab[row] = _over(tab[row], den[row], d)
     p = prow[col]
     for r, vec in enumerate(tab):
-        if r == row:
-            continue
         f = vec[col]
-        if f:
-            tab[r] = [(a * p - f * b) // d for a, b in zip(vec, prow)]
-        elif p != d:
-            tab[r] = [a and a * p // d for a in vec]  # most entries are 0
+        if f and r != row:
+            dr = den[r]
+            tab[r] = [
+                (a * p - f * b) // dr if b else a and a * p // dr
+                for a, b in zip(vec, prow)
+            ]
+            den[r] = p
+    den[row] = p
     basis[row] = col
     return p
 
 
-def _simplex_loop(tab, basis, nvars, d):
+def _simplex_loop(tab, den, basis, nvars, d):
     """Optimize the tableau in place; last row is the objective (min).
 
     Returns (status, denominator).
@@ -79,7 +94,12 @@ def _simplex_loop(tab, basis, nvars, d):
                     row = r
         if row is None:
             return UNBOUNDED, d
-        d = _pivot(tab, basis, d, row, col)
+        d = _pivot(tab, den, basis, d, row, col)
+
+
+def _over(vec, dr, d):
+    """Row ``vec`` over denominator ``dr``, rewritten over ``d``."""
+    return vec if dr == d else [a and a * d // dr for a in vec]
 
 
 def _scaled(values, scale):
@@ -110,7 +130,8 @@ def solve_lp(c, a_rows, b, nvars) -> LPResult:
         obj[nvars + i] = 0
     tab.append(obj)
     basis = [nvars + i for i in range(m)]
-    status, d = _simplex_loop(tab, basis, total, 1)
+    den = [1] * (m + 1)
+    status, d = _simplex_loop(tab, den, basis, total, 1)
     assert status == OPTIMAL  # phase-1 objective is bounded below by 0
     if tab[-1][-1] < 0:
         return LPResult(INFEASIBLE)
@@ -124,11 +145,12 @@ def solve_lp(c, a_rows, b, nvars) -> LPResult:
             if piv is not None:
                 if tab[r][piv] < 0:
                     tab[r] = [-v for v in tab[r]]
-                d = _pivot(tab, basis, d, r, piv)
+                d = _pivot(tab, den, basis, d, r, piv)
 
-    # Drop redundant rows still held by artificials, rebuild with real obj.
+    # Drop redundant rows still held by artificials, bring the rest to
+    # the one denominator d and rebuild with the real objective.
     keep = [r for r in range(m) if basis[r] < nvars]
-    tab2 = [tab[r][:nvars] + [tab[r][-1]] for r in keep]
+    tab2 = [_over(tab[r][:nvars] + [tab[r][-1]], den[r], d) for r in keep]
     basis2 = [basis[r] for r in keep]
     obj2 = [d * v for v in cost] + [0]
     for r, vec in enumerate(tab2):
@@ -136,10 +158,11 @@ def solve_lp(c, a_rows, b, nvars) -> LPResult:
         if f:
             obj2 = [a - f * bb for a, bb in zip(obj2, vec)]
     tab2.append(obj2)
-    status, d = _simplex_loop(tab2, basis2, nvars, d)
+    den2 = [d] * len(tab2)
+    status, d = _simplex_loop(tab2, den2, basis2, nvars, d)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [Fraction(0)] * nvars
     for r, bcol in enumerate(basis2):
-        x[bcol] = Fraction(tab2[r][-1], d)
+        x[bcol] = Fraction(tab2[r][-1], den2[r])
     return LPResult(OPTIMAL, x, sum(Fraction(ci) * xi for ci, xi in zip(c, x)))
