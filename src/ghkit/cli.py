@@ -7,6 +7,7 @@ bounded search exceeded its bound), 3 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import io as gio
@@ -166,6 +167,11 @@ def cmd_flowcheck(args):
         return EXIT_USAGE
     mf = MultiflowInstance(inst.graph, inst.demands)
     cc = cut_condition(mf, args.bound_n)
+    if cc.ratio is None:
+        # No finite cut separates a demand pair: every pair is joined by
+        # infinite edges, so the demands route at any scale.
+        _write(args.out, "cut_condition: holds\nmax_concurrent_flow: inf\nfeasible: yes\n")
+        return EXIT_OK
     lam = max_concurrent_flow(mf)  # the one LP solve: feasible iff lambda* >= 1
     lines = [
         f"cut_condition: {'holds' if cc.holds else 'violated'}",
@@ -224,20 +230,17 @@ def build_parser():
     s = sub.add_parser("ghtree",
         parents=[common], help="build the GH tree of a graph file")
     s.add_argument("input")
-    s.set_defaults(func=cmd_ghtree)
 
     s = sub.add_parser("verify-embed",
         parents=[common], help="check a GH tree embedding mode")
     s.add_argument("input")
     s.add_argument("--mode", choices=["subgraph", "bag", "weak"], required=True)
     s.add_argument("--dot", action="store_true")
-    s.set_defaults(func=cmd_verify_embed)
 
     s = sub.add_parser("detect-minor",
         parents=[common], help="search for a terminal minor")
     s.add_argument("input")
     s.add_argument("--pattern", required=True, help="k23|k4|k4plus|cycle:<k>")
-    s.set_defaults(func=cmd_detect_minor)
 
     s = sub.add_parser("gen",
         parents=[common], help="generate a certified instance family")
@@ -248,43 +251,44 @@ def build_parser():
     s.add_argument("--attach", default="")
     s.add_argument("--blocks", default="4,k4")
     s.add_argument("--input", default=None)
-    s.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("reduce",
         parents=[common], help="star-reduce declared 3-separated sets")
     s.add_argument("input")
-    s.set_defaults(func=cmd_reduce)
 
     s = sub.add_parser("flowcheck",
         parents=[common], help="cut condition, feasibility, gap")
     s.add_argument("input")
-    s.set_defaults(func=cmd_flowcheck)
 
     s = sub.add_parser("suite",
         parents=[common], help="run the property suites")
     s.add_argument("--suites", default="")
     s.add_argument("--trials", type=int, default=20)
-    s.set_defaults(func=cmd_suite)
 
     s = sub.add_parser("dot",
         parents=[common], help="emit DOT for a graph or its GH tree")
     s.add_argument("input")
     s.add_argument("--tree", action="store_true")
-    s.set_defaults(func=cmd_dot)
     return p
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     for name, default in (("seed", 1), ("bound_n", 20), ("format", "text"), ("out", None)):
         if not hasattr(args, name):
             setattr(args, name, default)
+    # looked up per call, so that a wrapper set on the module is reached
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except BoundExceeded as e:
         print(f"inconclusive: {e}")
         return EXIT_INCONCLUSIVE

@@ -1,8 +1,8 @@
 """Cut-condition checking and exact multicommodity-flow feasibility.
 
 Feasibility and the maximum concurrent flow are decided by one exact LP
-(edge-flow formulation); the cut condition and the gap numerator come
-from one pass of shore enumeration.
+(edge-flow formulation, one commodity per source vertex); the cut
+condition and the gap numerator come from one pass of shore enumeration.
 """
 
 from __future__ import annotations
@@ -117,93 +117,175 @@ class FeasibilityCert:
     concurrent_value: Fraction | None = None  # LP certificate when no cut violated
 
 
-def _concurrent_lp(inst: MultiflowInstance):
-    """Build and solve the concurrent-flow LP; returns (lambda*, flows).
+def _cover_sources(demands):
+    """The source of each demand, from a greedy vertex cover of the
+    demand graph: the vertex meeting the most uncovered demands (ties to
+    the lower id) becomes the source of all of them, until every demand
+    is covered.  Any cover gives the same lambda*; a smaller one gives a
+    smaller LP."""
+    src = [None] * len(demands)
+    left = set(range(len(demands)))
+    while left:
+        degree = {}
+        for i in left:
+            for v in set(demands[i][:2]):
+                degree[v] = degree.get(v, 0) + 1
+        v = min(degree, key=lambda u: (-degree[u], u))
+        for i in [i for i in left if v in demands[i][:2]]:
+            src[i] = v
+            left.remove(i)
+    return src
 
-    Variables: lambda, then per commodity and edge two directed flows.
-    Conservation holds at every vertex except the commodity sink; the
-    source is required to emit lambda * demand net flow.  Capacity rows
-    couple all commodities; infinite edges get no capacity row.
+
+def _concurrent_lp(inst: MultiflowInstance):
+    """Build and solve the concurrent-flow LP; returns (lambda*, src,
+    flows).
+
+    One commodity per source vertex: demand i is routed from src[i]
+    (_cover_sources) to its other end, so the demands sharing a source
+    form one single-source flow.  Variables: lambda, then per source and
+    edge two directed flows.  For each source s and each vertex v != s,
+    out(v) - in(v) + lambda * D_v = 0, where D_v is the total demand of
+    s's group at v; s itself then emits lambda times the group's total.
+    Capacity rows couple all sources; infinite edges get no capacity row.
+    Flow decomposition (_split_flows) turns a group's flow back into one
+    flow per demand, so lambda* is the per-demand LP's optimum.
+
+    ``flows`` maps (source, edge_id) to the nonzero (forward, reverse).
     """
     g = inst.supply
-    k = len(inst.demands)
     m = g.m
-    nv = 1 + 2 * m * k  # + slacks appended below
-
-    def var(ki, eid, forward):
-        return 1 + ki * 2 * m + eid * 2 + (0 if forward else 1)
+    src = _cover_sources(inst.demands)
+    sources = sorted(set(src))
+    nv = 1 + 2 * m * len(sources)
+    finite = [(eid, cap.fin) for eid, (_, _, cap) in enumerate(g.edges) if cap.is_finite]
+    total_vars = nv + len(finite)
+    incident = [[] for _ in range(g.n)]  # (edge id, 1 if v is its tail else -1)
+    for eid, (a, b, _) in enumerate(g.edges):
+        incident[a].append((eid, 1))
+        incident[b].append((eid, -1))
 
     rows = []
     rhs = []
     # conservation
-    for ki, (s, t, d) in enumerate(inst.demands):
-        for v in range(g.n):
-            if v == t:
-                continue
-            row = {}
-            for eid, (a, b, _) in enumerate(g.edges):
-                if a == v:
-                    row[var(ki, eid, True)] = 1
-                    row[var(ki, eid, False)] = -1
-                elif b == v:
-                    row[var(ki, eid, False)] = 1
-                    row[var(ki, eid, True)] = -1
+    for gi, s in enumerate(sources):
+        demand_at = [0] * g.n  # D_v
+        for (a, b, d), v in zip(inst.demands, src):
             if v == s:
-                row[0] = -d
-            rows.append(row)
+                demand_at[b if a == s else a] += d
+        base = 1 + 2 * m * gi
+        for v in range(g.n):
+            if v == s:
+                continue
+            vec = [0] * total_vars
+            for eid, sign in incident[v]:
+                vec[base + 2 * eid] = sign
+                vec[base + 2 * eid + 1] = -sign
+            vec[0] = demand_at[v]
+            rows.append(vec)
             rhs.append(0)
     # capacity, with slacks
-    finite = [(eid, cap.fin) for eid, (_, _, cap) in enumerate(g.edges) if cap.is_finite]
     for i, (eid, capval) in enumerate(finite):
-        row = {var(ki, eid, fwd): 1 for ki in range(k) for fwd in (True, False)}
-        row[nv + i] = 1
-        rows.append(row)
-        rhs.append(capval)
-    total_vars = nv + len(finite)
-    dense = []
-    for row in rows:
         vec = [0] * total_vars
-        for j, val in row.items():
-            vec[j] = val
-        dense.append(vec)
+        for gi in range(len(sources)):
+            vec[1 + 2 * m * gi + 2 * eid] = vec[2 + 2 * m * gi + 2 * eid] = 1
+        vec[nv + i] = 1
+        rows.append(vec)
+        rhs.append(capval)
     c = [0] * total_vars
     c[0] = -1  # maximize lambda
-    res = solve_lp(c, dense, rhs, total_vars)
+    res = solve_lp(c, rows, rhs, total_vars)
     if res.status == UNBOUNDED:
         raise GraphError("concurrent flow unbounded (demands routable at any scale)")
     assert res.status == OPTIMAL  # lambda = 0, zero flow is always feasible
-    lam = res.x[0]
     flows = {}
-    for ki in range(k):
+    for gi, s in enumerate(sources):
+        base = 1 + 2 * m * gi
         for eid in range(m):
-            f = res.x[var(ki, eid, True)]
-            r = res.x[var(ki, eid, False)]
+            f, r = res.x[base + 2 * eid], res.x[base + 2 * eid + 1]
             if f or r:
-                flows[(ki, eid)] = (f, r)
-    return lam, flows
+                flows[(s, eid)] = (f, r)
+    return res.x[0], src, flows
+
+
+def _split_flows(inst, src, flows, lam):
+    """One flow per demand, (demand index, edge_id) -> (forward, reverse),
+    each carrying exactly its demand d, out of the sources' flows from
+    _concurrent_lp divided by lam > 0 (flow decomposition: Ahuja,
+    Magnanti & Orlin 1993, section 3.5).
+
+    Per source: opposite directions on each edge cancel; then, demand by
+    demand, s-t paths are stripped from the support by BFS, each pushing
+    the smaller of its bottleneck and what the demand still needs.  A
+    path always exists while a demand needs flow, because the remaining
+    flow leaves only s and still enters t.  The leftover circulation is
+    dropped, and a demand routed from its declared sink gets (f, r)
+    swapped.
+    """
+    g = inst.supply
+    out = {}
+    for s in sorted(set(src)):
+        net = {}  # edge id -> flow from its tail to its head, both signs
+        adj = [[] for _ in range(g.n)]  # (edge id, other end, direction)
+        for eid, (a, b, _) in enumerate(g.edges):
+            f, r = flows.get((s, eid), (0, 0))
+            if f != r:
+                net[eid] = (f - r) / lam
+                adj[a].append((eid, b, 1))
+                adj[b].append((eid, a, -1))
+        for i, (a, b, d) in enumerate(inst.demands):
+            if src[i] != s:
+                continue
+            t = b if a == s else a
+            need = d
+            per = {}
+            while need and t != s:
+                parent = {s: None}
+                queue = [s]
+                for u in queue:
+                    for eid, w, sign in adj[u]:
+                        if w not in parent and net[eid] * sign > 0:
+                            parent[w] = (u, eid, sign)
+                            queue.append(w)
+                    if t in parent:
+                        break
+                path = []
+                v = t
+                while parent[v] is not None:
+                    u, eid, sign = parent[v]
+                    path.append((eid, sign))
+                    v = u
+                push = min(need, *(net[eid] * sign for eid, sign in path))
+                for eid, sign in path:
+                    net[eid] -= push * sign
+                    per[eid] = per.get(eid, 0) + push * sign
+                need -= push
+            for eid, x in per.items():
+                pair = (x, Fraction(0)) if x > 0 else (Fraction(0), -x)
+                out[(i, eid)] = pair if a == s else pair[::-1]
+    return out
 
 
 def max_concurrent_flow(inst: MultiflowInstance) -> Fraction:
     """Largest lambda such that lambda-scaled demands route exactly."""
-    lam, _ = _concurrent_lp(inst)
+    lam, _, _ = _concurrent_lp(inst)
     return lam
 
 
 def feasible(inst: MultiflowInstance) -> FeasibilityCert:
     """Exact feasibility of the multiflow instance.
 
-    Feasible certificates carry per-commodity directed edge flows (scaled
-    down from the concurrent optimum).  Infeasible ones carry a violated
-    cut when one exists, else the concurrent value lambda* < 1 as the LP
-    certificate.
+    Feasible certificates carry per-commodity directed edge flows: the
+    concurrent optimum scaled down by lambda* and split into one flow
+    per demand.  Infeasible ones carry a violated cut when the cut
+    condition fails and n <= DEFAULT_CUT_BOUND (above the bound no shore
+    is enumerated and none is returned), else the concurrent value
+    lambda* < 1 as the LP certificate.
     """
-    lam, flows = _concurrent_lp(inst)
+    lam, src, flows = _concurrent_lp(inst)
     if lam >= 1:
-        scale = Fraction(1) / lam
-        scaled = {
-            key: (f * scale, r * scale) for key, (f, r) in flows.items()
-        }
-        return FeasibilityCert(True, flows=scaled, concurrent_value=lam)
+        split = _split_flows(inst, src, flows, lam)
+        return FeasibilityCert(True, flows=split, concurrent_value=lam)
     try:
         cc = cut_condition(inst)
     except BoundExceeded:

@@ -202,3 +202,35 @@ def test_reduce_rejects_a_bad_declaration(tmp_path, trailer):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+def test_consecutive_calls_keep_no_options(k23_file, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "tree.txt"
+    assert main(["ghtree", k23_file, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    # --bound-n 2 makes this search inconclusive; the next call is back at the default
+    assert main(["detect-minor", k23_file, "--pattern", "k23", "--bound-n", "2"]) == 2
+    assert main(["detect-minor", k23_file, "--pattern", "k23"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("4: ")
+    # no --out: the tree goes to stdout, not to the first call's file
+    assert main(["ghtree", k23_file]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    # the command is looked up at call time, so a wrapper on the module is reached
+    monkeypatch.setattr("ghkit.cli.cmd_ghtree", lambda args: 7)
+    assert main(["ghtree", k23_file]) == 7
+
+
+def test_flowcheck_with_demands_joined_by_infinite_edges(tmp_path):
+    inst = tmp_path / "inf.txt"
+    inst.write_text("2 1 2\n0 1\n0 1 inf\nD 0 1 5\n")
+    src = str(Path(ghkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghkit", "flowcheck", str(inst)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "cut_condition: holds", "max_concurrent_flow: inf", "feasible: yes",
+    ]
+    assert proc.stderr == ""

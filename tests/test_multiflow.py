@@ -9,9 +9,13 @@ from ghkit.capacity import INF, Cap
 from ghkit.generators import ZWebSpec, gen_zweb, split_seed
 from ghkit.graph import GraphError, cut_capacity, is_central
 from ghkit.maxflow import BoundExceeded
+from ghkit.simplex import OPTIMAL, UNBOUNDED, solve_lp
 from ghkit.multiflow import (
+    FeasibilityCert,
     MultiflowInstance,
     _concurrent_lp,
+    _cover_sources,
+    _split_flows,
     cut_condition,
     feasible,
     flow_cut_gap,
@@ -46,17 +50,82 @@ def test_canonical_gap_fixture():
     assert cert.concurrent_value == F(3, 4)
 
 
+def per_commodity_lp(inst):
+    """The concurrent-flow LP with one commodity per demand, as
+    (c, rows, rhs, nvars): lambda, then per demand and edge the forward
+    and reverse flow (variable 1 + 2 * (ki * m + eid) + dir), then one
+    slack per finite edge.  Conservation at every vertex but the
+    demand's sink, the source emitting lambda * d; capacity rows couple
+    all demands."""
+    g = inst.supply
+    m = g.m
+    nv = 1 + 2 * m * len(inst.demands)
+    finite = [(eid, cap.fin) for eid, (_, _, cap) in enumerate(g.edges) if cap.is_finite]
+    total = nv + len(finite)
+    rows, rhs = [], []
+    for ki, (s, t, d) in enumerate(inst.demands):
+        for v in range(g.n):
+            if v == t:
+                continue
+            row = [F(0)] * total
+            for eid, (a, b, _) in enumerate(g.edges):
+                fwd, rev = 1 + 2 * (ki * m + eid), 2 + 2 * (ki * m + eid)
+                if a == v:
+                    row[fwd], row[rev] = F(1), F(-1)
+                elif b == v:
+                    row[fwd], row[rev] = F(-1), F(1)
+            if v == s:
+                row[0] = -d
+            rows.append(row)
+            rhs.append(F(0))
+    for i, (eid, capval) in enumerate(finite):
+        row = [F(0)] * total
+        for ki in range(len(inst.demands)):
+            row[1 + 2 * (ki * m + eid)] = row[2 + 2 * (ki * m + eid)] = F(1)
+        row[nv + i] = F(1)
+        rows.append(row)
+        rhs.append(capval)
+    c = [F(0)] * total
+    c[0] = F(-1)
+    return c, rows, rhs, total
+
+
 def test_canonical_gap_lp_solution_is_pinned():
-    # Bland's rule picks one optimal vertex; a different pivot sequence shows here.
+    # Bland's rule picks one optimal vertex of the per-demand LP; a
+    # different pivot sequence in solve_lp shows here.
     q, e = F(1, 4), F(3, 8)
-    lam, flows = _concurrent_lp(canonical_gap_instance())
-    assert lam == F(3, 4)
+    inst = canonical_gap_instance()
+    res = solve_lp(*per_commodity_lp(inst))
+    m = inst.supply.m
+    flows = {}
+    for ki in range(len(inst.demands)):
+        for eid in range(m):
+            f, r = res.x[1 + 2 * (ki * m + eid)], res.x[2 + 2 * (ki * m + eid)]
+            if f or r:
+                flows[(ki, eid)] = (f, r)
+    assert res.x[0] == F(3, 4)
     assert flows == {
         (0, 0): (q, 0), (0, 1): (q, 0), (0, 2): (q, 0),
         (0, 3): (0, q), (0, 4): (0, q), (0, 5): (0, q),
         (1, 0): (0, e), (1, 1): (e, 0), (1, 3): (0, e), (1, 4): (e, 0),
         (2, 1): (0, e), (2, 2): (e, 0), (2, 4): (0, e), (2, 5): (e, 0),
         (3, 0): (e, 0), (3, 2): (0, e), (3, 3): (e, 0), (3, 5): (0, e),
+    }
+
+
+def test_merged_gap_lp_solution_is_pinned():
+    # Demands 0-1, 2-3, 3-4, 4-2: the greedy cover takes 2, then 0, then
+    # 3, so 4-2 is routed from 2 and the LP has three sources, not four.
+    q, e, h = F(1, 4), F(3, 8), F(3, 4)
+    lam, src, flows = _concurrent_lp(canonical_gap_instance())
+    assert lam == F(3, 4)
+    assert src == [0, 2, 3, 2]
+    assert flows == {
+        (0, 0): (q, 0), (0, 1): (q, 0), (0, 2): (q, 0),
+        (0, 3): (0, q), (0, 4): (0, q), (0, 5): (0, q),
+        (2, 0): (0, h), (2, 1): (e, 0), (2, 2): (e, 0),
+        (2, 3): (0, h), (2, 4): (e, 0), (2, 5): (e, 0),
+        (3, 1): (0, e), (3, 2): (e, 0), (3, 4): (0, e), (3, 5): (e, 0),
     }
 
 
@@ -234,3 +303,60 @@ def test_feasibility_certificates_check_independently(inst):
         tight_cert = feasible(tight)
         assert tight_cert.concurrent_value == 1
         assert_routes_demands(tight, tight_cert)
+
+
+@st.composite
+def shared_source_instances(draw):
+    """2..6 vertices, all terminals, rational or infinite capacities, and
+    1..5 demands over few endpoints, so demands share ends, repeat a
+    pair or come in both directions."""
+    inst = draw(multiflow_instances())
+    n = inst.supply.n
+    vertex = st.integers(min_value=0, max_value=min(n, 4) - 1)
+    pair = st.lists(vertex, min_size=2, max_size=2, unique=True)
+    value = st.fractions(min_value=F(1, 4), max_value=6, max_denominator=4)
+    demands = draw(st.lists(st.tuples(pair, value), min_size=1, max_size=5))
+    return MultiflowInstance(inst.supply, tuple((s, t, d) for (s, t), d in demands))
+
+
+@settings(deadline=None)
+@given(shared_source_instances())
+def test_merged_lp_lambda_matches_the_per_demand_lp(inst):
+    res = solve_lp(*per_commodity_lp(inst))
+    if res.status == UNBOUNDED:
+        with pytest.raises(GraphError):
+            _concurrent_lp(inst)
+        return
+    assert res.status == OPTIMAL
+    lam, src, flows = _concurrent_lp(inst)
+    assert lam == res.x[0]
+    if lam > 0:
+        # the sources' flows split into one flow per demand carrying lambda * d
+        tight = MultiflowInstance(inst.supply, tuple((s, t, d * lam) for s, t, d in inst.demands))
+        assert_routes_demands(tight, FeasibilityCert(True, flows=_split_flows(tight, src, flows, 1)))
+
+
+def test_cover_orients_demands_from_shared_sources():
+    # 0 meets four demands and becomes their source, so 1-0 and 2-0 are
+    # reversed; 1 then covers 1-2 and the reversed 2-1.
+    demands = ((1, 0, F(1)), (2, 0, F(1)), (0, 3, F(1)), (0, 3, F(1, 2)), (1, 2, F(1)), (2, 1, F(1, 3)))
+    assert _cover_sources(demands) == [0, 0, 0, 0, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "demands",
+    [
+        ((1, 0, F(1)), (2, 0, F(1)), (0, 3, F(1)), (0, 3, F(1, 2)), (1, 2, F(1)), (2, 1, F(1, 3))),
+        ((0, 1, F(2)), (1, 0, F(1))),  # both directions of one pair
+        ((3, 2, F(1)), (3, 2, F(1)), (3, 2, F(1, 2))),  # one pair three times
+        ((4, 0, F(1)), (4, 1, F(1)), (4, 2, F(1)), (3, 4, F(1))),  # a star, one demand reversed
+    ],
+    ids=["shared-and-reversed", "both-directions", "repeated-pair", "star"],
+)
+def test_split_flows_route_every_demand(demands):
+    # K5 with capacity 3 on every edge routes each of these demand sets
+    g = capgraph(5, [(u, v, Cap(3)) for u in range(5) for v in range(u + 1, 5)], tuple(range(5)))
+    inst = MultiflowInstance(g, demands)
+    cert = feasible(inst)
+    assert cert.feasible
+    assert_routes_demands(inst, cert)

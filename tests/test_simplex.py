@@ -1,9 +1,11 @@
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghkit import simplex
 from ghkit.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 F = Fraction
@@ -158,3 +160,115 @@ def test_solve_lp_matches_basis_enumeration(lp):
     assert all(v >= 0 for v in x)
     assert all(sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(rows, b))
     assert sum(ci * v for ci, v in zip(c, x)) == res.objective
+
+
+def _reference_simplex(c, rows, b, nvars):
+    """The two-phase simplex solve_lp implements, on a Fraction tableau:
+    rows with b < 0 negated, an artificial basis, Bland's rule (first
+    improving column; least ratio, ties to the lower basic variable),
+    artificials driven out at their row's first nonzero real column,
+    rows still held by artificials dropped.  Returns (status, x, pivots),
+    each pivot as (leaving variable, entering variable)."""
+    m = len(rows)
+    pivots = []
+
+    def pivot(tab, basis, r, j):
+        pivots.append((basis[r], j))
+        p = tab[r][j]
+        tab[r] = [v / p for v in tab[r]]
+        for i, vec in enumerate(tab):
+            f = vec[j]
+            if i != r and f:
+                tab[i] = [v - f * w for v, w in zip(vec, tab[r])]
+        basis[r] = j
+
+    def optimize(tab, basis, ncols):
+        while True:
+            col = next((j for j in range(ncols) if tab[-1][j] < 0), None)
+            if col is None:
+                return OPTIMAL
+            rows_in = [r for r in range(len(tab) - 1) if tab[r][col] > 0]
+            if not rows_in:
+                return UNBOUNDED
+            row = min(rows_in, key=lambda r: (tab[r][-1] / tab[r][col], basis[r]))
+            pivot(tab, basis, row, col)
+
+    tab = []
+    for i, (row, bi) in enumerate(zip(rows, b)):
+        sign = -1 if bi < 0 else 1
+        unit = [F(int(k == i)) for k in range(m)]
+        tab.append([sign * F(v) for v in row] + unit + [sign * F(bi)])
+    obj = [-sum(col) for col in zip(*tab)] if tab else [F(0)] * (nvars + 1)
+    obj[nvars:nvars + m] = [F(0)] * m
+    tab.append(obj)
+    basis = [nvars + i for i in range(m)]
+    optimize(tab, basis, nvars + m)
+    if tab[-1][-1] < 0:
+        return INFEASIBLE, None, pivots
+    for r in range(m):
+        if basis[r] >= nvars:
+            j = next((j for j in range(nvars) if tab[r][j]), None)
+            if j is not None:
+                pivot(tab, basis, r, j)
+    keep = [r for r in range(m) if basis[r] < nvars]
+    tab = [tab[r][:nvars] + [tab[r][-1]] for r in keep]
+    basis = [basis[r] for r in keep]
+    obj = [F(v) for v in c] + [F(0)]
+    for r, vec in enumerate(tab):
+        f = obj[basis[r]]
+        obj = [v - f * w for v, w in zip(obj, vec)]
+    tab.append(obj)
+    if optimize(tab, basis, nvars) == UNBOUNDED:
+        return UNBOUNDED, None, pivots
+    x = [F(0)] * nvars
+    for r, j in enumerate(basis):
+        x[j] = tab[r][-1]
+    return OPTIMAL, x, pivots
+
+
+def _solve_recording_pivots(c, rows, b, nvars):
+    pivots = []
+    kernel_pivot = simplex._pivot
+
+    def recording(tab, den, basis, d, row, col):
+        pivots.append((basis[row], col))
+        return kernel_pivot(tab, den, basis, d, row, col)
+
+    with mock.patch.object(simplex, "_pivot", recording):
+        res = solve_lp(c, rows, b, nvars)
+    return res, pivots
+
+
+@st.composite
+def sparse_lps(draw):
+    """Up to 4 rows and 7 columns, mostly zeros, with zero right-hand
+    sides (degenerate vertices) drawn often, sometimes a row repeating a
+    combination of two others (redundant) and sometimes the bounding
+    row sum(x) + s = M; the LP may be infeasible or unbounded."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    q = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    rows = draw(st.lists(st.lists(q, min_size=n, max_size=n), min_size=1, max_size=3))
+    b = [draw(q) for _ in rows]
+    if len(rows) >= 2 and draw(st.booleans()):
+        k1, k2 = draw(q), draw(q)
+        rows.append([k1 * u + k2 * v for u, v in zip(rows[0], rows[1])])
+        b.append(k1 * b[0] + k2 * b[1])
+    c = draw(st.lists(q, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [row + [F(0)] for row in rows] + [[F(1)] * (n + 1)]
+        b.append(draw(st.fractions(min_value=0, max_value=6, max_denominator=3)))
+        c.append(F(0))
+        n += 1
+    order = draw(st.permutations(range(len(rows))))
+    return c, [rows[i] for i in order], [b[i] for i in order], n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_lps(), bounded_lps()))
+def test_solve_lp_pivots_as_the_fraction_tableau(lp):
+    c, rows, b, nvars = lp
+    status, x, pivots = _reference_simplex(c, rows, b, nvars)
+    res, kernel_pivots = _solve_recording_pivots(c, rows, b, nvars)
+    assert kernel_pivots == pivots
+    assert res.status == status
+    assert res.x == x
