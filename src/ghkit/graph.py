@@ -117,18 +117,16 @@ class CapGraph:
         """Every shore that leaves out vertex n-1, as (key, mask, cap) rows
         sorted by cut capacity.
 
-        mask is the shore's vertex bitmask and cap the Cap capacity of its
-        cut, summed by ``shore_cuts``; each of the 2**(n-1) - 1 proper cuts
-        appears once, through the shore without n-1.  The exact sort key is
-        key = (cap.inf, cap.fin * D) with D = ``fin_denominator``.
+        mask is the shore's vertex bitmask and key = (inf, fin * D) the
+        exact int pair that ``shore_cuts`` sums for its cut, with
+        D = ``fin_denominator``; each of the 2**(n-1) - 1 proper cuts
+        appears once, through the shore without n-1.  Rows sort by key,
+        then mask, and cap = Cap(Fraction(fin * D, D), inf) is built once
+        per row from its key, after the walk.
         """
         denom = self.fin_denominator
-        rows = [
-            ((cap.inf, cap.fin.numerator * (denom // cap.fin.denominator)), mask, cap)
-            for mask, cap in shore_cuts(self, 0, range(self.n - 1))
-        ]
-        rows.sort()  # masks are distinct, so Caps are never compared
-        return tuple(rows)
+        rows = sorted((key, mask) for mask, key in shore_cuts(self, 0, range(self.n - 1)))
+        return tuple((key, mask, Cap(Fraction(key[1], denom), key[0])) for key, mask in rows)
 
     @cached_property
     def edge_index(self):
@@ -208,29 +206,40 @@ def cut_capacity(g: CapGraph, shore) -> Cap:
 
 
 def shore_cuts(g: CapGraph, base: int, free):
-    """Yield (mask, capacity of delta(mask)) for every shore
-    ``base | subset(free)``, in Gray-code order.
+    """Yield (mask, key) for every shore ``base | subset(free)``, in
+    Gray-code order, where key = (inf, fin * D) is the capacity of
+    delta(mask) as two exact ints, D = ``g.fin_denominator``: the cut's
+    Cap is ``Cap(Fraction(fin * D, D), inf)``, and keys compare as ints
+    exactly as the Caps do.
 
     ``base`` is a vertex bitmask and ``free`` a sequence of distinct
     vertices outside it.  Consecutive shores differ in one vertex, so each
-    step adds or subtracts only that vertex's incident edges: O(deg) Cap
-    operations per shore instead of O(m).
+    step adds or subtracts only that vertex's incident edges: O(deg) int
+    operations per shore instead of O(m) Cap additions.
     """
-    cap = ZERO
-    for u, v, c in g.edges:
+    denom = g.fin_denominator
+    pairs = [(c.inf, c.fin.numerator * (denom // c.fin.denominator)) for _, _, c in g.edges]
+    inf = fin = 0
+    for (u, v, _), (a, b) in zip(g.edges, pairs):
         if (base >> u ^ base >> v) & 1:
-            cap = cap + c
+            inf += a
+            fin += b
     mask = base
-    yield mask, cap
-    incident = [[(w, g.edges[i].cap) for w, i in g.adj[v]] for v in free]
+    yield mask, (inf, fin)
+    incident = [[(w, *pairs[i]) for w, i in g.adj[v]] for v in free]
     for step in range(1, 1 << len(free)):
         j = (step & -step).bit_length() - 1
         mask ^= 1 << free[j]
         inside = mask >> free[j] & 1
-        for w, c in incident[j]:
+        for w, a, b in incident[j]:
             # the edge to w crosses now iff it did not before the flip
-            cap = cap + c if (mask >> w & 1) != inside else cap - c
-        yield mask, cap
+            if (mask >> w & 1) != inside:
+                inf += a
+                fin += b
+            else:
+                inf -= a
+                fin -= b
+        yield mask, (inf, fin)
 
 
 def connector(g: CapGraph, a, b):

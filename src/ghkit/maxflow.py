@@ -181,12 +181,17 @@ def brute_min_cut(g: CapGraph, s: int, t: int, bound: int = DEFAULT_ORACLE_BOUND
     (``CapGraph.shore_table``); the returned shore is the s-side.
 
     The table is built on the first call and memoised on the graph: it
-    sums 2**(n-1) cuts once, about as many Cap sums as three per-pair
-    walks of 2**(n-2) shores, and keeps 2**(n-1) rows for as long as the
-    graph lives.  Every later pair only scans it.  Among tied minimum
-    cuts it returns the first separating row, lowest key then lowest
-    mask.  The table sums capacities as Caps and never calls max_flow,
-    so this stays an independent oracle for the int kernel.
+    sums 2**(n-1) cuts once, about as many steps as three per-pair walks
+    of 2**(n-2) shores, and keeps 2**(n-1) rows for as long as the graph
+    lives.  Every later pair only scans it.  Among tied minimum cuts it
+    returns the first separating row, lowest key then lowest mask.
+
+    Independence.  The table sums each cut as the int pair
+    (inf, fin * D) of ``shore_cuts``, two separate exact tiers, never as
+    the kernel's packed ``inf * 2**B + fin * D`` of ``scaled_capacities``,
+    and it never calls max_flow; so a wrong bit budget or a wrong
+    augmentation in the kernel cannot agree with it, and this stays an
+    independent oracle for the int kernel.
     """
     _check_pair(g, s, t)
     n = g.n

@@ -7,6 +7,7 @@ condition and the gap numerator come from one pass of shore enumeration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,20 +57,28 @@ def cut_condition(inst: MultiflowInstance, bound: int = DEFAULT_CUT_BOUND):
     carries the minimising shore, made central when the supply is
     connected (see _centralize_violation), with that shore's own
     capacity and demand.
+
+    The pass stays on ints: ``shore_cuts`` gives each cut as
+    (inf, fin * D), shores with inf > 0 are skipped, and demands are
+    summed as multiples of 1/L, L their common denominator.  Ratios are
+    compared by cross-multiplication, keeping the first strict minimiser
+    in walk order, and the one Fraction ratio is built at the end.
     """
     g = inst.supply
     n = g.n
     if n > bound:
         raise BoundExceeded(f"cut enumeration bound {bound} exceeded (n={n})")
-    best = best_mask = None
-    for mask, cap in shore_cuts(g, 0, range(n - 1)):  # vertex n-1 stays on the far side
-        if cap.inf:
+    lcd = math.lcm(*(d.denominator for _, _, d in inst.demands))
+    demands = [(s, t, d.numerator * (lcd // d.denominator)) for s, t, d in inst.demands]
+    best_fin = best_dem = best_mask = None
+    for mask, (inf, fin) in shore_cuts(g, 0, range(n - 1)):  # vertex n-1 stays on the far side
+        if inf:
             continue
-        dem = sum(d for s, t, d in inst.demands if (mask >> s ^ mask >> t) & 1)
-        if dem:
-            ratio = cap.fin / dem
-            if best is None or ratio < best:
-                best, best_mask = ratio, mask
+        dem = sum(d for s, t, d in demands if (mask >> s ^ mask >> t) & 1)
+        # fin / dem < best_fin / best_dem, both demands positive
+        if dem and (best_mask is None or fin * best_dem < best_fin * dem):
+            best_fin, best_dem, best_mask = fin, dem, mask
+    best = None if best_mask is None else Fraction(best_fin * lcd, best_dem * g.fin_denominator)
     if best is None or best >= 1:
         return CutConditionResult(True, ratio=best)
     shore = _centralize_violation(inst, frozenset(v for v in range(n) if best_mask >> v & 1))
@@ -112,9 +121,11 @@ def _centralize_violation(inst, shore):
 @dataclass(frozen=True)
 class FeasibilityCert:
     feasible: bool
-    flows: dict | None = None  # (commodity, edge_id, dir) -> Fraction
+    flows: dict | None = None  # (demand index, edge_id) -> (forward, reverse)
     violated_cut: CutConditionResult | None = None
-    concurrent_value: Fraction | None = None  # LP certificate when no cut violated
+    # lambda*, the LP certificate when no cut is violated; None when it
+    # is infinite (no demands, or every pair joined by infinite edges)
+    concurrent_value: Fraction | None = None
 
 
 def _cover_sources(demands):
@@ -266,8 +277,41 @@ def _split_flows(inst, src, flows, lam):
     return out
 
 
+def _infinite_routes(inst):
+    """One flow per demand along a BFS path of infinite edges, in
+    _split_flows' format, or None if some demand's ends are not joined
+    by infinite edges.  Routes exist exactly when lambda* is unbounded:
+    otherwise the infinite-edge component of some demand's end is a
+    finite cut that separates the demand."""
+    g = inst.supply
+    adj = [[] for _ in range(g.n)]  # (edge id, other end, direction)
+    for eid, (a, b, cap) in enumerate(g.edges):
+        if not cap.is_finite:
+            adj[a].append((eid, b, 1))
+            adj[b].append((eid, a, -1))
+    out = {}
+    for i, (s, t, d) in enumerate(inst.demands):
+        parent = {s: None}
+        queue = [s]
+        for u in queue:
+            for eid, w, sign in adj[u]:
+                if w not in parent:
+                    parent[w] = (u, eid, sign)
+                    queue.append(w)
+        if t not in parent:
+            return None
+        v = t
+        while parent[v] is not None:
+            v, eid, sign = parent[v]
+            out[(i, eid)] = (d, Fraction(0)) if sign > 0 else (Fraction(0), d)
+    return out
+
+
 def max_concurrent_flow(inst: MultiflowInstance) -> Fraction:
-    """Largest lambda such that lambda-scaled demands route exactly."""
+    """Largest lambda such that lambda-scaled demands route exactly.
+
+    Raises GraphError when lambda* is infinite, that is when every
+    demand pair is joined by infinite edges."""
     lam, _, _ = _concurrent_lp(inst)
     return lam
 
@@ -277,11 +321,16 @@ def feasible(inst: MultiflowInstance) -> FeasibilityCert:
 
     Feasible certificates carry per-commodity directed edge flows: the
     concurrent optimum scaled down by lambda* and split into one flow
-    per demand.  Infeasible ones carry a violated cut when the cut
-    condition fails and n <= DEFAULT_CUT_BOUND (above the bound no shore
-    is enumerated and none is returned), else the concurrent value
-    lambda* < 1 as the LP certificate.
+    per demand.  When every demand pair is joined by infinite edges,
+    lambda* is infinite: each demand is routed along a path of them and
+    concurrent_value is None.  Infeasible ones carry a violated cut when
+    the cut condition fails and n <= DEFAULT_CUT_BOUND (above the bound
+    no shore is enumerated and none is returned), else the concurrent
+    value lambda* < 1 as the LP certificate.
     """
+    routes = _infinite_routes(inst)
+    if routes is not None:
+        return FeasibilityCert(True, flows=routes)
     lam, src, flows = _concurrent_lp(inst)
     if lam >= 1:
         split = _split_flows(inst, src, flows, lam)
@@ -304,8 +353,9 @@ def min_cut_ratio(inst: MultiflowInstance, bound: int = DEFAULT_CUT_BOUND) -> Fr
 def flow_cut_gap(inst: MultiflowInstance, bound: int = DEFAULT_CUT_BOUND) -> Fraction:
     """(best cut bound) / (max concurrent flow); 1 iff cuts are achievable.
 
-    A ratio of None means every demand pair is joined by infinite edges,
-    and then the LP is unbounded and max_concurrent_flow raises.
+    A ratio of None means every demand pair is joined by infinite edges:
+    lambda* is infinite, the LP is unbounded, and this raises GraphError
+    from max_concurrent_flow.
     """
     ratio = cut_condition(inst, bound).ratio
     lam = max_concurrent_flow(inst)

@@ -12,8 +12,8 @@ spec.loader.exec_module(bench_pairs)
 
 def test_summary_counts_wins_in_each_metric_direction():
     metrics = [
-        {"name": "instances_per_s", "unit": "1/s", "better": "higher"},
-        {"name": "instance_ms_p50", "unit": "ms", "better": "lower"},
+        {"name": "instances_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "instance_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
     ]
     pairs = [
         {"base": {"instances_per_s": b, "instance_ms_p50": 1000 / b},
@@ -28,6 +28,45 @@ def test_summary_counts_wins_in_each_metric_direction():
     assert out["instance_ms_p50"]["wins"] == 2
     assert bench_pairs.spread([5.0]) == (5.0, 0.0)
     assert bench_pairs.spread([1, 2, 3, 4, 5]) == (3, 3.0)
+
+
+@pytest.mark.parametrize(
+    "base, change, want",
+    [
+        # 9 of 10 pairs won, medians 100 -> 130 against a base IQR of 4.5
+        ([100, 98, 102, 101, 99, 97, 103, 100, 96, 104],
+         [130, 128, 132, 131, 129, 127, 133, 130, 126, 90], "better"),
+        # every pair won, but by 1, less than the base IQR of 4.5
+        ([100, 98, 102, 101, 99, 97, 103, 100, 96, 104],
+         [101, 99, 103, 102, 100, 98, 104, 101, 97, 105], "within bound"),
+        # median 100 -> 70, worse by more than a quarter
+        ([100, 98, 102, 101, 99, 97, 103, 100, 96, 104],
+         [70, 68, 72, 71, 69, 67, 73, 70, 66, 74], "worse"),
+        # base IQR 45 on a median of 100, wider than the bound;
+        # the change wins only some pairs
+        ([60, 140, 80, 120, 100, 70, 130, 90, 110, 100],
+         [90, 150, 70, 130, 95, 80, 120, 100, 105, 110], "unresolved"),
+        # as wide a base, but every pair favours the change
+        ([60, 140, 80, 120, 100, 70, 130, 90, 110, 100],
+         [61, 141, 81, 121, 101, 71, 131, 91, 111, 101], "within bound"),
+    ],
+    ids=["better", "within-bound", "worse", "unresolved", "wide-but-all-won"],
+)
+def test_summary_verdicts(base, change, want):
+    metrics = [
+        {"name": "instances_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "instance_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+    ]
+    pairs = [
+        {"base": {"instances_per_s": b, "instance_ms_p50": 200 - b},
+         "change": {"instances_per_s": c, "instance_ms_p50": 200 - c}}
+        for b, c in zip(base, change)
+    ]
+    out = bench_pairs.summarise(pairs, metrics)
+    assert out["instances_per_s"]["verdict"] == want
+    assert out["instances_per_s"]["bound"] == 0.25
+    # mirrored about the base median of 100, a lower-is-better metric reads the same
+    assert out["instance_ms_p50"]["verdict"] == want
 
 
 WORKLOADS = ["gh-trees", "cut-oracles", "flowcheck", "minor-search"]

@@ -225,17 +225,24 @@ def shore_instances(draw):
     return capgraph(n, [(u, v, c) for (u, v), c in edges.items()]), base, free
 
 
+def key_cap(g, key):
+    """The Cap of a ``shore_cuts`` key (inf, fin * D)."""
+    inf, fin = key
+    return Cap(Fraction(fin, g.fin_denominator), inf)
+
+
 @given(shore_instances())
 def test_shore_cuts_match_cut_capacity(inst):
     g, base, free = inst
     seen = set()
-    for mask, cap in shore_cuts(g, base, free):
+    for mask, key in shore_cuts(g, base, free):
         assert mask & base == base and mask & ~base & ~sum(1 << v for v in free) == 0
+        assert all(type(x) is int for x in key)
         shore = {v for v in range(g.n) if mask >> v & 1}
         if 0 < len(shore) < g.n:
-            assert cap == cut_capacity(g, shore)
+            assert key_cap(g, key) == cut_capacity(g, shore)
         else:
-            assert cap == ZERO
+            assert key == (0, 0)
         seen.add(mask)
     assert len(seen) == 1 << len(free)
 
@@ -243,7 +250,39 @@ def test_shore_cuts_match_cut_capacity(inst):
 def gray_min_cut(g, s, t):
     """The per-pair oracle: the least capacity over every shore
     s + subset(V - {s, t})."""
-    return min(cap for _, cap in shore_cuts(g, 1 << s, [v for v in range(g.n) if v not in (s, t)]))
+    free = [v for v in range(g.n) if v not in (s, t)]
+    return key_cap(g, min(key for _, key in shore_cuts(g, 1 << s, free)))
+
+
+@st.composite
+def table_graphs(draw):
+    """A graph on 1..8 vertices (not always connected) with mixed
+    capacities: rational, INF, 2*INF and a*INF + p/q with p negative
+    allowed; perturbed about half of the time."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = {}
+    for u, v, c in draw(st.lists(st.tuples(vertex, vertex, mixed_caps), max_size=2 * n)):
+        if u != v:
+            edges[min(u, v), max(u, v)] = c
+    g = capgraph(n, [(u, v, c) for (u, v), c in edges.items()])
+    return perturb(g) if g.m and draw(st.booleans()) else g
+
+
+@given(table_graphs())
+def test_shore_table_rows_decode_to_their_cuts_in_cap_order(g):
+    rows = g.shore_table
+    assert len(rows) == 1 << max(g.n - 1, 0)
+    assert sorted(mask for _, mask, _ in rows) == list(range(len(rows)))
+    for key, mask, cap in rows:
+        assert cap == key_cap(g, key)
+        shore = {v for v in range(g.n) if mask >> v & 1}
+        if shore:
+            assert cap == cut_capacity(g, shore)
+        else:
+            assert key == (0, 0) and cap == ZERO
+    caps = [cap for _, _, cap in rows]
+    assert all(a <= b for a, b in zip(caps, caps[1:]))
 
 
 # Few distinct values, so that many cuts tie.

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from ghkit import capgraph
 from ghkit.capacity import INF, Cap
 from ghkit.generators import ZWebSpec, gen_zweb, split_seed
-from ghkit.graph import GraphError, cut_capacity, is_central
+from ghkit.graph import GraphError, cut_capacity, is_central, shore_cuts
 from ghkit.maxflow import BoundExceeded
 from ghkit.simplex import OPTIMAL, UNBOUNDED, solve_lp
 from ghkit.multiflow import (
     FeasibilityCert,
     MultiflowInstance,
+    _centralize_violation,
     _concurrent_lp,
     _cover_sources,
     _split_flows,
@@ -281,13 +282,63 @@ def test_cut_condition_matches_naive_enumeration(inst):
             assert is_central(g, cc.shore)
 
 
+@st.composite
+def coprime_demand_instances(draw):
+    """2..7 vertices, all terminals, a spanning path about half of the
+    time, capacities rational, INF, 2*INF or INF plus a negative
+    rational, and 1..4 demands whose denominators (3, 7, 5, 4) do not
+    divide each other."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    cap = st.one_of(
+        st.fractions(min_value=F(1, 5), max_value=4, max_denominator=5).map(Cap),
+        st.sampled_from([INF, INF * 2, Cap(F(-2, 3), 1)]),
+    )
+    edges = {}
+    if draw(st.booleans()):
+        for v in range(1, n):
+            edges[v - 1, v] = draw(cap)
+    for u, v, c in draw(st.lists(st.tuples(vertex, vertex, cap), max_size=2 * n)):
+        if u != v:
+            edges[min(u, v), max(u, v)] = c
+    pair = st.lists(vertex, min_size=2, max_size=2, unique=True)
+    value = st.sampled_from([F(1, 3), F(2, 7), F(3, 5), F(5, 4), F(1)])
+    demands = draw(st.lists(st.tuples(pair, value), min_size=1, max_size=4))
+    g = capgraph(n, [(u, v, c) for (u, v), c in edges.items()], tuple(range(n)))
+    return MultiflowInstance(g, tuple((s, t, d) for (s, t), d in demands))
+
+
+@given(coprime_demand_instances())
+def test_cut_condition_picks_the_first_fraction_minimiser(inst):
+    # Reference on Fractions: caps from cut_capacity, the first strict
+    # minimiser of cap.fin / demand in shore_cuts order, then centralised.
+    g = inst.supply
+    best = best_shore = None
+    for mask, _ in shore_cuts(g, 0, range(g.n - 1)):
+        shore = frozenset(v for v in range(g.n) if mask >> v & 1)
+        dem = _separated(inst, shore)
+        if not dem:
+            continue
+        cap = cut_capacity(g, shore)
+        if cap.is_finite and (best is None or cap.fin / dem < best):
+            best, best_shore = cap.fin / dem, shore
+    cc = cut_condition(inst)
+    assert cc.ratio == best
+    assert cc.holds == (best is None or best >= 1)
+    if not cc.holds:
+        assert cc.shore == _centralize_violation(inst, best_shore)
+        assert cc.capacity == cut_capacity(g, cc.shore)
+        assert cc.demand == _separated(inst, cc.shore)
+
+
 @settings(deadline=None)
 @given(multiflow_instances())
 def test_feasibility_certificates_check_independently(inst):
     cc = cut_condition(inst)
     if cc.ratio is None:  # every demand pair is joined by infinite edges
-        with pytest.raises(GraphError):
-            feasible(inst)
+        cert = feasible(inst)
+        assert cert.concurrent_value is None
+        assert_routes_demands(inst, cert)
         return
     cert = feasible(inst)
     lam = cert.concurrent_value

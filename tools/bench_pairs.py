@@ -15,8 +15,10 @@ that drift in machine speed falls on both sides alike.  After the pairs,
 one ``--trace 1`` run per side keeps the per-layer metrics, work counts
 included.  The output file holds the environment, every pair, and per
 end-to-end metric the median and interquartile range of each side, the
-ratio of the medians (change / base) and the number of pairs the change
-wins.  A run that reports a failure or exits non-zero stops the script.
+ratio of the medians (change / base), the number of pairs the change
+wins, the metric's bound from ``BENCHMARK.json`` and a verdict (see
+``verdict``).  A run that reports a failure or exits non-zero stops the
+script.
 """
 
 from __future__ import annotations
@@ -83,6 +85,28 @@ def spread(values):
     return statistics.median(values), q3 - q1
 
 
+def verdict(base_median, base_iqr, change_median, wins, pairs, higher, bound):
+    """How the change compares on one metric, in this order:
+
+    - "better": it wins at least 9/10 of the pairs (ties count for
+      neither side) and its median is better than the base median by
+      more than the base IQR;
+    - "worse": its median is worse than the base median by more than
+      ``bound`` times the base median;
+    - "unresolved": the base IQR is wider than ``bound`` times the base
+      median, and not every pair favours the change;
+    - "within bound": anything else.
+    """
+    gain = change_median - base_median if higher else base_median - change_median
+    if 10 * wins >= 9 * pairs and gain > base_iqr:
+        return "better"
+    if -gain > bound * base_median:
+        return "worse"
+    if base_iqr > bound * base_median and wins < pairs:
+        return "unresolved"
+    return "within bound"
+
+
 def summarise(pairs, end_to_end):
     out = {}
     for m in end_to_end:
@@ -92,16 +116,19 @@ def summarise(pairs, end_to_end):
         base_median, base_iqr = spread(base)
         head_median, head_iqr = spread(head)
         higher = m["better"] == "higher"
+        wins = sum((h > b) if higher else (h < b) for b, h in zip(base, head))
         out[name] = {
             "unit": m["unit"],
             "better": m["better"],
+            "bound": m["bound"],
             "base_median": base_median,
             "base_iqr": base_iqr,
             "change_median": head_median,
             "change_iqr": head_iqr,
             "ratio": head_median / base_median if base_median else None,
-            "wins": sum((h > b) if higher else (h < b) for b, h in zip(base, head)),
+            "wins": wins,
             "pairs": len(pairs),
+            "verdict": verdict(base_median, base_iqr, head_median, wins, len(pairs), higher, m["bound"]),
         }
     return out
 
