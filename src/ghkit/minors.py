@@ -329,39 +329,30 @@ def slow_detect_terminal_minor(g: CapGraph, z, pattern: MinorPattern, bound: int
 
 
 def two_disjoint_paths(g: CapGraph, s1, t1, s2, t2, bound: int = DEFAULT_MINOR_BOUND):
-    """Do vertex-disjoint paths s1-t1 and s2-t2 exist?  Exhaustive search
-    over simple s1-t1 paths, checking s2-t2 connectivity in the rest."""
+    """Do vertex-disjoint paths s1-t1 and s2-t2 exist?
+
+    This is a terminal minor of the pattern {0-1, 2-3} seeded (s1, t1,
+    s2, t2), found by `_search`: a path splits into two adjacent
+    connected halves, and two adjacent connected branch sets contain a
+    path between their seeds.
+    """
     if g.n > bound:
         raise BoundExceeded(f"linkage search bound {bound} exceeded (n={g.n})")
-    if len({s1, t1, s2, t2}) != 4:
+    ends = (s1, t1, s2, t2)
+    if not all(0 <= v < g.n for v in ends):
+        raise GraphError(f"linkage endpoint out of range (n={g.n})")
+    if len(set(ends)) != 4:
         raise GraphError("the four endpoints must be distinct")
-
-    def connected_avoiding(a, b, banned):
-        return b in g.component_of(a, set(range(g.n)) - banned)
-
-    on_path = {s1}
-
-    def rec(x):
-        if x == t1:
-            return connected_avoiding(s2, t2, on_path)
-        for y, _ in g.adj[x]:
-            if y in on_path or y in (s2, t2):
-                continue
-            on_path.add(y)
-            if connected_avoiding(s2, t2, on_path) and rec(y):
-                return True
-            on_path.remove(y)
-        return False
-
-    return rec(s1)
+    nbrs = [frozenset(v for v, _ in row) for row in g.adj]
+    return _search(g, MinorPattern("linkage", 4, ((0, 1), (2, 3))), ends, nbrs) is not None
 
 
 def crossing_linkage(g: CapGraph, z, i, j, i2, j2, bound: int = DEFAULT_MINOR_BOUND):
     """Crossing 2-linkage over the cyclic terminal order: disjoint paths
-    t_i..t_i2 and t_j..t_j2 with i < j < i2 < j2."""
-    if not (i < j < i2 < j2):
-        raise GraphError("indices must interleave: i < j < i2 < j2")
+    t_i..t_i2 and t_j..t_j2 with 0 <= i < j < i2 < j2 < |Z|."""
     z = tuple(z)
+    if not (0 <= i < j < i2 < j2 < len(z)):
+        raise GraphError("indices must interleave: 0 <= i < j < i2 < j2 < |Z|")
     return two_disjoint_paths(g, z[i], z[i2], z[j], z[j2], bound)
 
 

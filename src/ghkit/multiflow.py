@@ -14,7 +14,7 @@ from fractions import Fraction
 from .capacity import Cap
 from .graph import CapGraph, GraphError, cut_capacity, shore_cuts
 from .maxflow import BoundExceeded
-from .simplex import OPTIMAL, UNBOUNDED, solve_lp
+from .simplex import INFEASIBLE, solve_lp
 
 
 DEFAULT_CUT_BOUND = 18
@@ -149,8 +149,8 @@ def _cover_sources(demands):
 
 
 def _concurrent_lp(inst: MultiflowInstance):
-    """Build and solve the concurrent-flow LP; returns (lambda*, src,
-    flows).
+    """Build and solve the concurrent-flow LP; returns (lambda, src,
+    flows, unbounded).
 
     One commodity per source vertex: demand i is routed from src[i]
     (_cover_sources) to its other end, so the demands sharing a source
@@ -163,6 +163,12 @@ def _concurrent_lp(inst: MultiflowInstance):
     flow per demand, so lambda* is the per-demand LP's optimum.
 
     ``flows`` maps (source, edge_id) to the nonzero (forward, reverse).
+    When lambda* is infinite the LP is unbounded, and lambda and flows
+    are read from solve_lp's improving ray instead.  The ray satisfies
+    every row with right-hand side 0; on each finite edge its flows and
+    slack are non-negative and sum to 0, so all of them are 0.  The ray
+    thus routes its lambda times each source's demands on infinite edges
+    only.
     """
     g = inst.supply
     m = g.m
@@ -206,17 +212,16 @@ def _concurrent_lp(inst: MultiflowInstance):
     c = [0] * total_vars
     c[0] = -1  # maximize lambda
     res = solve_lp(c, rows, rhs, total_vars)
-    if res.status == UNBOUNDED:
-        raise GraphError("concurrent flow unbounded (demands routable at any scale)")
-    assert res.status == OPTIMAL  # lambda = 0, zero flow is always feasible
+    assert res.status != INFEASIBLE  # lambda = 0, zero flow is always feasible
+    x = res.x if res.ray is None else res.ray
     flows = {}
     for gi, s in enumerate(sources):
         base = 1 + 2 * m * gi
         for eid in range(m):
-            f, r = res.x[base + 2 * eid], res.x[base + 2 * eid + 1]
+            f, r = x[base + 2 * eid], x[base + 2 * eid + 1]
             if f or r:
                 flows[(s, eid)] = (f, r)
-    return res.x[0], src, flows
+    return x[0], src, flows, res.ray is not None
 
 
 def _split_flows(inst, src, flows, lam):
@@ -277,42 +282,14 @@ def _split_flows(inst, src, flows, lam):
     return out
 
 
-def _infinite_routes(inst):
-    """One flow per demand along a BFS path of infinite edges, in
-    _split_flows' format, or None if some demand's ends are not joined
-    by infinite edges.  Routes exist exactly when lambda* is unbounded:
-    otherwise the infinite-edge component of some demand's end is a
-    finite cut that separates the demand."""
-    g = inst.supply
-    adj = [[] for _ in range(g.n)]  # (edge id, other end, direction)
-    for eid, (a, b, cap) in enumerate(g.edges):
-        if not cap.is_finite:
-            adj[a].append((eid, b, 1))
-            adj[b].append((eid, a, -1))
-    out = {}
-    for i, (s, t, d) in enumerate(inst.demands):
-        parent = {s: None}
-        queue = [s]
-        for u in queue:
-            for eid, w, sign in adj[u]:
-                if w not in parent:
-                    parent[w] = (u, eid, sign)
-                    queue.append(w)
-        if t not in parent:
-            return None
-        v = t
-        while parent[v] is not None:
-            v, eid, sign = parent[v]
-            out[(i, eid)] = (d, Fraction(0)) if sign > 0 else (Fraction(0), d)
-    return out
-
-
 def max_concurrent_flow(inst: MultiflowInstance) -> Fraction:
     """Largest lambda such that lambda-scaled demands route exactly.
 
     Raises GraphError when lambda* is infinite, that is when every
     demand pair is joined by infinite edges."""
-    lam, _, _ = _concurrent_lp(inst)
+    lam, _, _, unbounded = _concurrent_lp(inst)
+    if unbounded:
+        raise GraphError("concurrent flow unbounded (demands routable at any scale)")
     return lam
 
 
@@ -322,19 +299,17 @@ def feasible(inst: MultiflowInstance) -> FeasibilityCert:
     Feasible certificates carry per-commodity directed edge flows: the
     concurrent optimum scaled down by lambda* and split into one flow
     per demand.  When every demand pair is joined by infinite edges,
-    lambda* is infinite: each demand is routed along a path of them and
-    concurrent_value is None.  Infeasible ones carry a violated cut when
+    lambda* is infinite and concurrent_value is None: the flows are the
+    LP's improving ray, split the same way, and use infinite edges only
+    (see _concurrent_lp).  Infeasible ones carry a violated cut when
     the cut condition fails and n <= DEFAULT_CUT_BOUND (above the bound
     no shore is enumerated and none is returned), else the concurrent
     value lambda* < 1 as the LP certificate.
     """
-    routes = _infinite_routes(inst)
-    if routes is not None:
-        return FeasibilityCert(True, flows=routes)
-    lam, src, flows = _concurrent_lp(inst)
-    if lam >= 1:
+    lam, src, flows, unbounded = _concurrent_lp(inst)
+    if unbounded or lam >= 1:
         split = _split_flows(inst, src, flows, lam)
-        return FeasibilityCert(True, flows=split, concurrent_value=lam)
+        return FeasibilityCert(True, flows=split, concurrent_value=None if unbounded else lam)
     try:
         cc = cut_condition(inst)
     except BoundExceeded:
@@ -368,9 +343,9 @@ def k4_demand_route(f_graph: CapGraph, triple, d_xy, d_yz, d_zx):
     """Route triangle demands on the attachment triple inside a
     3-separated graph; the flow-mapping step of the reduction proof.
 
-    Returns a FeasibilityCert; a violated cut signals caller error since
-    demands produced by a feasible reduced flow always satisfy the cut
-    condition inside F.
+    Returns ``feasible`` of the triangle demands on F.  Demands produced
+    by a feasible reduced flow satisfy the cut condition inside F, so a
+    violated cut, returned with lambda* < 1, signals caller error.
     """
     x, y, z = triple
     demands = []
@@ -382,8 +357,4 @@ def k4_demand_route(f_graph: CapGraph, triple, d_xy, d_yz, d_zx):
     g = f_graph
     if set(g.terminals) != {x, y, z} and not set((x, y, z)) <= set(g.terminals):
         g = CapGraph(g.n, g.edges, (x, y, z), g.perturbed, g.grid)
-    inst = MultiflowInstance(g, tuple(demands))
-    cc = cut_condition(inst)
-    if not cc.holds:
-        return FeasibilityCert(False, violated_cut=cc)
-    return feasible(inst)
+    return feasible(MultiflowInstance(g, tuple(demands)))

@@ -22,6 +22,12 @@ own denominator scales its entries by one positive amount too; every
 sign test and ratio comparison therefore answers as it would on the
 Fraction tableau, and Bland's rule takes the same pivots.  The solution
 is decoded to Fractions once.
+
+An unbounded LP carries an improving ray.  When phase 2 finds an
+improving column j with no positive entry, ray[j] = 1, ray[B[r]] =
+-tab[r][j] / den[r] and 0 elsewhere give ray >= 0, A.ray = 0 (the
+tableau is B^-1 A, and a row dropped as redundant is 0 in every real
+column) and c.ray = the reduced cost of j, which is negative.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ class LPResult:
     status: str
     x: list | None = None
     objective: Fraction | None = None
+    ray: list | None = None  # UNBOUNDED only: A.ray = 0, ray >= 0, c.ray < 0
 
 
 def _pivot(tab, den, basis, d, row, col):
@@ -69,7 +76,8 @@ def _pivot(tab, den, basis, d, row, col):
 def _simplex_loop(tab, den, basis, nvars, d):
     """Optimize the tableau in place; last row is the objective (min).
 
-    Returns (status, denominator).
+    Returns (denominator, col): col is None at the optimum, else an
+    improving column with no positive entry (the LP is unbounded).
     """
     while True:
         obj = tab[-1]  # _pivot rebinds rows; re-read every iteration
@@ -79,7 +87,7 @@ def _simplex_loop(tab, den, basis, nvars, d):
                 col = j  # Bland: first improving column
                 break
         if col is None:
-            return OPTIMAL, d
+            return d, None
         row = None
         for r in range(len(tab) - 1):
             a = tab[r][col]
@@ -93,7 +101,7 @@ def _simplex_loop(tab, den, basis, nvars, d):
                 if here < best or (here == best and basis[r] < basis[row]):
                     row = r
         if row is None:
-            return UNBOUNDED, d
+            return d, col
         d = _pivot(tab, den, basis, d, row, col)
 
 
@@ -131,8 +139,8 @@ def solve_lp(c, a_rows, b, nvars) -> LPResult:
     tab.append(obj)
     basis = [nvars + i for i in range(m)]
     den = [1] * (m + 1)
-    status, d = _simplex_loop(tab, den, basis, total, 1)
-    assert status == OPTIMAL  # phase-1 objective is bounded below by 0
+    d, col = _simplex_loop(tab, den, basis, total, 1)
+    assert col is None  # phase-1 objective is bounded below by 0
     if tab[-1][-1] < 0:
         return LPResult(INFEASIBLE)
 
@@ -159,9 +167,13 @@ def solve_lp(c, a_rows, b, nvars) -> LPResult:
             obj2 = [a - f * bb for a, bb in zip(obj2, vec)]
     tab2.append(obj2)
     den2 = [d] * len(tab2)
-    status, d = _simplex_loop(tab2, den2, basis2, nvars, d)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
+    d, col = _simplex_loop(tab2, den2, basis2, nvars, d)
+    if col is not None:
+        ray = [Fraction(0)] * nvars
+        ray[col] = Fraction(1)
+        for r, bcol in enumerate(basis2):
+            ray[bcol] = Fraction(-tab2[r][col], den2[r])
+        return LPResult(UNBOUNDED, ray=ray)
     x = [Fraction(0)] * nvars
     for r, bcol in enumerate(basis2):
         x[bcol] = Fraction(tab2[r][-1], den2[r])

@@ -118,8 +118,8 @@ def test_merged_gap_lp_solution_is_pinned():
     # Demands 0-1, 2-3, 3-4, 4-2: the greedy cover takes 2, then 0, then
     # 3, so 4-2 is routed from 2 and the LP has three sources, not four.
     q, e, h = F(1, 4), F(3, 8), F(3, 4)
-    lam, src, flows = _concurrent_lp(canonical_gap_instance())
-    assert lam == F(3, 4)
+    lam, src, flows, unbounded = _concurrent_lp(canonical_gap_instance())
+    assert lam == F(3, 4) and not unbounded
     assert src == [0, 2, 3, 2]
     assert flows == {
         (0, 0): (q, 0), (0, 1): (q, 0), (0, 2): (q, 0),
@@ -218,6 +218,11 @@ def test_k4_demand_route_on_triangle():
     assert cert.feasible
     overload = k4_demand_route(g, (0, 1, 2), F(2), F(2), F(2))
     assert not overload.feasible
+    # each vertex alone is a cut of capacity 2 separating demand 4
+    assert overload.concurrent_value == F(1, 2)
+    cut = overload.violated_cut
+    assert not cut.holds and len(cut.shore) == 1
+    assert cut.capacity == Cap(2) and cut.demand == 4
 
 
 def test_gap_is_one_on_a_tree():
@@ -374,12 +379,16 @@ def shared_source_instances(draw):
 @given(shared_source_instances())
 def test_merged_lp_lambda_matches_the_per_demand_lp(inst):
     res = solve_lp(*per_commodity_lp(inst))
+    lam, src, flows, unbounded = _concurrent_lp(inst)
     if res.status == UNBOUNDED:
-        with pytest.raises(GraphError):
-            _concurrent_lp(inst)
+        # lambda and flows come from the merged LP's improving ray: they
+        # use infinite edges only and split into the demands themselves
+        assert unbounded and lam > 0
+        g = inst.supply
+        assert all(not g.edges[eid][2].is_finite for _, eid in flows)
+        assert_routes_demands(inst, FeasibilityCert(True, flows=_split_flows(inst, src, flows, lam)))
         return
-    assert res.status == OPTIMAL
-    lam, src, flows = _concurrent_lp(inst)
+    assert res.status == OPTIMAL and not unbounded
     assert lam == res.x[0]
     if lam > 0:
         # the sources' flows split into one flow per demand carrying lambda * d

@@ -42,10 +42,29 @@ def test_infeasible_system():
     assert res.status == INFEASIBLE
 
 
+def assert_improving_ray(c, rows, ray):
+    """An UNBOUNDED certificate checked on its own: A.ray = 0, ray >= 0
+    and c.ray < 0, so x + t * ray stays feasible and c.x falls without
+    bound as t grows."""
+    assert all(v >= 0 for v in ray)
+    assert all(sum(a * v for a, v in zip(row, ray)) == 0 for row in rows)
+    assert sum(ci * v for ci, v in zip(c, ray)) < 0
+
+
 def test_unbounded_direction():
     # min -x s.t. x - y = 1: increase x and y together forever
-    res = solve_lp([F(-1), F(0)], [[F(1), F(-1)]], [F(1)], 2)
+    c, rows = [F(-1), F(0)], [[F(1), F(-1)]]
+    res = solve_lp(c, rows, [F(1)], 2)
     assert res.status == UNBOUNDED
+    assert res.ray == [1, 1]
+    assert_improving_ray(c, rows, res.ray)
+    # min -x3/2 s.t. x0 - 3 x2 = -1, -2 x0 + 3 x1 + x3 = 0: when the ray
+    # is read, the basic rows are over different denominators
+    c, rows = [F(0), F(0), F(0), F(-1, 2)], [[F(1), F(0), F(-3), F(0)], [F(-2), F(3), F(0), F(1)]]
+    res = solve_lp(c, rows, [F(-1), F(0)], 4)
+    assert res.status == UNBOUNDED
+    assert res.ray == [1, 0, F(1, 3), 2]
+    assert_improving_ray(c, rows, res.ray)
 
 
 def test_negative_rhs_is_normalized():
@@ -152,6 +171,7 @@ def test_solve_lp_matches_basis_enumeration(lp):
     c, rows, b, nvars = lp
     res = solve_lp(c, rows, b, nvars)
     best = _optimum_by_basis_enumeration(c, rows, b, nvars)
+    assert res.ray is None  # the bounding row leaves no improving ray
     if best is None:
         assert res.status == INFEASIBLE
         return
@@ -272,3 +292,7 @@ def test_solve_lp_pivots_as_the_fraction_tableau(lp):
     assert kernel_pivots == pivots
     assert res.status == status
     assert res.x == x
+    if status == UNBOUNDED:
+        assert_improving_ray(c, rows, res.ray)
+    else:
+        assert res.ray is None
