@@ -25,7 +25,7 @@ from .generators import (
 from .ghtree import build_gh_tree
 from .graph import GraphError
 from .maxflow import BoundExceeded
-from .minors import PATTERNS, cycle, detect_terminal_minor, k23
+from .minors import DEFAULT_MINOR_BOUND, PATTERNS, cycle, detect_terminal_minor, k23
 from .multiflow import MultiflowInstance, cut_condition, max_concurrent_flow
 from .suite import SuiteConfig, run_suite
 
@@ -44,18 +44,12 @@ def _write(out_path, text):
 
 
 def cmd_ghtree(args):
-    inst = gio.load(args.input)
-    g = inst.graph
-    z = g.terminals if g.terminals else tuple(range(g.n))
-    tree = build_gh_tree(g, z)
+    tree = build_gh_tree(gio.load(args.input).graph)  # over all vertices if none is a terminal
     if args.format == "dot":
         _write(args.out, tree_dot(tree))
         return EXIT_OK
-    lines = []
-    for e in tree.edges:
-        lines.append(f"{e.s} {e.t} {e.cap}")
-    for t in tree.terminals:
-        lines.append(f"{t}: " + " ".join(str(v) for v in sorted(tree.bags[t])))
+    lines = [f"{e.s} {e.t} {e.cap}" for e in tree.edges]
+    lines += [f"{t}: " + " ".join(str(v) for v in sorted(tree.bags[t])) for t in tree.terminals]
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -73,8 +67,6 @@ def cmd_verify_embed(args):
         ok, deleted, witness = check_weak_bag_minor(g, tree)
         if ok:
             print(f"deleted: {' '.join(str(v) for v in sorted(deleted))}")
-    if args.dot and ok and args.mode != "subgraph":
-        _write(args.out, tree_dot(tree))
     print("yes" if ok else "no")
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -204,46 +196,35 @@ def cmd_suite(args):
 
 
 def cmd_dot(args):
-    inst = gio.load(args.input)
-    g = inst.graph
-    if args.tree:
-        z = g.terminals if g.terminals else tuple(range(g.n))
-        _write(args.out, tree_dot(build_gh_tree(g, z)))
-    else:
-        _write(args.out, graph_dot(g))
+    _write(args.out, graph_dot(gio.load(args.input).graph))
     return EXIT_OK
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--bound-n", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=["text", "dot"], default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS)
+    """Each subcommand declares exactly the flags its ``cmd_*`` reads."""
     p = argparse.ArgumentParser(
         prog="ghkit",
-        parents=[common],
         description="Gomory-Hu trees, terminal minors, and cut-sufficiency, exactly.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("ghtree",
-        parents=[common], help="build the GH tree of a graph file")
+    s = sub.add_parser("ghtree", help="build the GH tree of a graph file")
     s.add_argument("input")
+    s.add_argument("--format", choices=["text", "dot"], default="text")
+    s.add_argument("--out")
 
-    s = sub.add_parser("verify-embed",
-        parents=[common], help="check a GH tree embedding mode")
+    s = sub.add_parser("verify-embed", help="check a GH tree embedding mode")
     s.add_argument("input")
     s.add_argument("--mode", choices=["subgraph", "bag", "weak"], required=True)
-    s.add_argument("--dot", action="store_true")
 
-    s = sub.add_parser("detect-minor",
-        parents=[common], help="search for a terminal minor")
+    s = sub.add_parser("detect-minor", help="search for a terminal minor")
     s.add_argument("input")
     s.add_argument("--pattern", required=True, help="k23|k4|k4plus|cycle:<k>")
+    s.add_argument("--bound-n", type=int, default=DEFAULT_MINOR_BOUND)
+    s.add_argument("--format", choices=["text", "dot"], default="text")
+    s.add_argument("--out")
 
-    s = sub.add_parser("gen",
-        parents=[common], help="generate a certified instance family")
+    s = sub.add_parser("gen", help="generate a certified instance family")
     s.add_argument("family", choices=["outerplanar", "onesum", "zweb", "adversarial"])
     s.add_argument("--n", type=int, default=8)
     s.add_argument("--k", type=int, default=5)
@@ -251,24 +232,27 @@ def build_parser():
     s.add_argument("--attach", default="")
     s.add_argument("--blocks", default="4,k4")
     s.add_argument("--input", default=None)
+    s.add_argument("--seed", type=int, default=1)
+    s.add_argument("--bound-n", type=int, default=DEFAULT_MINOR_BOUND)
+    s.add_argument("--out")
 
-    s = sub.add_parser("reduce",
-        parents=[common], help="star-reduce declared 3-separated sets")
+    s = sub.add_parser("reduce", help="star-reduce declared 3-separated sets")
     s.add_argument("input")
+    s.add_argument("--out")
 
-    s = sub.add_parser("flowcheck",
-        parents=[common], help="cut condition, feasibility, gap")
+    s = sub.add_parser("flowcheck", help="cut condition, feasibility, gap")
     s.add_argument("input")
+    s.add_argument("--bound-n", type=int, default=DEFAULT_MINOR_BOUND)
+    s.add_argument("--out")
 
-    s = sub.add_parser("suite",
-        parents=[common], help="run the property suites")
+    s = sub.add_parser("suite", help="run the property suites")
     s.add_argument("--suites", default="")
     s.add_argument("--trials", type=int, default=20)
+    s.add_argument("--seed", type=int, default=1)
 
-    s = sub.add_parser("dot",
-        parents=[common], help="emit DOT for a graph or its GH tree")
+    s = sub.add_parser("dot", help="emit DOT for a graph")
     s.add_argument("input")
-    s.add_argument("--tree", action="store_true")
+    s.add_argument("--out")
     return p
 
 
@@ -282,9 +266,6 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    for name, default in (("seed", 1), ("bound_n", 20), ("format", "text"), ("out", None)):
-        if not hasattr(args, name):
-            setattr(args, name, default)
     # looked up per call, so that a wrapper set on the module is reached
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

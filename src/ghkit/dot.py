@@ -6,25 +6,22 @@ from .graph import CapGraph
 from .ghtree import GHTree
 
 
-def graph_dot(g: CapGraph, highlight_edges=(), name="G") -> str:
+def graph_dot(g: CapGraph) -> str:
+    """The graph as ``graph G``, terminals drawn as double circles."""
     terms = set(g.terminals)
-    hl = set(highlight_edges)
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(g.n):
         shape = ' [shape=doublecircle]' if v in terms else ""
         lines.append(f"  {v}{shape};")
-    for i, (u, v, cap) in enumerate(g.edges):
-        attrs = [f'label="{cap}"']
-        if i in hl:
-            attrs.append("penwidth=3")
-            attrs.append("color=red")
-        lines.append(f"  {u} -- {v} [{', '.join(attrs)}];")
+    for u, v, cap in g.edges:
+        lines.append(f'  {u} -- {v} [label="{cap}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def tree_dot(t: GHTree, name="T") -> str:
-    lines = [f"graph {name} {{", "  compound=true;"]
+def tree_dot(t: GHTree) -> str:
+    """The GH tree as ``graph T``, one cluster per terminal's bag."""
+    lines = ["graph T {", "  compound=true;"]
     for z in t.terminals:
         lines.append(f"  subgraph cluster_{z} {{")
         lines.append(f'    label="B({z})";')
@@ -39,9 +36,10 @@ def tree_dot(t: GHTree, name="T") -> str:
     return "\n".join(lines) + "\n"
 
 
-def embedding_dot(g: CapGraph, branch_sets, name="M") -> str:
+def embedding_dot(g: CapGraph, branch_sets) -> str:
+    """A minor model as ``graph M``, one cluster per branch set."""
     terms = set(g.terminals)
-    lines = [f"graph {name} {{"]
+    lines = ["graph M {"]
     assigned = {}
     for i, s in enumerate(branch_sets):
         lines.append(f"  subgraph cluster_b{i} {{")

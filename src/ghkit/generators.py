@@ -97,9 +97,10 @@ def gen_onesum(block_specs, seed: int) -> CapGraph:
     return capgraph(n, edges, tuple(range(n)))
 
 
-def random_connected_subgraph(g: CapGraph, seed: int, fresh_caps=True) -> CapGraph:
+def random_connected_subgraph(g: CapGraph, seed: int) -> CapGraph:
     """Random spanning connected subgraph of g: a random spanning tree plus
-    each remaining edge with probability 1/2; optionally fresh capacities."""
+    each remaining edge with probability 1/2, all with fresh random
+    capacities."""
     rng = random.Random(seed)
     ids = list(range(g.m))
     rng.shuffle(ids)
@@ -121,10 +122,7 @@ def random_connected_subgraph(g: CapGraph, seed: int, fresh_caps=True) -> CapGra
     for i in ids:
         if i not in keep and rng.random() < 0.5:
             keep.add(i)
-    edges = []
-    for i in sorted(keep):
-        u, v, cap = g.edges[i]
-        edges.append((u, v, random_capacity(rng) if fresh_caps else cap))
+    edges = [(g.edges[i].u, g.edges[i].v, random_capacity(rng)) for i in sorted(keep)]
     return capgraph(g.n, edges, g.terminals)
 
 
@@ -223,30 +221,6 @@ def gen_zweb(spec: ZWebSpec, seed: int) -> ZWebInstance:
     return ZWebInstance(graph, tuple(tsets), planar_faces)
 
 
-def _renumber(g: CapGraph, drop, extra_edges=(), extra_vertex=False, terminals=None):
-    """Delete `drop` vertices, optionally append one new vertex, renumber
-    densely.  Returns (graph, old->new map, new_vertex_id)."""
-    keep = [v for v in range(g.n) if v not in drop]
-    vmap = {v: i for i, v in enumerate(keep)}
-    n = len(keep)
-    new_id = None
-    if extra_vertex:
-        new_id = n
-        n += 1
-    edges = []
-    for u, v, cap in g.edges:
-        if u in drop or v in drop:
-            continue
-        edges.append((vmap[u], vmap[v], cap))
-    for u, v, cap in extra_edges:
-        a = new_id if u is None else vmap[u]
-        b = new_id if v is None else vmap[v]
-        edges.append((a, b, cap))
-    if terminals is None:
-        terminals = tuple(vmap[t] for t in g.terminals if t not in drop)
-    return capgraph(n, edges, terminals), vmap, new_id
-
-
 def require_three_separated(g: CapGraph, tset: ThreeSeparatedSet):
     """Raise GraphError unless tset is 3-separated in g: three distinct
     attachment vertices and an interior, all in range, disjoint, with no
@@ -278,7 +252,9 @@ def star_reduce(g: CapGraph, tset: ThreeSeparatedSet):
     bipartitions are preserved exactly.  Raises GraphError unless tset
     passes ``require_three_separated``.
 
-    Returns (graph, old->new vertex map).
+    The interior is deleted, the other vertices keep their order and are
+    renumbered densely, and the star's centre, if it has a leg, is the
+    new last vertex.  Returns (graph, old->new vertex map).
     """
     require_three_separated(g, tset)
     interior = set(tset.interior)
@@ -289,13 +265,15 @@ def star_reduce(g: CapGraph, tset: ThreeSeparatedSet):
         # sink g.n glued to the two other attachment vertices
         glue = [(o, g.n, INF) for o in (x, y, z) if o != alpha]
         caps[alpha] = max_flow(capgraph(g.n + 1, f_edges + glue), alpha, g.n).value
-    star_edges = [
-        (a, None, caps[a]) for a in (x, y, z) if caps[a] > Cap(0)
-    ]
+    keep = [v for v in range(g.n) if v not in interior]
+    vmap = {v: i for i, v in enumerate(keep)}
+    centre = len(keep)
+    edges = [(vmap[u], vmap[v], cap) for u, v, cap in g.edges if u in vmap and v in vmap]
     # zero-capacity star edges are simply omitted; with no positive leg at
     # all the interior was detached and no star vertex is needed
-    add_vertex = bool(star_edges)
-    return _renumber(g, interior, star_edges, extra_vertex=add_vertex)[:2]
+    legs = [(vmap[a], centre, caps[a]) for a in (x, y, z) if caps[a] > Cap(0)]
+    terminals = tuple(vmap[t] for t in g.terminals)  # none is in the interior
+    return capgraph(centre + bool(legs), edges + legs, terminals), vmap
 
 
 def reduce_all(web: ZWebInstance):
@@ -328,16 +306,16 @@ def reduce_all(web: ZWebInstance):
     return g, total_map
 
 
-def gen_adversarial_from_minor(g: CapGraph, emb: MinorEmbedding, z=None):
+def gen_adversarial_from_minor(g: CapGraph, emb: MinorEmbedding):
     """Adversarial capacity assignment from a terminal-K2,3 embedding.
 
     Edges inside branch sets (a spanning tree of each) get infinite
     capacity, one connecting edge per pattern edge gets capacity 1, and
     everything else is deleted.  Demands: one unit demand between the two
     degree-3 branch terminals plus a unit triangle on the degree-2 branch
-    terminals.
+    terminals.  The terminals are the embedding's seeds, in pattern order.
 
-    Returns (graph, demands) where demands is a tuple of (s, t, Fraction).
+    Returns (graph, MultiflowInstance of the graph and those demands).
     """
     from .multiflow import MultiflowInstance
 
@@ -352,7 +330,7 @@ def gen_adversarial_from_minor(g: CapGraph, emb: MinorEmbedding, z=None):
         stack = [root]
         while stack:
             u = stack.pop()
-            for v, eid in g.adj[u]:
+            for v, _ in g.adj[u]:
                 if v in s and v not in seen:
                     seen.add(v)
                     keep_edges.append((u, v, INF))

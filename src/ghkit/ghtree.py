@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capacity import Cap, cap_min
-from .graph import CapGraph, GraphError, cut_capacity, deperturb_value, perturb
+from .graph import CapGraph, GraphError, check_terminals, cut_capacity, deperturb_value, perturb
 from .maxflow import max_flow
 
 
@@ -83,6 +83,7 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
     if z is None:
         z = g.terminals if g.terminals else tuple(range(g.n))
     z = tuple(z)
+    check_terminals(g.n, z)
     if len(z) < 2:
         raise GraphError("need at least two terminals")
     if not g.is_connected():

@@ -35,6 +35,18 @@ class Cut:
     central: bool | None = None
 
 
+def check_terminals(n, z):
+    """Raise GraphError naming the first terminal of z that is outside
+    0..n-1 or repeats an earlier one."""
+    seen = set()
+    for t in z:
+        if not 0 <= t < n:
+            raise GraphError(f"terminal {t} out of range (n={n})")
+        if t in seen:
+            raise GraphError(f"terminal {t} repeated")
+        seen.add(t)
+
+
 @dataclass(frozen=True)
 class CapGraph:
     n: int
@@ -60,11 +72,7 @@ class CapGraph:
             if key in seen:
                 raise GraphError(f"parallel edge {u}-{v}; merge before construction")
             seen[key] = True
-        for t in self.terminals:
-            if not 0 <= t < self.n:
-                raise GraphError(f"terminal {t} out of range")
-        if len(set(self.terminals)) != len(self.terminals):
-            raise GraphError("duplicate terminals")
+        check_terminals(self.n, self.terminals)
 
     @property
     def m(self) -> int:
@@ -72,19 +80,10 @@ class CapGraph:
 
     @cached_property
     def adj(self):
-        """adj[v] = list of (neighbor, edge_id)."""
-        a = [[] for _ in range(self.n)]
-        for i, (u, v, _) in enumerate(self.edges):
-            a[u].append((v, i))
-            a[v].append((u, i))
-        return a
-
-    @cached_property
-    def arcs(self):
-        """arcs[v] = list of (neighbor, arc id), in the order of adj[v].
+        """adj[v] = list of (neighbor, arc id), in edge order.
 
         Edge i gives arc 2i from its u to its v and arc 2i+1 back, so
-        arc ^ 1 is the reverse arc.
+        arc >> 1 is the edge id and arc ^ 1 the reverse arc.
         """
         a = [[] for _ in range(self.n)]
         for i, (u, v, _) in enumerate(self.edges):
@@ -226,7 +225,7 @@ def shore_cuts(g: CapGraph, base: int, free):
             fin += b
     mask = base
     yield mask, (inf, fin)
-    incident = [[(w, *pairs[i]) for w, i in g.adj[v]] for v in free]
+    incident = [[(w, *pairs[a >> 1]) for w, a in g.adj[v]] for v in free]
     for step in range(1, 1 << len(free)):
         j = (step & -step).bit_length() - 1
         mask ^= 1 << free[j]

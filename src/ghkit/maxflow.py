@@ -123,7 +123,7 @@ def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
 def _int_max_flow(g, s, t, caps):
     """Edmonds-Karp on the int capacities: (value, residual-reachable
     shore of s, residual capacity of each arc)."""
-    n, edges, arcs = g.n, g.edges, g.arcs
+    n, edges, adj = g.n, g.edges, g.adj
     r = [0] * (2 * len(caps))  # residual capacity of each arc
     r[0::2] = caps
     r[1::2] = caps
@@ -134,7 +134,7 @@ def _int_max_flow(g, s, t, caps):
         pred[s] = -1
         queue = [s]
         for x in queue:
-            for y, a in arcs[x]:
+            for y, a in adj[x]:
                 if pred[y] is None and r[a] > 0:
                     pred[y] = a
                     queue.append(y)
@@ -206,11 +206,9 @@ def brute_min_cut(g: CapGraph, s: int, t: int, bound: int = DEFAULT_ORACLE_BOUND
     return Cut(shore, cap, is_central(g, shore))
 
 
-def lambda_matrix(g: CapGraph, z=None):
-    """All-pairs minimum-cut values over the terminal set, via max_flow."""
-    if z is None:
-        z = g.terminals
-    z = tuple(z)
+def lambda_matrix(g: CapGraph):
+    """All-pairs minimum-cut values over ``g.terminals``, via max_flow."""
+    z = g.terminals
     if len(z) < 2:
         raise GraphError("need at least two terminals")
     out = {}

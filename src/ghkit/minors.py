@@ -20,11 +20,12 @@ from functools import cache
 from itertools import permutations
 from operator import itemgetter
 
-from .graph import CapGraph, GraphError, connector
+from .graph import CapGraph, GraphError, check_terminals, connector
 from .maxflow import BoundExceeded
 
 
 DEFAULT_MINOR_BOUND = 20
+SLOW_MINOR_BOUND = 9  # the slow oracle walks all 2**n vertex subsets
 
 
 @dataclass(frozen=True)
@@ -240,10 +241,13 @@ def _search(g: CapGraph, pattern, seeds, nbrs):
 def detect_terminal_minor(
     g: CapGraph, z, pattern: MinorPattern, bound: int = DEFAULT_MINOR_BOUND
 ):
-    """Exhaustively search for a terminal minor; None certifies absence."""
+    """Exhaustively search for a terminal minor; None certifies absence.
+
+    Raises GraphError if a terminal of z is out of range or repeated."""
     if g.n > bound:
         raise BoundExceeded(f"minor search bound {bound} exceeded (n={g.n})")
     z = tuple(z)
+    check_terminals(g.n, z)
     if len(z) < pattern.k:
         return None
     nbrs = [frozenset(v for v, _ in row) for row in g.adj]
@@ -256,16 +260,19 @@ def detect_terminal_minor(
     return None
 
 
-def slow_detect_terminal_minor(g: CapGraph, z, pattern: MinorPattern, bound: int = 9):
-    """Independent slow enumerator used as an oracle for the fast search.
+def slow_detect_terminal_minor(g: CapGraph, z, pattern: MinorPattern):
+    """Independent slow enumerator used as an oracle for the fast search,
+    on graphs of at most SLOW_MINOR_BOUND vertices.
 
     Precomputes every connected vertex subset as a bitmask, then picks
     one per pattern vertex (disjoint, each holding that vertex's seed
     terminal), checking pattern edges as soon as both ends are placed.
+    Raises GraphError if a terminal of z is out of range or repeated.
     """
-    if g.n > bound:
-        raise BoundExceeded(f"slow minor search bound {bound} exceeded (n={g.n})")
+    if g.n > SLOW_MINOR_BOUND:
+        raise BoundExceeded(f"slow minor search bound {SLOW_MINOR_BOUND} exceeded (n={g.n})")
     z = tuple(z)
+    check_terminals(g.n, z)
     k = pattern.k
     n = g.n
     if len(z) < k:
@@ -328,32 +335,31 @@ def slow_detect_terminal_minor(g: CapGraph, z, pattern: MinorPattern, bound: int
     return rec(0, [], 0, [])
 
 
-def two_disjoint_paths(g: CapGraph, s1, t1, s2, t2, bound: int = DEFAULT_MINOR_BOUND):
-    """Do vertex-disjoint paths s1-t1 and s2-t2 exist?
+def two_disjoint_paths(g: CapGraph, s1, t1, s2, t2):
+    """Do vertex-disjoint paths s1-t1 and s2-t2 exist?  At most
+    DEFAULT_MINOR_BOUND vertices.
 
     This is a terminal minor of the pattern {0-1, 2-3} seeded (s1, t1,
     s2, t2), found by `_search`: a path splits into two adjacent
     connected halves, and two adjacent connected branch sets contain a
-    path between their seeds.
+    path between their seeds.  The four endpoints are its terminals, so
+    they must be distinct and in range.
     """
-    if g.n > bound:
-        raise BoundExceeded(f"linkage search bound {bound} exceeded (n={g.n})")
+    if g.n > DEFAULT_MINOR_BOUND:
+        raise BoundExceeded(f"linkage search bound {DEFAULT_MINOR_BOUND} exceeded (n={g.n})")
     ends = (s1, t1, s2, t2)
-    if not all(0 <= v < g.n for v in ends):
-        raise GraphError(f"linkage endpoint out of range (n={g.n})")
-    if len(set(ends)) != 4:
-        raise GraphError("the four endpoints must be distinct")
+    check_terminals(g.n, ends)
     nbrs = [frozenset(v for v, _ in row) for row in g.adj]
     return _search(g, MinorPattern("linkage", 4, ((0, 1), (2, 3))), ends, nbrs) is not None
 
 
-def crossing_linkage(g: CapGraph, z, i, j, i2, j2, bound: int = DEFAULT_MINOR_BOUND):
+def crossing_linkage(g: CapGraph, z, i, j, i2, j2):
     """Crossing 2-linkage over the cyclic terminal order: disjoint paths
     t_i..t_i2 and t_j..t_j2 with 0 <= i < j < i2 < j2 < |Z|."""
     z = tuple(z)
     if not (0 <= i < j < i2 < j2 < len(z)):
         raise GraphError("indices must interleave: 0 <= i < j < i2 < j2 < |Z|")
-    return two_disjoint_paths(g, z[i], z[i2], z[j], z[j2], bound)
+    return two_disjoint_paths(g, z[i], z[i2], z[j], z[j2])
 
 
 @dataclass(frozen=True)
@@ -370,20 +376,21 @@ class ImpliedMinorReport:
         return self.k4_implies_k23_ok and self.spanning_cycle_ok
 
 
-def implied_minor_checks(g: CapGraph, z, bound: int = DEFAULT_MINOR_BOUND):
+def implied_minor_checks(g: CapGraph, z):
     """Cross-check the structural implications on one instance:
     (a) |Z| >= 5 and terminal-K4 implies terminal-K2,3;
     (b) 2-connected, |Z| >= 5, K2,3-free implies a spanning terminal cycle.
-    Violations indicate implementation bugs, not instance properties."""
+    Violations indicate implementation bugs, not instance properties.
+    Each search runs on at most DEFAULT_MINOR_BOUND vertices."""
     from .graph import is_two_connected
 
     z = tuple(z)
-    k4_emb = detect_terminal_minor(g, z, k4(), bound) if len(z) >= 4 else None
-    k23_emb = detect_terminal_minor(g, z, k23(), bound) if len(z) >= 5 else None
+    k4_emb = detect_terminal_minor(g, z, k4()) if len(z) >= 4 else None
+    k23_emb = detect_terminal_minor(g, z, k23()) if len(z) >= 5 else None
     two_conn = is_two_connected(g)
     cyc_emb = None
     if len(z) >= 3 and two_conn:
-        cyc_emb = detect_terminal_minor(g, z, cycle(len(z)), bound)
+        cyc_emb = detect_terminal_minor(g, z, cycle(len(z)))
     a_ok = True
     if len(z) >= 5 and k4_emb is not None:
         a_ok = k23_emb is not None

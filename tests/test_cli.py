@@ -7,6 +7,8 @@ import pytest
 
 import ghkit
 from ghkit.cli import main
+from ghkit.dot import tree_dot
+from ghkit.ghtree import build_gh_tree
 from ghkit.io import dump
 
 from conftest import unit_k23, unit_k33
@@ -128,11 +130,30 @@ def test_dot_output(k23_file, capsys):
     assert main(["dot", k23_file]) == 0
     out = capsys.readouterr().out
     assert out.startswith("graph G {") and out.rstrip().endswith("}")
-    assert main(["dot", k23_file, "--tree"]) == 0
+    assert main(["ghtree", k23_file, "--format", "dot"]) == 0
     tree_out = capsys.readouterr().out
     assert "cluster" in tree_out
-    assert main(["--format", "dot", "ghtree", k23_file]) == 0
-    assert capsys.readouterr().out == tree_out
+    assert tree_out == tree_dot(build_gh_tree(unit_k23()))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flowcheck", "{f}", "--format", "dot", "--out", "{o}"],
+        ["suite", "--suites", "gh-oracle", "--trials", "1", "--out", "{o}"],
+        ["reduce", "{f}", "--seed", "1", "--out", "{o}"],
+        ["ghtree", "{f}", "--bound-n", "3", "--out", "{o}"],
+        ["dot", "{f}", "--tree", "--out", "{o}"],
+        ["verify-embed", "{f}", "--mode", "bag", "--dot"],
+        ["--format", "dot", "ghtree", "{f}", "--out", "{o}"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")),
+)
+def test_flags_the_subcommand_does_not_read_are_usage_errors(k23_file, tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    assert main([a.format(f=k23_file, o=out) for a in argv]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_suite_command(capsys):

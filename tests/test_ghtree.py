@@ -180,6 +180,9 @@ def test_tree_queries_reject_bad_arguments():
         tree_lambda(t, 0, 3)  # 3 is a vertex but not a terminal
     with pytest.raises(GraphError):
         tree_lambda(t, 7, 0)
+    for z, bad in (((0, 0, 1), "terminal 0 repeated"), ((0, 1, 9), "terminal 9 out of range")):
+        with pytest.raises(GraphError, match=bad):
+            build_gh_tree(g, z)
     bare = GHTree(t.terminals, t.bags, t.edges, ())
     with pytest.raises(GraphError):
         tree_lambda(bare, 0, 1)

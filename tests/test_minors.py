@@ -49,6 +49,22 @@ def test_k33_contains_terminal_k23(k33_graph):
     assert slow_detect_terminal_minor(k33_graph, z, k23()) is not None
 
 
+@pytest.mark.parametrize(
+    "z, message",
+    [
+        ((0, 0, 1, 2, 3, 4), "terminal 0 repeated"),
+        ((0, 1, 2, 3, 9), "terminal 9 out of range"),
+        ((0, 1, 2, 3, -1), "terminal -1 out of range"),
+    ],
+)
+def test_searches_reject_bad_terminal_sets(z, message):
+    g = unit_k23()
+    with pytest.raises(GraphError, match=message):
+        detect_terminal_minor(g, z, k23())
+    with pytest.raises(GraphError, match=message):
+        slow_detect_terminal_minor(g, z, k23())
+
+
 def test_cycle_graph_is_k23_free():
     g = unit_cycle(6)
     assert detect_terminal_minor(g, g.terminals, k23()) is None
