@@ -55,16 +55,13 @@ def cmd_ghtree(args):
 
 
 def cmd_verify_embed(args):
-    inst = gio.load(args.input)
-    g = inst.graph
-    z = g.terminals if g.terminals else tuple(range(g.n))
-    tree = build_gh_tree(g, z)
+    g = gio.load(args.input).graph
     if args.mode == "subgraph":
-        ok, witness = is_gh_subgraph(g, tree if set(z) == set(range(g.n)) else None)
+        ok, _ = is_gh_subgraph(g)  # builds the all-vertex tree
     elif args.mode == "bag":
-        ok, witness = check_bag_minor(g, tree)
+        ok, _ = check_bag_minor(g, build_gh_tree(g))
     else:
-        ok, deleted, witness = check_weak_bag_minor(g, tree)
+        ok, deleted, _ = check_weak_bag_minor(g, build_gh_tree(g))
         if ok:
             print(f"deleted: {' '.join(str(v) for v in sorted(deleted))}")
     print("yes" if ok else "no")
@@ -120,10 +117,7 @@ def cmd_gen(args):
         attach = tuple(int(x) for x in args.attach.split(",")) if args.attach else ()
         web = gen_zweb(ZWebSpec(args.k, args.interior, attach), args.seed)
         _write(args.out, gio.format_instance(web.graph, tsets=web.tsets))
-    elif args.family == "adversarial":
-        if args.input is None:
-            print("error: gen adversarial needs --input", file=sys.stderr)
-            return EXIT_USAGE
+    else:  # adversarial
         inst = gio.load(args.input)
         g = inst.graph
         z = g.terminals if g.terminals else tuple(range(g.n))
@@ -133,20 +127,17 @@ def cmd_gen(args):
             return EXIT_VIOLATION
         adv, mf = gen_adversarial_from_minor(g, emb)
         _write(args.out, gio.format_instance(adv, demands=mf.demands))
-    else:
-        return EXIT_USAGE
     return EXIT_OK
 
 
 def cmd_reduce(args):
     inst = gio.load(args.input)
+    MultiflowInstance(inst.graph, inst.demands)  # the demand check flowcheck makes
     if not inst.tsets:
         _write(args.out, gio.format_instance(inst.graph, demands=inst.demands))
         return EXIT_OK
-    web = ZWebInstance(inst.graph, inst.tsets, ())
-    reduced, vmap = reduce_all(web)
-    if any(v not in vmap for s, t, _ in inst.demands for v in (s, t)):
-        raise GraphError("a demand endpoint lies in a 3-separated interior")
+    reduced, vmap = reduce_all(ZWebInstance(inst.graph, inst.tsets, ()))
+    # demand endpoints are terminals, and no interior holds a terminal
     demands = tuple((vmap[s], vmap[t], d) for s, t, d in inst.demands)
     _write(args.out, gio.format_instance(reduced, demands=demands))
     return EXIT_OK
@@ -200,9 +191,17 @@ def cmd_dot(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors start with ``error:``, like every other exit-3 message."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n{self.format_usage()}")
+
+
 def build_parser():
-    """Each subcommand declares exactly the flags its ``cmd_*`` reads."""
-    p = argparse.ArgumentParser(
+    """Each subcommand declares exactly the flags its ``cmd_*`` reads;
+    each ``gen`` family is a subcommand of its own."""
+    p = _Parser(
         prog="ghkit",
         description="Gomory-Hu trees, terminal minors, and cut-sufficiency, exactly.",
     )
@@ -225,16 +224,22 @@ def build_parser():
     s.add_argument("--out")
 
     s = sub.add_parser("gen", help="generate a certified instance family")
-    s.add_argument("family", choices=["outerplanar", "onesum", "zweb", "adversarial"])
-    s.add_argument("--n", type=int, default=8)
-    s.add_argument("--k", type=int, default=5)
-    s.add_argument("--interior", type=int, default=0)
-    s.add_argument("--attach", default="")
-    s.add_argument("--blocks", default="4,k4")
-    s.add_argument("--input", default=None)
-    s.add_argument("--seed", type=int, default=1)
-    s.add_argument("--bound-n", type=int, default=DEFAULT_MINOR_BOUND)
-    s.add_argument("--out")
+    fam = s.add_subparsers(dest="family", required=True)
+    f = fam.add_parser("outerplanar", help="2-connected outerplanar graph")
+    f.add_argument("--n", type=int, default=8)
+    f = fam.add_parser("onesum", help="blocks glued at single vertices")
+    f.add_argument("--blocks", default="4,k4")
+    f = fam.add_parser("zweb", help="Z-web with clique attachments")
+    f.add_argument("--k", type=int, default=5)
+    f.add_argument("--interior", type=int, default=0)
+    f.add_argument("--attach", default="")
+    for f in fam.choices.values():  # the seeded families, before adversarial
+        f.add_argument("--seed", type=int, default=1)
+    f = fam.add_parser("adversarial", help="adversarial capacities from a terminal K2,3")
+    f.add_argument("--input", required=True)
+    f.add_argument("--bound-n", type=int, default=DEFAULT_MINOR_BOUND)
+    for f in fam.choices.values():
+        f.add_argument("--out")
 
     s = sub.add_parser("reduce", help="star-reduce declared 3-separated sets")
     s.add_argument("input")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import CapGraph, GraphError, connector
+from .graph import CapGraph, GraphError, model_connectors
 from .ghtree import GHTree, build_gh_tree, require_partition
 
 
@@ -34,40 +34,33 @@ def is_gh_subgraph(g: CapGraph, t: GHTree = None):
 
 
 def _bag_minor_witness(g: CapGraph, t: GHTree, deleted=frozenset()):
-    """Check the two bag-minor conditions after deleting `deleted` vertices.
+    """Check that the bags, less the `deleted` vertices, form a bag minor.
 
-    Returns a witness dict or None.  Condition (i): each pruned bag
-    induces a connected subgraph still containing its terminal.
-    Condition (ii): each tree edge has a connecting graph edge between
-    the pruned bags.
+    Each pruned bag must still hold its terminal, and the pruned bags
+    must be a minor model of the tree (``graph.model_connectors``):
+    non-empty, pairwise disjoint and connected, with a graph edge between
+    the bags of every tree edge.  Returns None or the witness
+    ``{"bags": {z: pruned bag}, "connectors": {(e.s, e.t): (u, v)}}``.
     """
-    pruned = {}
-    for z in t.terminals:
-        bag = set(t.bags[z]) - deleted
-        if z not in bag:
-            return None
-        if not g.induced_connected(bag):
-            return None
-        pruned[z] = bag
-    connectors = {}
-    for e in t.edges:
-        found = connector(g, pruned[e.s], pruned[e.t])
-        if found is None:
-            return None
-        connectors[(e.s, e.t)] = found
-    return {"bags": pruned, "connectors": connectors}
+    bags = [set(t.bags[z]) - deleted for z in t.terminals]
+    if any(z not in bag for z, bag in zip(t.terminals, bags)):
+        return None
+    index = {z: i for i, z in enumerate(t.terminals)}
+    found = model_connectors(g, bags, [(index[e.s], index[e.t]) for e in t.edges])
+    if found is None:
+        return None
+    connectors = {(e.s, e.t): c for e, c in zip(t.edges, found)}
+    return {"bags": dict(zip(t.terminals, bags)), "connectors": connectors}
 
 
 def check_bag_minor(g: CapGraph, t: GHTree):
     """Does the GH Z-tree occur as a bag minor of g?
 
-    (i) every bag induces a connected subgraph and (ii) every tree edge
-    is realized by an edge of g between the two bags.
+    The bags are pairwise disjoint, each induces a connected subgraph,
+    and every tree edge is realized by an edge of g between its two bags.
     """
     w = _bag_minor_witness(g, t)
-    if w is None:
-        return False, None
-    return True, w
+    return w is not None, w
 
 
 def check_weak_bag_minor(g: CapGraph, t: GHTree):
@@ -94,24 +87,23 @@ def check_weak_bag_minor(g: CapGraph, t: GHTree):
         deleted |= bag - g.component_of(z, bag)
     deleted = frozenset(deleted)
     w = _bag_minor_witness(g, t, deleted)
-    if w is None:
-        return False, None, None
-    return True, deleted, w
+    return (False, None, None) if w is None else (True, deleted, w)
 
 
 def embedding_verdict(g: CapGraph, t: GHTree):
-    """Strongest embedding mode this tree achieves in g."""
+    """Strongest embedding mode this tree achieves in g, from one
+    ``check_weak_bag_minor`` call after the subgraph test; the bags must
+    partition V (GraphError otherwise)."""
     if set(t.terminals) == set(range(g.n)):
         ok, w = is_gh_subgraph(g, t)
         if ok:
             return EmbeddingVerdict("subgraph", w)
-    ok, w = check_bag_minor(g, t)
-    if ok:
-        return EmbeddingVerdict("bag_minor", w)
     ok, deleted, w = check_weak_bag_minor(g, t)
-    if ok:
-        return EmbeddingVerdict("weak_bag_minor", {"deleted": deleted, **w})
-    return EmbeddingVerdict("none")
+    if not ok:
+        return EmbeddingVerdict("none")
+    if not deleted:  # D* is empty exactly when the plain bag minor holds
+        return EmbeddingVerdict("bag_minor", w)
+    return EmbeddingVerdict("weak_bag_minor", {"deleted": deleted, **w})
 
 
 @dataclass(frozen=True)
@@ -133,10 +125,9 @@ def four_terminal_structure(g: CapGraph, z) -> FourTerminalVerdict:
         raise GraphError("at most four terminals")
     t = build_gh_tree(g, z)
     shape = "star" if t.is_star() and len(z) == 4 else "path"
-    ok, w = check_bag_minor(g, t)
-    if ok:
-        return FourTerminalVerdict(shape, "bag_minor", t)
-    ok, deleted, w = check_weak_bag_minor(g, t)
+    ok, deleted, _ = check_weak_bag_minor(g, t)
     if not ok:
         raise AssertionError("four-terminal instance without a weak bag minor")
+    if not deleted:
+        return FourTerminalVerdict(shape, "bag_minor", t)
     return FourTerminalVerdict(shape, "weak_bag_minor", t, deleted)

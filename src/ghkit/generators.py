@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacity import Cap, INF
-from .graph import CapGraph, GraphError, capgraph, connector
+from .graph import CapGraph, GraphError, capgraph, model_connectors
 from .maxflow import max_flow
 from .minors import MinorEmbedding
 
@@ -242,47 +242,30 @@ def require_three_separated(g: CapGraph, tset: ThreeSeparatedSet):
 
 
 def star_reduce(g: CapGraph, tset: ThreeSeparatedSet):
-    """Replace a 3-separated set by a degree-3 star.
-
-    For each attachment vertex a, the star edge gets the capacity of a
-    minimum cut inside F (the edges of g inside interior plus attachment
-    triple that touch the interior) separating a from the other two: a
-    max flow on g's own vertex ids from a to a new sink g.n, glued to the
-    other two by infinite edges.  Minimum cuts between terminal
-    bipartitions are preserved exactly.  Raises GraphError unless tset
-    passes ``require_three_separated``.
-
-    The interior is deleted, the other vertices keep their order and are
-    renumbered densely, and the star's centre, if it has a leg, is the
-    new last vertex.  Returns (graph, old->new vertex map).
-    """
-    require_three_separated(g, tset)
-    interior = set(tset.interior)
-    x, y, z = tset.attachment
-    f_edges = [e for e in g.edges if e.u in interior or e.v in interior]
-    caps = {}
-    for alpha in (x, y, z):
-        # sink g.n glued to the two other attachment vertices
-        glue = [(o, g.n, INF) for o in (x, y, z) if o != alpha]
-        caps[alpha] = max_flow(capgraph(g.n + 1, f_edges + glue), alpha, g.n).value
-    keep = [v for v in range(g.n) if v not in interior]
-    vmap = {v: i for i, v in enumerate(keep)}
-    centre = len(keep)
-    edges = [(vmap[u], vmap[v], cap) for u, v, cap in g.edges if u in vmap and v in vmap]
-    # zero-capacity star edges are simply omitted; with no positive leg at
-    # all the interior was detached and no star vertex is needed
-    legs = [(vmap[a], centre, caps[a]) for a in (x, y, z) if caps[a] > Cap(0)]
-    terminals = tuple(vmap[t] for t in g.terminals)  # none is in the interior
-    return capgraph(centre + bool(legs), edges + legs, terminals), vmap
+    """Replace one 3-separated set by a degree-3 star: ``reduce_all`` of
+    the one set.  Returns (graph, old->new vertex map)."""
+    return reduce_all(ZWebInstance(g, (tset,), ()))
 
 
 def reduce_all(web: ZWebInstance):
-    """Iterate star_reduce over every declared 3-separated set.
+    """Replace every declared 3-separated set by a degree-3 star, in one
+    pass over the input graph.
 
-    Every set is checked with ``require_three_separated`` on the original
-    graph, and no interior may meet another set, before any id is mapped.
+    Every set must pass ``require_three_separated``, and no interior may
+    meet another declared set (GraphError otherwise).  Then no set's F,
+    the edges of g that touch its interior, meets another set's interior,
+    so every star is computed on g itself.  For each attachment vertex a,
+    the star edge gets the capacity of a minimum cut inside F separating
+    a from the other two: a max flow on g's own vertex ids from a to a
+    new sink g.n, glued to the other two by infinite edges.  Minimum cuts
+    between terminal bipartitions are preserved exactly.
 
-    Returns (graph, old->new map for the surviving planar vertices).
+    All interiors are deleted, the other vertices keep their order and
+    are renumbered densely, and one centre per star with a positive leg
+    is appended, in set order.  Zero-capacity legs are omitted; a star
+    with none had a detached interior and needs no centre.  This is the
+    graph that reducing the sets one after another would give.
+    Returns (graph, old->new map for the surviving vertices).
     """
     g = web.graph
     for tset in web.tsets:
@@ -291,29 +274,34 @@ def reduce_all(web: ZWebInstance):
         for j, b in enumerate(web.tsets):
             if i != j and a.interior & (b.interior | set(b.attachment)):
                 raise GraphError("a 3-separated interior meets another declared set")
-    total_map = {v: v for v in range(g.n)}
+    interiors = set().union(*(tset.interior for tset in web.tsets))
+    vmap = {v: i for i, v in enumerate(v for v in range(g.n) if v not in interiors)}
+    n = len(vmap)
+    edges = [(vmap[u], vmap[v], cap) for u, v, cap in g.edges if u in vmap and v in vmap]
     for tset in web.tsets:
-        cur = ThreeSeparatedSet(
-            tuple(total_map[a] for a in tset.attachment),
-            frozenset(total_map[v] for v in tset.interior),
-        )
-        g, vmap = star_reduce(g, cur)
-        total_map = {
-            old: vmap[cur_v]
-            for old, cur_v in total_map.items()
-            if cur_v in vmap
-        }
-    return g, total_map
+        f_edges = [e for e in g.edges if e.u in tset.interior or e.v in tset.interior]
+        legs = []
+        for alpha in tset.attachment:
+            # sink g.n glued to the two other attachment vertices
+            glue = [(o, g.n, INF) for o in tset.attachment if o != alpha]
+            cap = max_flow(capgraph(g.n + 1, f_edges + glue), alpha, g.n).value
+            if cap > Cap(0):
+                legs.append((vmap[alpha], n, cap))
+        edges += legs
+        n += bool(legs)  # the centre, if the star has a leg
+    terminals = tuple(vmap[t] for t in g.terminals)  # none is in an interior
+    return capgraph(n, edges, terminals), vmap
 
 
 def gen_adversarial_from_minor(g: CapGraph, emb: MinorEmbedding):
     """Adversarial capacity assignment from a terminal-K2,3 embedding.
 
     Edges inside branch sets (a spanning tree of each) get infinite
-    capacity, one connecting edge per pattern edge gets capacity 1, and
-    everything else is deleted.  Demands: one unit demand between the two
-    degree-3 branch terminals plus a unit triangle on the degree-2 branch
-    terminals.  The terminals are the embedding's seeds, in pattern order.
+    capacity, the connector of each pattern edge from
+    ``graph.model_connectors`` gets capacity 1, and everything else is
+    deleted; GraphError if the branch sets are not a minor model.
+    Demands: one unit demand between the two degree-3 branch terminals
+    plus a unit triangle on the degree-2 branch terminals.  The terminals are the embedding's seeds, in pattern order.
 
     Returns (graph, MultiflowInstance of the graph and those demands).
     """
@@ -322,6 +310,9 @@ def gen_adversarial_from_minor(g: CapGraph, emb: MinorEmbedding):
     if emb.pattern.name != "k23":
         raise GraphError("adversarial construction expects a K2,3 embedding")
     sets = emb.branch_sets
+    connectors = model_connectors(g, sets, emb.pattern.edges)
+    if connectors is None:
+        raise GraphError("invalid embedding: the branch sets are not a minor model of K2,3")
     keep_edges = []
     # spanning tree of each branch set
     for s in sets:
@@ -335,14 +326,8 @@ def gen_adversarial_from_minor(g: CapGraph, emb: MinorEmbedding):
                     seen.add(v)
                     keep_edges.append((u, v, INF))
                     stack.append(v)
-        if seen != set(s):
-            raise GraphError("branch set not connected")
     # one unit connector per pattern edge
-    for a, b in emb.pattern.edges:
-        found = connector(g, sets[a], sets[b])
-        if found is None:
-            raise GraphError("invalid embedding: missing pattern edge")
-        keep_edges.append((found[0], found[1], Cap(1)))
+    keep_edges += [(u, v, Cap(1)) for u, v in connectors]
     used = set()
     for s in sets:
         used |= s

@@ -250,6 +250,20 @@ def connector(g: CapGraph, a, b):
     return None
 
 
+def model_connectors(g: CapGraph, sets, pairs):
+    """The one minor-model check: ``connector(g, sets[a], sets[b])`` for
+    each (a, b) in pairs, in order, as a tuple; None unless the sets are
+    non-empty, pairwise disjoint and each connected in g, and every pair
+    is joined by an edge of g."""
+    seen = set()
+    for s in sets:
+        if not seen.isdisjoint(s) or not g.induced_connected(s):  # False if empty
+            return None
+        seen |= s
+    found = tuple(connector(g, sets[a], sets[b]) for a, b in pairs)
+    return None if None in found else found
+
+
 def cross_capacity(g: CapGraph, x, y) -> Cap:
     """Sum of capacities of edges with one end in x and the other in y."""
     xs, ys = set(x), set(y)

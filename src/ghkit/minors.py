@@ -20,7 +20,7 @@ from functools import cache
 from itertools import permutations
 from operator import itemgetter
 
-from .graph import CapGraph, GraphError, check_terminals, connector
+from .graph import CapGraph, GraphError, check_terminals, model_connectors
 from .maxflow import BoundExceeded
 
 
@@ -110,23 +110,16 @@ class MinorEmbedding:
 
 
 def verify_embedding(g: CapGraph, z, pattern: MinorPattern, emb: MinorEmbedding) -> bool:
-    """Re-check all four branch-set invariants against g."""
+    """Re-check the embedding against g: one distinct seed per pattern
+    vertex, taken from z and lying in its branch set, and the branch sets
+    a minor model of the pattern (``graph.model_connectors``)."""
     sets = emb.branch_sets
-    if len(sets) != pattern.k:
+    if len(sets) != pattern.k or len(set(emb.seeds)) != pattern.k:
         return False
-    seen = set()
     zset = set(z)
-    for i, s in enumerate(sets):
-        if not s or (seen & s):
-            return False
-        seen |= s
-        if not g.induced_connected(s):
-            return False
-        if emb.seeds[i] not in s or emb.seeds[i] not in zset:
-            return False
-    if len(set(emb.seeds)) != pattern.k:
+    if not all(seed in s and seed in zset for seed, s in zip(emb.seeds, sets)):
         return False
-    return all(connector(g, sets[a], sets[b]) is not None for a, b in pattern.edges)
+    return model_connectors(g, sets, pattern.edges) is not None
 
 
 def _seed_assignments(pattern: MinorPattern, z):

@@ -146,6 +146,8 @@ def test_dot_output(k23_file, capsys):
         ["dot", "{f}", "--tree", "--out", "{o}"],
         ["verify-embed", "{f}", "--mode", "bag", "--dot"],
         ["--format", "dot", "ghtree", "{f}", "--out", "{o}"],
+        ["gen", "outerplanar", "--k", "7", "--out", "{o}"],
+        ["gen", "adversarial", "--input", "{f}", "--seed", "2", "--out", "{o}"],
     ],
     ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")),
 )
@@ -223,6 +225,31 @@ def test_reduce_rejects_a_bad_declaration(tmp_path, trailer):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+TRIANGLE_WITH_APEX = "4 6 3\n0 1 2\n0 1 1\n1 2 1\n0 2 1\n0 3 1\n1 3 1\n2 3 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 1 2\n0 1\n0 1 1\nD 0 1 -1\n", "demand values must be positive"),
+        ("2 1 2\n0 1\n0 1 1\nD 0 1 0\n", "demand values must be positive"),
+        ("2 1 1\n0\n0 1 1\nD 0 1 1\n", "demand endpoint 0-1 is not a terminal"),
+        (TRIANGLE_WITH_APEX + "D 0 3 1\nF: 0 1 2 : 3\n", "demand endpoint 0-3 is not a terminal"),
+        (TRIANGLE_WITH_APEX + "D 0 9 1\nF: 0 1 2 : 3\n", "demand endpoint 0-9 is not a terminal"),
+    ],
+    ids=["negative", "zero", "non-terminal", "interior-endpoint", "out-of-range-endpoint"],
+)
+def test_reduce_rejects_the_demands_flowcheck_rejects(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    out = tmp_path / "out.txt"
+    for command in ("reduce", "flowcheck"):
+        assert main([command, str(bad), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_consecutive_calls_keep_no_options(k23_file, tmp_path, monkeypatch, capsys):

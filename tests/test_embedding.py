@@ -151,6 +151,34 @@ def test_weak_bag_minor_matches_exhaustive_deletion_search(inst):
         assert (deleted == frozenset()) == check_bag_minor(g, t)[0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(partition_trees())
+def test_embedding_verdict_matches_the_two_call_decision(inst):
+    g, t = inst
+    if set(t.terminals) == set(range(g.n)) and is_gh_subgraph(g, t)[0]:
+        expected = "subgraph"
+    elif check_bag_minor(g, t)[0]:
+        expected = "bag_minor"
+    elif check_weak_bag_minor(g, t)[0]:
+        expected = "weak_bag_minor"
+    else:
+        expected = "none"
+    assert embedding_verdict(g, t).mode == expected
+
+
+def test_bag_minor_rejects_overlapping_bags():
+    # Each bag is connected and holds its terminal, and the edge 0-1 joins
+    # them, but vertex 1 lies in both bags.
+    g = capgraph(3, [(0, 1, ONE), (1, 2, ONE)], (0, 2))
+    t = GHTree(
+        (0, 2),
+        {0: frozenset({0, 1}), 2: frozenset({1, 2})},
+        (GHEdge(0, 2, ONE),),
+        (),
+    )
+    assert check_bag_minor(g, t) == (False, None)
+
+
 def test_weak_bag_minor_rejects_overlapping_bags():
     # Deleting {2, 3} would leave a bag minor, but 3 lies in both bags:
     # pruning it from the bag of 1 breaks the bag of 0.

@@ -19,10 +19,10 @@ from ghkit.generators import (
     star_reduce,
 )
 from ghkit.graph import GraphError, blocks, is_two_connected
-from ghkit.maxflow import brute_min_cut, lambda_matrix
-from ghkit.minors import detect_terminal_minor, k23, verify_embedding
+from ghkit.maxflow import brute_min_cut, lambda_matrix, max_flow
+from ghkit.minors import MinorEmbedding, detect_terminal_minor, k23, verify_embedding
 
-from conftest import ONE
+from conftest import ONE, unit_k23
 
 
 def test_split_seed_is_deterministic_and_spreading():
@@ -141,6 +141,55 @@ def test_reduce_all_rejects_overlapping_interiors():
         reduce_all(doubled)
 
 
+def sequential_star_reduce(g, tset):
+    """One set's star reduction as a function of its own, renumbering
+    after the set: the reference for the one-pass ``reduce_all``."""
+    interior = set(tset.interior)
+    x, y, z = tset.attachment
+    f_edges = [e for e in g.edges if e.u in interior or e.v in interior]
+    caps = {}
+    for alpha in (x, y, z):
+        glue = [(o, g.n, INF) for o in (x, y, z) if o != alpha]
+        caps[alpha] = max_flow(capgraph(g.n + 1, f_edges + glue), alpha, g.n).value
+    keep = [v for v in range(g.n) if v not in interior]
+    vmap = {v: i for i, v in enumerate(keep)}
+    centre = len(keep)
+    edges = [(vmap[u], vmap[v], cap) for u, v, cap in g.edges if u in vmap and v in vmap]
+    legs = [(vmap[a], centre, caps[a]) for a in (x, y, z) if caps[a] > Cap(0)]
+    terminals = tuple(vmap[t] for t in g.terminals)
+    return capgraph(centre + bool(legs), edges + legs, terminals), vmap
+
+
+def sequential_reduce_all(web):
+    """Reduce the sets one after another, mapping each later set's ids
+    through the reductions before it."""
+    g = web.graph
+    total_map = {v: v for v in range(g.n)}
+    for tset in web.tsets:
+        cur = ThreeSeparatedSet(
+            tuple(total_map[a] for a in tset.attachment),
+            frozenset(total_map[v] for v in tset.interior),
+        )
+        g, vmap = sequential_star_reduce(g, cur)
+        total_map = {old: vmap[v] for old, v in total_map.items() if v in vmap}
+    return g, total_map
+
+
+@pytest.mark.parametrize("attachments", [(2, 3), (1, 4, 2), (3, 1, 2, 4), (4, 4)])
+def test_reduce_all_equals_the_sequential_composition(attachments):
+    for i in range(6):
+        web = gen_zweb(ZWebSpec(5, 1, attachments), split_seed(97, i))
+        reduced, vmap = reduce_all(web)
+        expected, expected_map = sequential_reduce_all(web)
+        assert reduced.n == expected.n
+        assert reduced.edges == expected.edges
+        assert reduced.terminals == expected.terminals
+        assert vmap == expected_map
+        for tset in web.tsets:
+            single, single_map = star_reduce(web.graph, tset)
+            assert (single, single_map) == sequential_star_reduce(web.graph, tset)
+
+
 PATH_EDGES = [(0, 1, ONE), (1, 2, ONE), (2, 3, ONE), (3, 4, ONE)]
 
 
@@ -201,3 +250,17 @@ def test_adversarial_capacities_and_demands():
     assert all(e.cap == INF for e in infinite)
     assert len(inst.demands) == 4
     assert all(d == 1 for _, _, d in inst.demands)
+
+
+def test_adversarial_rejects_a_branch_family_that_is_not_a_minor_model():
+    g = unit_k23()
+    z = (0, 1, 2, 3, 4)
+    singletons = tuple(frozenset({v}) for v in z)
+    adv, _ = gen_adversarial_from_minor(g, MinorEmbedding(k23(), singletons, z))
+    assert sorted((e.u, e.v) for e in adv.edges) == sorted((e.u, e.v) for e in g.edges)
+    overlapping = (frozenset({0, 2}),) + singletons[1:]
+    swapped = (0, 2, 1, 3, 4)  # pattern edge (0, 2) lands on non-adjacent 0 and 1
+    unjoined = tuple(frozenset({v}) for v in swapped)
+    for sets, seeds in ((overlapping, z), (unjoined, swapped)):
+        with pytest.raises(GraphError, match="not a minor model"):
+            gen_adversarial_from_minor(g, MinorEmbedding(k23(), sets, seeds))

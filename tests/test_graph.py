@@ -16,6 +16,7 @@ from ghkit.graph import (
     deperturb_value,
     is_central,
     is_two_connected,
+    model_connectors,
     perturb,
 )
 from ghkit.generators import split_seed
@@ -159,6 +160,47 @@ def test_connector_is_the_first_joining_edge(g, data):
     b = {v for v in range(g.n) if side[v] == "b"}
     joining = [(u, v) for u, v, _ in g.edges if {side[u], side[v]} == {"a", "b"}]
     assert connector(g, a, b) == (joining[0] if joining else None)
+
+
+def _bfs_connected(g, s):
+    """Does s induce a connected subgraph?  By BFS over the edge list."""
+    start = min(s)
+    seen, frontier = {start}, [start]
+    while frontier:
+        x = frontier.pop(0)
+        for u, v, _ in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if a == x and b in s and b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+    return seen == s
+
+
+def _brute_model_connectors(g, sets, pairs):
+    if any(not s or not _bfs_connected(g, s) for s in sets):
+        return None
+    if any(sets[i] & sets[j] for i in range(len(sets)) for j in range(i + 1, len(sets))):
+        return None
+    found = []
+    for a, b in pairs:
+        joining = [(u, v) for u, v, _ in g.edges
+                   if (u in sets[a] and v in sets[b]) or (v in sets[a] and u in sets[b])]
+        if not joining:
+            return None
+        found.append(joining[0])
+    return tuple(found)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs(), st.data())
+def test_model_connectors_matches_brute_check(g, data):
+    vertex = st.integers(min_value=0, max_value=g.n - 1)
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    # sets drawn independently: empty, overlapping and disconnected ones included
+    sets = [frozenset(data.draw(st.lists(vertex, max_size=4))) for _ in range(k)]
+    index = st.integers(min_value=0, max_value=k - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=5))
+    assert model_connectors(g, sets, pairs) == _brute_model_connectors(g, sets, pairs)
 
 
 def test_components_and_induced_connected():

@@ -112,6 +112,17 @@ def test_verify_embedding_rejects_faults(k23_graph):
     assert not verify_embedding(
         k23_graph, z, k23(), MinorEmbedding(good.pattern, good.branch_sets, tuple(seeds))
     )
+    # a disconnected branch set: 5 hangs off 2, not off 0
+    pendant = capgraph(6, [(u, v, ONE) for u, v, _ in k23_graph.edges] + [(2, 5, ONE)], z)
+    singletons = tuple(frozenset({v}) for v in z)
+    assert verify_embedding(pendant, z, k23(), MinorEmbedding(k23(), singletons, z))
+    sets = (frozenset({0, 5}),) + singletons[1:]
+    assert not verify_embedding(pendant, z, k23(), MinorEmbedding(k23(), sets, z))
+    # a missing pattern edge: pattern vertices 1 and 2 swapped, so the
+    # pattern edge (0, 2) lands on the non-adjacent vertices 0 and 1
+    swapped = (0, 2, 1, 3, 4)
+    sets = tuple(frozenset({v}) for v in swapped)
+    assert not verify_embedding(k23_graph, z, k23(), MinorEmbedding(k23(), sets, swapped))
 
 
 def test_two_disjoint_paths():
