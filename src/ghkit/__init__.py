@@ -4,19 +4,11 @@ instance generators, and multiflow cut-sufficiency checks."""
 from .capacity import Cap, cap_min
 from .graph import CapGraph, Cut, Edge, GraphError, capgraph, cut_capacity, shore_cuts
 from .maxflow import BoundExceeded, FlowResult, all_shore_capacities, brute_min_cut, lambda_matrix, max_flow
-from .ghtree import GHEdge, GHTree, build_gh_tree, merge_terminal, tree_lambda, verify_encoding
-from .embedding import (
-    EmbeddingVerdict,
-    check_bag_minor,
-    check_weak_bag_minor,
-    embedding_verdict,
-    four_terminal_structure,
-    is_gh_subgraph,
-)
+from .ghtree import GHEdge, GHTree, build_gh_tree, tree_lambda, verify_encoding
+from .embedding import check_bag_minor, check_weak_bag_minor, is_gh_subgraph
 from .minors import (
     MinorEmbedding,
     MinorPattern,
-    crossing_linkage,
     cycle,
     detect_terminal_minor,
     implied_minor_checks,
@@ -24,7 +16,6 @@ from .minors import (
     k4_plus,
     k23,
     slow_detect_terminal_minor,
-    two_disjoint_paths,
     verify_embedding,
 )
 from .generators import (
@@ -69,18 +60,13 @@ __all__ = [
     "GHEdge",
     "GHTree",
     "build_gh_tree",
-    "merge_terminal",
     "tree_lambda",
     "verify_encoding",
-    "EmbeddingVerdict",
     "check_bag_minor",
     "check_weak_bag_minor",
-    "embedding_verdict",
-    "four_terminal_structure",
     "is_gh_subgraph",
     "MinorEmbedding",
     "MinorPattern",
-    "crossing_linkage",
     "cycle",
     "detect_terminal_minor",
     "implied_minor_checks",
@@ -88,7 +74,6 @@ __all__ = [
     "k4_plus",
     "k23",
     "slow_detect_terminal_minor",
-    "two_disjoint_paths",
     "verify_embedding",
     "ThreeSeparatedSet",
     "ZWebInstance",

@@ -72,19 +72,15 @@ def cmd_detect_minor(args):
     inst = gio.load(args.input)
     g = inst.graph
     z = g.terminals if g.terminals else tuple(range(g.n))
-    if args.pattern.startswith("cycle:"):
-        k = int(args.pattern.split(":", 1)[1])
-        if k > max(len(z), 2):
+    if isinstance(args.pattern, int):  # cycle:<k>
+        if args.pattern > max(len(z), 2):
             # A valid cycle (k >= 3) with more vertices than terminals: no
             # terminal minor, and the k-edge pattern is never built.
             print("none")
             return EXIT_VIOLATION
-        pattern = cycle(k)
-    elif args.pattern in PATTERNS:
-        pattern = PATTERNS[args.pattern]()
+        pattern = cycle(args.pattern)
     else:
-        print(f"unknown pattern {args.pattern!r}", file=sys.stderr)
-        return EXIT_USAGE
+        pattern = PATTERNS[args.pattern]()
     emb = detect_terminal_minor(g, z, pattern, args.bound_n)
     if emb is None:
         print("none")
@@ -104,18 +100,10 @@ def cmd_gen(args):
         g = gen_outerplanar(args.n, args.seed)
         _write(args.out, gio.format_instance(g))
     elif args.family == "onesum":
-        specs = []
-        for tok in args.blocks.split(","):
-            tok = tok.strip()
-            if tok == "k4":
-                specs.append(("k4",))
-            else:
-                specs.append(("outerplanar", int(tok)))
-        g = gen_onesum(specs, args.seed)
+        g = gen_onesum(args.blocks, args.seed)
         _write(args.out, gio.format_instance(g))
     elif args.family == "zweb":
-        attach = tuple(int(x) for x in args.attach.split(",")) if args.attach else ()
-        web = gen_zweb(ZWebSpec(args.k, args.interior, attach), args.seed)
+        web = gen_zweb(ZWebSpec(args.k, args.interior, args.attach), args.seed)
         _write(args.out, gio.format_instance(web.graph, tsets=web.tsets))
     else:  # adversarial
         inst = gio.load(args.input)
@@ -198,6 +186,51 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {self.prog}: {message}\n{self.format_usage()}")
 
 
+def _arg_type(form):
+    """Make a parser of one flag's text into an argparse ``type``: its
+    ValueError becomes a usage error that names the flag and ``form``."""
+
+    def wrap(parse):
+        def convert(text):
+            try:
+                return parse(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+
+        return convert
+
+    return wrap
+
+
+@_arg_type("an int >= 1")
+def _bound(text):
+    n = int(text)
+    if n < 1:
+        raise ValueError
+    return n
+
+
+@_arg_type("a comma-separated list of outerplanar sizes and k4 (e.g. 4,k4)")
+def _blocks(text):
+    return [("k4",) if tok.strip() == "k4" else ("outerplanar", int(tok)) for tok in text.split(",")]
+
+
+@_arg_type("a comma-separated list of ints (e.g. 3,4)")
+def _attach(text):
+    return tuple(int(tok) for tok in text.split(",")) if text else ()
+
+
+@_arg_type("k23, k4, k4plus or cycle:<k>")
+def _pattern(text):
+    """A name in PATTERNS, or the int k of cycle:<k>; the cycle is built
+    only once k is known to fit the terminals."""
+    if text.startswith("cycle:"):
+        return int(text[len("cycle:"):])
+    if text not in PATTERNS:
+        raise ValueError
+    return text
+
+
 def build_parser():
     """Each subcommand declares exactly the flags its ``cmd_*`` reads;
     each ``gen`` family is a subcommand of its own."""
@@ -218,8 +251,8 @@ def build_parser():
 
     s = sub.add_parser("detect-minor", help="search for a terminal minor")
     s.add_argument("input")
-    s.add_argument("--pattern", required=True, help="k23|k4|k4plus|cycle:<k>")
-    s.add_argument("--bound-n", type=int, default=DEFAULT_MINOR_BOUND)
+    s.add_argument("--pattern", type=_pattern, required=True, help="k23|k4|k4plus|cycle:<k>")
+    s.add_argument("--bound-n", type=_bound, default=DEFAULT_MINOR_BOUND)
     s.add_argument("--format", choices=["text", "dot"], default="text")
     s.add_argument("--out")
 
@@ -228,16 +261,16 @@ def build_parser():
     f = fam.add_parser("outerplanar", help="2-connected outerplanar graph")
     f.add_argument("--n", type=int, default=8)
     f = fam.add_parser("onesum", help="blocks glued at single vertices")
-    f.add_argument("--blocks", default="4,k4")
+    f.add_argument("--blocks", type=_blocks, default="4,k4")
     f = fam.add_parser("zweb", help="Z-web with clique attachments")
     f.add_argument("--k", type=int, default=5)
     f.add_argument("--interior", type=int, default=0)
-    f.add_argument("--attach", default="")
+    f.add_argument("--attach", type=_attach, default="")
     for f in fam.choices.values():  # the seeded families, before adversarial
         f.add_argument("--seed", type=int, default=1)
     f = fam.add_parser("adversarial", help="adversarial capacities from a terminal K2,3")
     f.add_argument("--input", required=True)
-    f.add_argument("--bound-n", type=int, default=DEFAULT_MINOR_BOUND)
+    f.add_argument("--bound-n", type=_bound, default=DEFAULT_MINOR_BOUND)
     for f in fam.choices.values():
         f.add_argument("--out")
 
@@ -247,7 +280,7 @@ def build_parser():
 
     s = sub.add_parser("flowcheck", help="cut condition, feasibility, gap")
     s.add_argument("input")
-    s.add_argument("--bound-n", type=int, default=DEFAULT_MINOR_BOUND)
+    s.add_argument("--bound-n", type=_bound, default=DEFAULT_MINOR_BOUND)
     s.add_argument("--out")
 
     s = sub.add_parser("suite", help="run the property suites")

@@ -2,16 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import CapGraph, GraphError, model_connectors
 from .ghtree import GHTree, build_gh_tree, require_partition
-
-
-@dataclass(frozen=True)
-class EmbeddingVerdict:
-    mode: str  # subgraph | bag_minor | weak_bag_minor | none
-    witness: object = None
 
 
 def is_gh_subgraph(g: CapGraph, t: GHTree = None):
@@ -89,45 +81,3 @@ def check_weak_bag_minor(g: CapGraph, t: GHTree):
     w = _bag_minor_witness(g, t, deleted)
     return (False, None, None) if w is None else (True, deleted, w)
 
-
-def embedding_verdict(g: CapGraph, t: GHTree):
-    """Strongest embedding mode this tree achieves in g, from one
-    ``check_weak_bag_minor`` call after the subgraph test; the bags must
-    partition V (GraphError otherwise)."""
-    if set(t.terminals) == set(range(g.n)):
-        ok, w = is_gh_subgraph(g, t)
-        if ok:
-            return EmbeddingVerdict("subgraph", w)
-    ok, deleted, w = check_weak_bag_minor(g, t)
-    if not ok:
-        return EmbeddingVerdict("none")
-    if not deleted:  # D* is empty exactly when the plain bag minor holds
-        return EmbeddingVerdict("bag_minor", w)
-    return EmbeddingVerdict("weak_bag_minor", {"deleted": deleted, **w})
-
-
-@dataclass(frozen=True)
-class FourTerminalVerdict:
-    shape: str  # "path" or "star"
-    mode: str  # "bag_minor" or "weak_bag_minor"
-    tree: GHTree
-    deleted: frozenset = frozenset()
-
-
-def four_terminal_structure(g: CapGraph, z) -> FourTerminalVerdict:
-    """Classify the GH Z-tree of a <=4-terminal instance.
-
-    A path-shaped tree must occur as a bag minor; a star-shaped tree is
-    guaranteed only as a weak bag minor.
-    """
-    z = tuple(z)
-    if len(z) > 4:
-        raise GraphError("at most four terminals")
-    t = build_gh_tree(g, z)
-    shape = "star" if t.is_star() and len(z) == 4 else "path"
-    ok, deleted, _ = check_weak_bag_minor(g, t)
-    if not ok:
-        raise AssertionError("four-terminal instance without a weak bag minor")
-    if not deleted:
-        return FourTerminalVerdict(shape, "bag_minor", t)
-    return FourTerminalVerdict(shape, "weak_bag_minor", t, deleted)

@@ -37,23 +37,14 @@ class GHTree:
     edges: tuple  # tuple[GHEdge, ...]
     certificates: tuple  # per edge: frozenset shore (side containing edge.s)
 
-    def neighbors(self, z):
-        out = []
-        for i, e in enumerate(self.edges):
-            if e.s == z:
-                out.append((e.t, i))
-            elif e.t == z:
-                out.append((e.s, i))
-        return out
-
-    def degree(self, z):
-        return len(self.neighbors(z))
-
     def is_star(self):
-        if len(self.terminals) < 3:
-            return False
-        centers = [z for z in self.terminals if self.degree(z) == len(self.terminals) - 1]
-        return len(centers) == 1
+        """Three or more terminals, one of them joined to all the others.
+
+        A tree on k >= 3 vertices has at most one vertex of degree k - 1.
+        """
+        k = len(self.terminals)
+        ends = [v for e in self.edges for v in (e.s, e.t)]
+        return k >= 3 and any(ends.count(z) == k - 1 for z in self.terminals)
 
 
 def build_gh_tree(g: CapGraph, z=None) -> GHTree:
@@ -193,33 +184,3 @@ def verify_encoding(g: CapGraph, t: GHTree):
         report.append(EdgeCheck(e, cut_ok, flow_ok))
     return report
 
-
-def merge_terminal(t: GHTree, v) -> GHTree:
-    """Drop terminal v, merging its bag into the neighbor across the
-    max-capacity incident edge.  The result is a GH tree on Z minus v.
-
-    Every kept edge keeps its certificate: v and u lie on the same side
-    of it, so its fundamental cut does not change.
-    """
-    if len(t.terminals) < 3:
-        raise GraphError("need at least three terminals to merge")
-    if v not in t.terminals:
-        raise GraphError(f"{v} is not a terminal")
-    incident = t.neighbors(v)
-    best = max(incident, key=lambda p: t.edges[p[1]].cap)
-    ties = [p for p in incident if t.edges[p[1]].cap == t.edges[best[1]].cap]
-    if len(ties) > 1:
-        raise GraphError("tie on max-weight incident edge; perturb first")
-    u, drop = best
-    terminals = tuple(x for x in t.terminals if x != v)
-    bags = {x: t.bags[x] for x in terminals}
-    bags[u] = t.bags[u] | t.bags[v]
-    edges = []
-    for i, e in enumerate(t.edges):
-        if i == drop:
-            continue
-        s2 = u if e.s == v else e.s
-        t2 = u if e.t == v else e.t
-        edges.append(GHEdge(s2, t2, e.cap))
-    certs = tuple(c for i, c in enumerate(t.certificates) if i != drop)
-    return GHTree(terminals, bags, tuple(edges), certs)

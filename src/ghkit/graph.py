@@ -134,10 +134,6 @@ class CapGraph:
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edge_index
 
-    def cap_between(self, u, v):
-        i = self.edge_index.get((min(u, v), max(u, v)))
-        return None if i is None else self.edges[i].cap
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return False
@@ -264,18 +260,6 @@ def model_connectors(g: CapGraph, sets, pairs):
     return None if None in found else found
 
 
-def cross_capacity(g: CapGraph, x, y) -> Cap:
-    """Sum of capacities of edges with one end in x and the other in y."""
-    xs, ys = set(x), set(y)
-    if xs & ys:
-        raise GraphError("cross_capacity requires disjoint sets")
-    total = Cap(0)
-    for u, v, cap in g.edges:
-        if (u in xs and v in ys) or (v in xs and u in ys):
-            total = total + cap
-    return total
-
-
 def is_central(g: CapGraph, shore) -> bool:
     """True iff both shores induce connected subgraphs (the cut is a bond)."""
     s = set(shore)
@@ -365,15 +349,6 @@ def blocks(g: CapGraph):
                         if comp:
                             out.append(comp)
     return out
-
-
-def articulation_points(g: CapGraph):
-    """Cut vertices: the vertices that lie in two or more blocks."""
-    seen, points = set(), set()
-    for block in blocks(g):
-        points |= seen & block
-        seen |= block
-    return points
 
 
 def is_two_connected(g: CapGraph) -> bool:

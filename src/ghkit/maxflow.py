@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .capacity import ZERO, Cap
-from .graph import CapGraph, Cut, GraphError, is_central, shore_cuts  # noqa: F401 (re-exported)
+from .graph import CapGraph, Cut, GraphError, is_central
 
 
 DEFAULT_ORACLE_BOUND = 16
@@ -20,13 +20,10 @@ class FlowResult:
 
     ``value`` (the max-flow value, a Cap) and ``shore`` (the vertices
     residual-reachable from s, a frozenset) are set when the flow is
-    computed.  Two more are decoded on first read and then kept:
-
-    - ``flows``: edge_id -> signed Cap net flow, positive in the stored
-      u->v direction, decoded from the kept residuals; if the infinite
-      units do not balance, B is doubled and the kernel rerun until they
-      do (see ``max_flow``);
-    - ``min_cut``: ``Cut(shore, value, is_central(g, shore))``.
+    computed.  ``flows`` (edge_id -> signed Cap net flow, positive in the
+    stored u->v direction) is decoded from the kept residuals on first
+    read and then kept; if the infinite units do not balance, B is
+    doubled and the kernel rerun until they do (see ``max_flow``).
     """
 
     def __init__(self, g, s, t, value, shore, residuals):
@@ -34,10 +31,6 @@ class FlowResult:
         self.shore = shore
         self._g, self._s, self._t = g, s, t
         self._residuals = residuals
-
-    @cached_property
-    def min_cut(self) -> Cut:
-        return Cut(self.shore, self.value, is_central(self._g, self.shore))
 
     @cached_property
     def flows(self) -> dict:
@@ -74,9 +67,8 @@ def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
 
     Runs the int kernel once and returns the value and the cut shore, the
     set of vertices residual-reachable from s, which on perturbed inputs
-    is the unique minimum st-cut (and is central).  The per-edge flows and the cut's
-    centrality are decoded only when ``FlowResult.flows`` or
-    ``FlowResult.min_cut`` is first read.
+    is the unique minimum st-cut (and is central).  The per-edge flows are
+    decoded only when ``FlowResult.flows`` is first read.
 
     Encoding.  With D the common denominator of the finite parts and
     S = sum(|fin_e * D|), capacity c becomes the int

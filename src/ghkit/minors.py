@@ -328,33 +328,6 @@ def slow_detect_terminal_minor(g: CapGraph, z, pattern: MinorPattern):
     return rec(0, [], 0, [])
 
 
-def two_disjoint_paths(g: CapGraph, s1, t1, s2, t2):
-    """Do vertex-disjoint paths s1-t1 and s2-t2 exist?  At most
-    DEFAULT_MINOR_BOUND vertices.
-
-    This is a terminal minor of the pattern {0-1, 2-3} seeded (s1, t1,
-    s2, t2), found by `_search`: a path splits into two adjacent
-    connected halves, and two adjacent connected branch sets contain a
-    path between their seeds.  The four endpoints are its terminals, so
-    they must be distinct and in range.
-    """
-    if g.n > DEFAULT_MINOR_BOUND:
-        raise BoundExceeded(f"linkage search bound {DEFAULT_MINOR_BOUND} exceeded (n={g.n})")
-    ends = (s1, t1, s2, t2)
-    check_terminals(g.n, ends)
-    nbrs = [frozenset(v for v, _ in row) for row in g.adj]
-    return _search(g, MinorPattern("linkage", 4, ((0, 1), (2, 3))), ends, nbrs) is not None
-
-
-def crossing_linkage(g: CapGraph, z, i, j, i2, j2):
-    """Crossing 2-linkage over the cyclic terminal order: disjoint paths
-    t_i..t_i2 and t_j..t_j2 with 0 <= i < j < i2 < j2 < |Z|."""
-    z = tuple(z)
-    if not (0 <= i < j < i2 < j2 < len(z)):
-        raise GraphError("indices must interleave: 0 <= i < j < i2 < j2 < |Z|")
-    return two_disjoint_paths(g, z[i], z[i2], z[j], z[j2])
-
-
 @dataclass(frozen=True)
 class ImpliedMinorReport:
     k4_found: bool

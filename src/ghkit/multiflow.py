@@ -339,23 +339,3 @@ def flow_cut_gap(inst: MultiflowInstance) -> Fraction:
         raise GraphError("zero concurrent flow")
     return ratio / lam
 
-
-def k4_demand_route(f_graph: CapGraph, triple, d_xy, d_yz, d_zx):
-    """Route triangle demands on the attachment triple inside a
-    3-separated graph; the flow-mapping step of the reduction proof.
-
-    Returns ``feasible`` of the triangle demands on F.  Demands produced
-    by a feasible reduced flow satisfy the cut condition inside F, so a
-    violated cut, returned with lambda* < 1, signals caller error.
-    """
-    x, y, z = triple
-    demands = []
-    for (s, t), d in (((x, y), d_xy), ((y, z), d_yz), ((z, x), d_zx)):
-        if d > 0:
-            demands.append((s, t, Fraction(d)))
-    if not demands:
-        return FeasibilityCert(True, flows={})
-    g = f_graph
-    if set(g.terminals) != {x, y, z} and not set((x, y, z)) <= set(g.terminals):
-        g = CapGraph(g.n, g.edges, (x, y, z), g.perturbed, g.grid)
-    return feasible(MultiflowInstance(g, tuple(demands)))

@@ -68,6 +68,24 @@ def test_usage_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "onesum", "--blocks", ",4"], "--blocks"),
+        (["gen", "zweb", "--attach", "2,x"], "--attach"),
+        (["detect-minor", "{f}", "--pattern", "cycle:x"], "--pattern"),
+        (["detect-minor", "{f}", "--pattern", "k23", "--bound-n", "-1"], "--bound-n"),
+    ],
+    ids=["blocks", "attach", "pattern", "bound-n"],
+)
+def test_malformed_flag_values_name_the_flag(k23_file, capsys, argv, flag):
+    assert main([a.format(f=k23_file) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: ghkit {argv[0]}")
+    assert f"argument {flag}: expected " in captured.err
+
+
+@pytest.mark.parametrize(
     "text",
     ["3 2 0\n0 1 1\n", "2 1 0\n0 1 1/0\n", "2 1 0\n0 1 1\nD 0 1\n"],
     ids=["truncated-edges", "zero-denominator", "demand-without-value"],

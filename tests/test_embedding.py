@@ -1,3 +1,5 @@
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,13 +12,12 @@ from ghkit.embedding import (
     _bag_minor_witness,
     check_bag_minor,
     check_weak_bag_minor,
-    embedding_verdict,
-    four_terminal_structure,
     is_gh_subgraph,
 )
 from ghkit.generators import gen_onesum, split_seed
 from ghkit.ghtree import GHEdge, GHTree, build_gh_tree
-from ghkit.graph import GraphError, perturb
+from ghkit.graph import GraphError
+from ghkit.suiteutil import random_connected_graph
 
 from conftest import ONE, unit_k23
 
@@ -33,33 +34,51 @@ def test_k23_all_terminals_not_even_weak(k23_graph):
     assert not check_bag_minor(k23_graph, t)[0]
     ok, deleted, _ = check_weak_bag_minor(k23_graph, t)
     assert not ok
-    assert embedding_verdict(k23_graph, t).mode == "none"
+
+
+def four_terminal_claim_holds(g, z):
+    """The paper's four-terminal claim on (g, z): a path-shaped GH Z-tree
+    is a bag minor of g, and a star-shaped one a weak bag minor."""
+    t = build_gh_tree(g, z)
+    if t.is_star():
+        return check_weak_bag_minor(g, t)[0]
+    return check_bag_minor(g, t)[0]
 
 
 def test_k23_four_terminals_is_weak_bag_minor():
     # Terminals: both degree-3 vertices and two degree-2 vertices; the
     # leftover degree-2 vertex can be deleted to realize the star.
     g = unit_k23(terminals=(0, 1, 2, 3))
-    verdict = four_terminal_structure(g, (0, 1, 2, 3))
-    assert verdict.mode in ("bag_minor", "weak_bag_minor")
-    if verdict.shape == "star":
-        t = build_gh_tree(perturb(g), (0, 1, 2, 3))
-        ok, deleted, witness = check_weak_bag_minor(g, t)
-        assert ok
-        assert witness is not None
+    assert four_terminal_claim_holds(g, (0, 1, 2, 3))
 
 
 def test_path_shaped_trees_are_bag_minors():
     g = capgraph(4, [(0, 1, Cap(3)), (1, 2, Cap(2)), (2, 3, Cap(4))], (0, 1, 2, 3))
-    verdict = four_terminal_structure(g, (0, 1, 2, 3))
-    assert verdict.shape == "path"
-    assert verdict.mode == "bag_minor"
+    assert not build_gh_tree(g).is_star()
+    assert four_terminal_claim_holds(g, (0, 1, 2, 3))
 
 
-def test_four_terminal_limit():
-    g = unit_k23()
-    with pytest.raises(GraphError):
-        four_terminal_structure(g, (0, 1, 2, 3, 4))
+def test_star_shaped_tree_needs_a_deletion():
+    # The star has centre 2 and bag {2, 5}, but 5 is not adjacent to 2, so
+    # that bag is disconnected; deleting 5 leaves the star as a bag minor.
+    caps = {(0, 1): "2/3", (0, 2): "3/4", (0, 3): "9/2", (0, 5): "11/8", (1, 2): "8",
+            (1, 5): "11/4", (2, 4): "15/2", (3, 4): "1/3", (4, 5): "17/7"}
+    g = capgraph(6, [(u, v, Cap(Fraction(c))) for (u, v), c in caps.items()])
+    t = build_gh_tree(g, (4, 1, 2, 0))
+    assert t.is_star()
+    assert not check_bag_minor(g, t)[0]
+    assert check_weak_bag_minor(g, t)[:2] == (True, frozenset({5}))
+    assert four_terminal_claim_holds(g, (4, 1, 2, 0))
+
+
+def test_four_terminal_claim_on_random_graphs():
+    shapes = set()
+    for i in range(150):
+        g = random_connected_graph(split_seed(71, i), max_n=8, min_n=4)
+        z = tuple(random.Random(i).sample(range(g.n), 4))
+        assert four_terminal_claim_holds(g, z), (i, z)
+        shapes.add(build_gh_tree(g, z).is_star())
+    assert shapes == {False, True}
 
 
 def test_subgraph_check_requires_all_vertex_tree():
@@ -149,21 +168,6 @@ def test_weak_bag_minor_matches_exhaustive_deletion_search(inst):
         assert deleted == smallest
         assert witness == _bag_minor_witness(g, t, deleted)
         assert (deleted == frozenset()) == check_bag_minor(g, t)[0]
-
-
-@settings(max_examples=300, deadline=None)
-@given(partition_trees())
-def test_embedding_verdict_matches_the_two_call_decision(inst):
-    g, t = inst
-    if set(t.terminals) == set(range(g.n)) and is_gh_subgraph(g, t)[0]:
-        expected = "subgraph"
-    elif check_bag_minor(g, t)[0]:
-        expected = "bag_minor"
-    elif check_weak_bag_minor(g, t)[0]:
-        expected = "weak_bag_minor"
-    else:
-        expected = "none"
-    assert embedding_verdict(g, t).mode == expected
 
 
 def test_bag_minor_rejects_overlapping_bags():

@@ -11,7 +11,6 @@ from ghkit.ghtree import (
     GHEdge,
     GHTree,
     build_gh_tree,
-    merge_terminal,
     tree_lambda,
     verify_encoding,
 )
@@ -42,6 +41,23 @@ def test_k33_tree_is_five_star(k33_graph):
     assert tp.is_star()
     for e in tp.edges:
         assert deperturb_value(gp, e.cap) == Cap(3)
+
+
+@pytest.mark.parametrize(
+    "pairs, star",
+    [
+        ([(0, 1)], False),  # two terminals: no centre
+        ([(0, 1), (1, 2)], True),  # a 3-vertex path is the star K1,2
+        ([(0, 1), (1, 2), (2, 3)], False),
+        ([(2, 0), (2, 1), (2, 3)], True),
+    ],
+    ids=["2-vertex", "3-path", "4-path", "4-star"],
+)
+def test_is_star(pairs, star):
+    k = len(pairs) + 1
+    bags = {z: frozenset({z}) for z in range(k)}
+    t = GHTree(tuple(range(k)), bags, tuple(GHEdge(s, u, ONE) for s, u in pairs), ())
+    assert t.is_star() == star
 
 
 def test_tree_input_reproduces_itself():
@@ -129,36 +145,6 @@ def test_verify_encoding_detects_bad_partition():
     bad = GHTree(t.terminals, bags, t.edges, t.certificates)
     with pytest.raises(GraphError):
         verify_encoding(g, bad)
-
-
-def test_merge_terminal_path_example():
-    g = capgraph(3, [(0, 1, Cap(5)), (1, 2, Cap(2))])
-    t = build_gh_tree(g, (0, 1, 2))
-    merged = merge_terminal(t, 2)
-    assert set(merged.terminals) == {0, 1}
-    assert 2 in merged.bags[1]  # absorbed along its unique incident edge
-    assert len(merged.edges) == 1 and merged.edges[0].cap == Cap(5)
-
-
-def test_merge_terminal_preserves_encoding():
-    for i in range(10):
-        g = perturb(random_connected_graph(split_seed(53, i), max_n=7, min_n=4))
-        t = build_gh_tree(g)
-        merged = merge_terminal(t, t.terminals[-1])
-        assert all(c.ok for c in verify_encoding(g, merged))
-
-
-def test_merge_terminal_tie_error_without_perturbation():
-    # Unit triangle: both edges at any terminal have equal weight.
-    g = capgraph(3, [(0, 1, ONE), (1, 2, ONE), (0, 2, ONE)])
-    t = GHTree(
-        (0, 1, 2),
-        {0: frozenset({0}), 1: frozenset({1}), 2: frozenset({2})},
-        (GHEdge(0, 1, Cap(2)), GHEdge(1, 2, Cap(2))),
-        (),
-    )
-    with pytest.raises(GraphError):
-        merge_terminal(t, 1)
 
 
 def test_certificates_separate_edge_ends():
@@ -285,18 +271,14 @@ def perturbed_instances(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(perturbed_instances(), st.data())
-def test_certificates_are_the_unique_minimum_cuts(inst, data):
+@given(perturbed_instances())
+def test_certificates_are_the_unique_minimum_cuts(inst):
     gp, z = inst
     t = build_gh_tree(gp, z)
     assert set(t.terminals) == set(z) and len(t.edges) == len(z) - 1
-    trees = [t]
-    if len(z) >= 3:
-        trees.append(merge_terminal(t, data.draw(st.sampled_from(z))))
-    for tree in trees:
-        assert len(tree.certificates) == len(tree.edges)
-        for e, shore in zip(tree.edges, tree.certificates):
-            cut = brute_min_cut(gp, e.s, e.t)
-            assert shore == cut.shore
-            assert e.cap == cut.capacity
-        assert all(c.ok for c in verify_encoding(gp, tree))
+    assert len(t.certificates) == len(t.edges)
+    for e, shore in zip(t.edges, t.certificates):
+        cut = brute_min_cut(gp, e.s, e.t)
+        assert shore == cut.shore
+        assert e.cap == cut.capacity
+    assert all(c.ok for c in verify_encoding(gp, t))

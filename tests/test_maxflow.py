@@ -9,14 +9,13 @@ from ghkit.capacity import INF, ZERO, Cap
 from ghkit.generators import split_seed
 import ghkit.graph
 import ghkit.maxflow
-from ghkit.graph import GraphError, cut_capacity, is_central, perturb
+from ghkit.graph import GraphError, cut_capacity, is_central, perturb, shore_cuts
 from ghkit.maxflow import (
     BoundExceeded,
     all_shore_capacities,
     brute_min_cut,
     lambda_matrix,
     max_flow,
-    shore_cuts,
 )
 from ghkit.suiteutil import random_connected_graph
 
@@ -27,7 +26,7 @@ def test_single_edge():
     g = capgraph(2, [(0, 1, Cap(Fraction(5, 3)))])
     r = max_flow(g, 0, 1)
     assert r.value == Cap(Fraction(5, 3))
-    assert r.min_cut.shore in ({0}, frozenset({0}))
+    assert r.shore in ({0}, frozenset({0}))
 
 
 def test_flow_value_equals_min_cut_shore_capacity():
@@ -35,8 +34,8 @@ def test_flow_value_equals_min_cut_shore_capacity():
         g = random_connected_graph(split_seed(5, i), max_n=8)
         for t in range(1, g.n):
             r = max_flow(g, 0, t)
-            assert r.value == cut_capacity(g, r.min_cut.shore)
-            assert 0 in r.min_cut.shore and t not in r.min_cut.shore
+            assert r.value == cut_capacity(g, r.shore)
+            assert 0 in r.shore and t not in r.shore
 
 
 def test_flow_matches_brute_oracle():
@@ -146,8 +145,8 @@ def test_int_kernel_matches_cap_oracle(inst):
     g, s, t = inst
     r = max_flow(g, s, t)
     assert r.value == brute_min_cut(g, s, t).capacity
-    assert s in r.min_cut.shore and t not in r.min_cut.shore
-    assert r.min_cut.capacity == r.value == cut_capacity(g, r.min_cut.shore)
+    assert s in r.shore and t not in r.shore
+    assert r.value == cut_capacity(g, r.shore)
     assert_valid_flow(g, s, t, r)
 
 
@@ -157,11 +156,11 @@ def test_min_cut_is_built_from_the_shore_on_first_read(inst, perturbed):
     if perturbed:
         g = perturb(g)
     r = max_flow(g, s, t)
-    assert "min_cut" not in vars(r) and "flows" not in vars(r)  # nothing decoded yet
-    cut = r.min_cut
-    assert cut.shore == r.shore and cut.capacity == r.value
-    assert cut.central == is_central(g, r.shore)
-    assert r.min_cut is cut
+    assert "flows" not in vars(r)  # nothing decoded yet
+    assert s in r.shore and t not in r.shore
+    assert r.value == cut_capacity(g, r.shore)
+    # on a perturbed graph the shore is the unique minimum cut, a bond
+    assert is_central(g, r.shore) or not perturbed
 
 
 # s = 5, t = 3: the flows of the first int run leave the infinite units
@@ -205,7 +204,7 @@ def test_int_kernel_matches_cap_oracle_perturbed(inst):
     r = max_flow(gp, s, t)
     want = brute_min_cut(gp, s, t)
     assert r.value == want.capacity
-    assert r.min_cut.shore == want.shore
+    assert r.shore == want.shore
     assert_valid_flow(gp, s, t, r)
 
 

@@ -7,7 +7,6 @@ from ghkit.generators import gen_k23_subdivision, split_seed
 from ghkit.graph import GraphError
 from ghkit.minors import (
     MinorEmbedding,
-    crossing_linkage,
     cycle,
     detect_terminal_minor,
     implied_minor_checks,
@@ -15,7 +14,6 @@ from ghkit.minors import (
     k4_plus,
     k23,
     slow_detect_terminal_minor,
-    two_disjoint_paths,
     verify_embedding,
 )
 from ghkit.suiteutil import random_connected_graph
@@ -123,94 +121,6 @@ def test_verify_embedding_rejects_faults(k23_graph):
     swapped = (0, 2, 1, 3, 4)
     sets = tuple(frozenset({v}) for v in swapped)
     assert not verify_embedding(k23_graph, z, k23(), MinorEmbedding(k23(), sets, swapped))
-
-
-def test_two_disjoint_paths():
-    g = unit_cycle(6)
-    # crossing pairs on a cycle: the two paths must share vertices
-    assert not two_disjoint_paths(g, 0, 3, 1, 4)
-    # nested pairs are fine
-    assert two_disjoint_paths(g, 0, 1, 3, 4)
-    # adding both crossing chords makes the pair routable
-    chord = capgraph(
-        6,
-        [(i, (i + 1) % 6, ONE) for i in range(6)] + [(1, 4, ONE), (0, 3, ONE)],
-        tuple(range(6)),
-    )
-    assert two_disjoint_paths(chord, 0, 3, 1, 4)
-    # endpoints outside the graph are errors, not answers
-    path = capgraph(4, [(0, 1, ONE), (1, 2, ONE), (2, 3, ONE)], (0, 3))
-    for ends in ((0, 1, 2, 99), (-1, 1, 2, 3), (4, 1, 2, 3)):
-        with pytest.raises(GraphError):
-            two_disjoint_paths(path, *ends)
-    with pytest.raises(GraphError):
-        two_disjoint_paths(path, 0, 1, 2, 0)
-
-
-def linked_by_path_enumeration(g, s1, t1, s2, t2):
-    """Oracle: some simple s1-t1 path leaves s2 and t2 connected in the
-    rest of the graph.  Every simple s1-t1 path is tried."""
-    nbrs = [[v for v, _ in row] for row in g.adj]
-
-    def joined_avoiding(banned):
-        seen, stack = {s2}, [s2]
-        while stack:
-            for v in nbrs[stack.pop()]:
-                if v not in seen and v not in banned:
-                    seen.add(v)
-                    stack.append(v)
-        return t2 in seen
-
-    def paths_from(x, on_path):
-        if x == t1:
-            yield on_path
-            return
-        for y in nbrs[x]:
-            if y not in on_path and y not in (s2, t2):
-                yield from paths_from(y, on_path | {y})
-
-    return any(joined_avoiding(p) for p in paths_from(s1, frozenset([s1])))
-
-
-@st.composite
-def linkage_instances(draw):
-    """4..9 vertices, each pair joined with a drawn probability, and
-    four distinct endpoints."""
-    n = draw(st.integers(min_value=4, max_value=9))
-    density = draw(st.sampled_from([0.2, 0.35, 0.5, 0.7]))
-    edges = [
-        (u, v, ONE)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if draw(st.floats(min_value=0, max_value=1)) < density
-    ]
-    ends = draw(st.permutations(range(n)))[:4]
-    return capgraph(n, edges, tuple(range(n))), ends
-
-
-@settings(max_examples=300, deadline=None)
-@given(linkage_instances())
-def test_two_disjoint_paths_matches_path_enumeration(case):
-    g, ends = case
-    assert two_disjoint_paths(g, *ends) == linked_by_path_enumeration(g, *ends)
-
-
-def test_crossing_linkage_uses_cyclic_order():
-    g = unit_cycle(5)
-    # paths z0..z2 and z1..z3 interleave in the cyclic terminal order
-    assert not crossing_linkage(g, g.terminals, 0, 1, 2, 3)
-    chord = capgraph(
-        5,
-        [(i, (i + 1) % 5, ONE) for i in range(5)] + [(1, 3, ONE), (0, 2, ONE)],
-        tuple(range(5)),
-    )
-    assert crossing_linkage(chord, chord.terminals, 0, 1, 2, 3)
-    with pytest.raises(GraphError):
-        crossing_linkage(g, g.terminals, 2, 1, 0, 3)
-    # indices outside the terminal order
-    for idx in ((0, 1, 2, 9), (-1, 1, 2, 3)):
-        with pytest.raises(GraphError):
-            crossing_linkage(g, g.terminals, *idx)
 
 
 def test_implied_minor_checks_on_k23_free_graph():

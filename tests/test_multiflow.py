@@ -20,7 +20,6 @@ from ghkit.multiflow import (
     cut_condition,
     feasible,
     flow_cut_gap,
-    k4_demand_route,
     max_concurrent_flow,
 )
 
@@ -209,20 +208,6 @@ def test_equivalence_on_k23_free_instances():
         assert cut_condition(inst).holds == cert.feasible
         if cert.feasible:
             assert_routes_demands(inst, cert)
-
-
-def test_k4_demand_route_on_triangle():
-    # unit triangle: demands 1/2 on each pair saturate exactly
-    g = capgraph(3, [(0, 1, ONE), (1, 2, ONE), (0, 2, ONE)], (0, 1, 2))
-    cert = k4_demand_route(g, (0, 1, 2), F(1, 2), F(1, 2), F(1, 2))
-    assert cert.feasible
-    overload = k4_demand_route(g, (0, 1, 2), F(2), F(2), F(2))
-    assert not overload.feasible
-    # each vertex alone is a cut of capacity 2 separating demand 4
-    assert overload.concurrent_value == F(1, 2)
-    cut = overload.violated_cut
-    assert not cut.holds and len(cut.shore) == 1
-    assert cut.capacity == Cap(2) and cut.demand == 4
 
 
 def test_gap_is_one_on_a_tree():
