@@ -1,7 +1,7 @@
 """Exact-arithmetic Gomory-Hu trees, terminal-minor detection, certified
 instance generators, and multiflow cut-sufficiency checks."""
 
-from .capacity import Cap, cap_min
+from .capacity import Cap
 from .graph import CapGraph, Cut, Edge, GraphError, capgraph, cut_capacity, shore_cuts
 from .maxflow import BoundExceeded, FlowResult, all_shore_capacities, brute_min_cut, lambda_matrix, max_flow
 from .ghtree import GHEdge, GHTree, build_gh_tree, tree_lambda, verify_encoding
@@ -43,7 +43,6 @@ from .io import format_instance, load, parse_instance
 
 __all__ = [
     "Cap",
-    "cap_min",
     "CapGraph",
     "Cut",
     "Edge",

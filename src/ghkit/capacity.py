@@ -133,11 +133,3 @@ ZERO = Cap(0)
 ONE = Cap(1)
 INF = Cap(0, 1)
 
-
-def cap_min(values):
-    it = iter(values)
-    best = next(it)
-    for v in it:
-        if v < best:
-            best = v
-    return best

@@ -12,15 +12,23 @@ some minimum s-t cut does not cross W.  Perturbation makes the minimum
 s-t cut unique and max_flow returns it, so that cut never splits W and
 is exactly the cut the contracted graph would give.  The result is
 canonical.
+
+Each tree edge keeps the max-flow of the split that made it, and
+verification reads those flows: each one bounds its split pair's
+minimum cut from below, and a chain of heavier tree edges carries the
+bound to the edge's own ends (Gomory and Hu 1961).  Checking a tree
+therefore runs no max-flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import le
 
-from .capacity import Cap, cap_min
-from .graph import CapGraph, GraphError, check_terminals, cut_capacity, deperturb_value, perturb
-from .maxflow import max_flow
+from .capacity import Cap
+from .graph import CapGraph, GraphError, check_terminals, deperturb_value, perturb
+from .maxflow import FlowResult, max_flow
 
 
 @dataclass(frozen=True)
@@ -28,6 +36,10 @@ class GHEdge:
     s: int
     t: int
     cap: Cap
+    # The max-flow of the split that made this edge, between its split
+    # pair split.s (on this edge's s side) and split.t; None on an edge
+    # built by hand.  Not part of the edge's value.
+    split: FlowResult | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,15 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
     edge, and so does every subtree.  No vertex ever crosses an edge, so
     the shore stays the edge's fundamental cut in the final tree and
     holds the final bag of its edge.s.
+
+    Each edge keeps its split's FlowResult, with the flow's two tiers
+    decoded here, so that a widening kernel rerun (``FlowResult.tiers``)
+    belongs to the build and ``verify_encoding`` runs no solver.  The
+    split pair (s, t) of edge e need not be (e.s, e.t), but every tree
+    edge f on the paths e.s...s and t...e.t is heavier than e.  Such an
+    f keeps t and e.t (or s and e.s) on one side, so its fundamental
+    cut separates s from t or e.s from e.t; at e's value or less it
+    would be the unique minimum cut between that pair, which is e's.
     """
     if z is None:
         z = g.terminals if g.terminals else tuple(range(g.n))
@@ -86,7 +107,7 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
     # Tree nodes hold vertex sets; adjacency via explicit edge records.
     nodes = [set(range(g.n))]
     node_terms = [sorted(z)]
-    tree = []  # (a, b, cap, shore) with a, b node indices, a on the shore
+    tree = []  # (a, b, split FlowResult), a and b node indices, a on the split's shore
 
     while True:
         target = None
@@ -100,6 +121,7 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
 
         # The unique minimum s-t cut of gp crosses no neighbouring subtree.
         res = max_flow(gp, s, t)
+        res.tiers  # decoded now: any widening rerun is part of the build
         shore = res.shore
         side_a = nodes[target] & shore  # contains s
         side_b = nodes[target] - shore
@@ -111,13 +133,13 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
         node_terms[target] = [x for x in node_terms[target] if x in side_a]
 
         # Reattach each neighbour subtree to the side its vertices fell on.
-        for k, (a, b, cap, cut) in enumerate(tree):
+        for k, (a, b, split) in enumerate(tree):
             if target not in (a, b):
                 continue
             via = b if a == target else a
             keep = target if next(iter(nodes[via])) in shore else new_idx
-            tree[k] = (keep, b, cap, cut) if a == target else (a, keep, cap, cut)
-        tree.append((target, new_idx, res.value, shore))
+            tree[k] = (keep, b, split) if a == target else (a, keep, split)
+        tree.append((target, new_idx, res))
 
     term_of_node = {}
     for i, terms in enumerate(node_terms):
@@ -125,11 +147,10 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
         term_of_node[i] = terms[0]
     bags = {term_of_node[i]: frozenset(nodes[i]) for i in range(len(nodes))}
     edges = []
-    for a, b, cap, _ in tree:
-        if need_deperturb:
-            cap = deperturb_value(gp, cap)
-        edges.append(GHEdge(term_of_node[a], term_of_node[b], cap))
-    return GHTree(z, bags, tuple(edges), tuple(cut for *_, cut in tree))
+    for a, b, split in tree:
+        cap = deperturb_value(gp, split.value) if need_deperturb else split.value
+        edges.append(GHEdge(term_of_node[a], term_of_node[b], cap, split))
+    return GHTree(z, bags, tuple(edges), tuple(split.shore for *_, split in tree))
 
 
 def tree_lambda(t: GHTree, s, u) -> Cap:
@@ -144,7 +165,10 @@ def tree_lambda(t: GHTree, s, u) -> Cap:
         raise GraphError(f"{s} and {u} must both be terminals")
     if len(t.certificates) != len(t.edges):
         raise GraphError("need one certificate per tree edge")
-    return cap_min(e.cap for e, c in zip(t.edges, t.certificates) if (s in c) != (u in c))
+    cap = min((e.cap for e, c in zip(t.edges, t.certificates) if (s in c) != (u in c)), default=None)
+    if cap is None:
+        raise GraphError(f"no tree edge separates {s} and {u}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -171,16 +195,134 @@ def require_partition(g: CapGraph, t: GHTree):
 
 
 def verify_encoding(g: CapGraph, t: GHTree):
-    """Per-edge encoding check: the edge's certificate must hold e.s and
-    not e.t, and its cut capacity and the e.s-e.t max-flow value must both
-    equal the stored tree capacity."""
+    """Certify t as a GH tree of g from its build's own split flows; no
+    max-flow is run.
+
+    Returns one EdgeCheck per tree edge e, in edge order.  Let gp be g if
+    g is perturbed and ``perturb(g)`` otherwise, recomputed here (perturb
+    is deterministic), and v_e the cut value of e's certificate in gp,
+    summed as the exact int pair (inf, fin * D) of
+    ``CapGraph.tier_capacities``.
+
+    - ``cut_ok``: e is a bridge of the tree, its certificate is exactly
+      the union of the bags on e.s's side, and e.cap is v_e (rounded by
+      ``deperturb_value`` if g is not perturbed).
+    - ``flow_ok``: e.split is a flow in gp from s_e = e.split.s to
+      t_e = e.split.t, two distinct terminals, of value v_e, and the
+      chain holds: every tree edge on the tree paths e.s...s_e and
+      t_e...e.t has a larger v.  The flow is read as its decoded tiers
+      (``FlowResult.tiers``), never as the kernel's packed ints, and is
+      checked against gp's edges, never against the graph the FlowResult
+      refers to: each net flow lies within +-capacity as a pair compared
+      lexicographically, and both tiers are conserved at every vertex
+      other than s_e and t_e.
+
+    Raises GraphError if the bags do not partition V, the tree does not
+    have k - 1 edges and certificates for its k terminals, or an edge end
+    is not a terminal.
+
+    Why every edge passing makes t a GH tree (one failing edge voids the
+    certificate of the lighter edges whose chains pass through it).
+    Write lam for minimum cut values in gp.
+
+    - Flow.  Pairs compared lexicographically form an ordered group, so
+      a flow within its capacities that conserves both tiers has a value
+      no larger than any cut between its ends: lam(s_e, t_e) >= v_e.  A
+      finite flow on an infinite edge is within its capacity.
+    - Chain.  k - 1 bridges on k terminals form a spanning tree, and an
+      edge lies on the tree path between two terminals iff its side
+      separates them.  By induction on decreasing v, each edge f on
+      the paths e.s...s_e and t_e...e.t has v_f > v_e and so
+      lam(f.s, f.t) >= v_f > v_e.  A cut separating a from
+      c separates a from b or b from c, so lam(a, c) >= min(lam(a, b),
+      lam(b, c)); along the walk e.s...s_e, t_e...e.t this gives
+      lam(e.s, e.t) >= v_e.  The certificate separates e.s from e.t with
+      value v_e, so it is a minimum e.s-e.t cut.  The strict order keeps
+      e off its own paths, so s_e lies on e.s's side, and makes the
+      induction well founded.  A tree built by ``build_gh_tree`` meets
+      it (see there).
+    - GH.  Every edge on the tree path between terminals u and w has a
+      fundamental cut separating them, so lam(u, w) is at most their
+      least v, and the triangle inequality along the path gives at
+      least: ``tree_lambda`` is lam.
+    - Unperturbed g.  perturb keeps every infinite tier and adds to the
+      cut of each shore X some eps(X) with 0 < eps(X) < 1/L, where the
+      finite cut values of g lie on the 1/L grid (L = gp.grid).  Rounding
+      down to the grid therefore gives X's cut in g, and a minimum cut X
+      of gp is one of g: for every cut Y between the same ends,
+      cap_g(X) <= cap_gp(X) <= cap_gp(Y) < cap_g(Y) + 1/L.  So the
+      deperturbed v_e is lam_g(e.s, e.t); rounding is monotone, so the
+      least deperturbed capacity on a path is the deperturbed least, and
+      t is a GH tree of g.
+    """
     require_partition(g, t)
-    if len(t.certificates) != len(t.edges):
+    edges, certs = t.edges, t.certificates
+    if len(certs) != len(edges):
         raise GraphError("need one certificate per tree edge")
-    report = []
-    for e, shore in zip(t.edges, t.certificates):
-        cut_ok = e.s in shore and e.t not in shore and cut_capacity(g, shore) == e.cap
-        flow_ok = max_flow(g, e.s, e.t).value == e.cap
-        report.append(EdgeCheck(e, cut_ok, flow_ok))
-    return report
+    if len(edges) != len(t.terminals) - 1:
+        raise GraphError("a tree on k terminals needs k - 1 edges")
+    adj = {z: [] for z in t.terminals}
+    for i, e in enumerate(edges):
+        if e.s not in adj or e.t not in adj:
+            raise GraphError(f"tree edge {e.s}-{e.t} does not join two terminals")
+        adj[e.s].append((e.t, i))
+        adj[e.t].append((e.s, i))
+    gp = g if g.perturbed else perturb(g)
+    ends = [(u, v) for u, v, _ in gp.edges]
+    caps = gp.tier_capacities
+    lows = [(-a, -b) for a, b in caps]
+
+    def split_ok(split, value):
+        """Whether split is a flow in gp between two distinct terminals,
+        of the int-pair value, within capacity and conserved in each tier."""
+        if split is None or split.s == split.t or split.s not in adj or split.t not in adj:
+            return False
+        infs, fins = split.tiers
+        if not len(infs) == len(fins) == len(ends):
+            return False
+        if not (all(map(le, lows, zip(infs, fins))) and all(map(le, zip(infs, fins), caps))):
+            return False
+        out = []  # the flow's value, tier by tier
+        for tier in (infs, fins):
+            net = [0] * gp.n
+            if any(tier):
+                for (u, v), f in zip(ends, tier):
+                    net[u] -= f
+                    net[v] += f
+            out.append(-net[split.s])
+            net[split.s] = net[split.t] = 0
+            if any(net):
+                return False
+        return tuple(out) == value
+
+    sides, values, cut_ok, flow_ok = [], [], [], []
+    for i, (e, cert) in enumerate(zip(edges, certs)):
+        side, queue = {e.s}, [e.s]  # the terminals on e.s's side of edge i
+        for x in queue:
+            for y, j in adj[x]:
+                if j != i and y not in side:
+                    side.add(y)
+                    queue.append(y)
+        inside = [x in cert for x in range(gp.n)]
+        inf = fin = 0
+        for (u, v), (a, b) in zip(ends, caps):
+            if inside[u] != inside[v]:
+                inf += a
+                fin += b
+        cap = Cap(Fraction(fin, gp.fin_denominator), inf)
+        if not g.perturbed:
+            cap = deperturb_value(gp, cap)
+        shore = frozenset().union(*(t.bags[z] for z in side))
+        sides.append(side)
+        values.append((inf, fin))
+        cut_ok.append(e.t not in side and cert == shore and e.cap == cap)
+        flow_ok.append(split_ok(e.split, (inf, fin)))
+
+    for i, e in enumerate(edges):
+        flow_ok[i] = flow_ok[i] and all(
+            values[j] > values[i]
+            for j, side in enumerate(sides)
+            if (e.s in side) != (e.split.s in side) or (e.split.t in side) != (e.t in side)
+        )
+    return [EdgeCheck(*checks) for checks in zip(edges, cut_ok, flow_ok)]
 

@@ -98,6 +98,16 @@ class CapGraph:
         return math.lcm(*(e.cap.fin.denominator for e in self.edges))
 
     @cached_property
+    def tier_capacities(self) -> tuple:
+        """Per edge, its capacity as the exact int pair (inf, fin * D), D =
+        ``fin_denominator``: two separate tiers, which compare (as tuples)
+        and add exactly as the Caps do."""
+        denom = self.fin_denominator
+        return tuple(
+            (c.inf, c.fin.numerator * (denom // c.fin.denominator)) for _, _, c in self.edges
+        )
+
+    @cached_property
     def scaled_capacities(self):
         """(D, B, caps) with caps[i] = edges[i].cap.to_int(D, B).
 
@@ -203,17 +213,17 @@ def cut_capacity(g: CapGraph, shore) -> Cap:
 def shore_cuts(g: CapGraph, base: int, free):
     """Yield (mask, key) for every shore ``base | subset(free)``, in
     Gray-code order, where key = (inf, fin * D) is the capacity of
-    delta(mask) as two exact ints, D = ``g.fin_denominator``: the cut's
-    Cap is ``Cap(Fraction(fin * D, D), inf)``, and keys compare as ints
-    exactly as the Caps do.
+    delta(mask) as two exact ints, summed from ``g.tier_capacities``
+    (D = ``g.fin_denominator``): the cut's Cap is
+    ``Cap(Fraction(fin * D, D), inf)``, and keys compare as ints exactly
+    as the Caps do.
 
     ``base`` is a vertex bitmask and ``free`` a sequence of distinct
     vertices outside it.  Consecutive shores differ in one vertex, so each
     step adds or subtracts only that vertex's incident edges: O(deg) int
     operations per shore instead of O(m) Cap additions.
     """
-    denom = g.fin_denominator
-    pairs = [(c.inf, c.fin.numerator * (denom // c.fin.denominator)) for _, _, c in g.edges]
+    pairs = g.tier_capacities
     inf = fin = 0
     for (u, v, _), (a, b) in zip(g.edges, pairs):
         if (base >> u ^ base >> v) & 1:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
+from operator import sub
 
 from .capacity import ZERO, Cap
 from .graph import CapGraph, Cut, GraphError, is_central
@@ -20,39 +22,53 @@ class FlowResult:
 
     ``value`` (the max-flow value, a Cap) and ``shore`` (the vertices
     residual-reachable from s, a frozenset) are set when the flow is
-    computed.  ``flows`` (edge_id -> signed Cap net flow, positive in the
-    stored u->v direction) is decoded from the kept residuals on first
-    read and then kept; if the infinite units do not balance, B is
+    computed.  ``tiers`` (the net flow of every edge, positive in the
+    stored u->v direction, as two exact int tiers: a tuple of its
+    infinite units and a tuple of its finite part times D, D =
+    ``g.fin_denominator``, each indexed by edge id) is decoded from the
+    kept residuals on first read and then kept; if the infinite units do not balance, B is
     doubled and the kernel rerun until they do (see ``max_flow``).
+    ``flows`` (edge_id -> signed Cap net flow) is built from ``tiers``.
     """
 
     def __init__(self, g, s, t, value, shore, residuals):
         self.value = value
         self.shore = shore
-        self._g, self._s, self._t = g, s, t
+        self.s, self.t = s, t
+        self._g = g
         self._residuals = residuals
 
     @cached_property
-    def flows(self) -> dict:
-        g, s, t = self._g, self._s, self._t
+    def tiers(self) -> tuple:
+        g, s, t = self._g, self.s, self.t
         denom, bits, caps = g.scaled_capacities
         r = self._residuals
         while True:
-            flows = {}
+            flows = list(map(sub, caps, r[0::2]))  # net flow from u to v
+            half = 1 << (bits - 1)
+            if not self.value.inf and -half <= min(flows, default=0) and max(flows, default=0) < half:
+                return (0,) * len(flows), tuple(flows)  # no infinite unit anywhere
+            infs = [(f + half) >> bits for f in flows]  # the split of Cap.from_int
             balance = [0] * g.n
-            for i, (u, v, _) in enumerate(g.edges):
-                f = caps[i] - r[2 * i]  # net flow from u to v
-                flows[i] = flow = ZERO if f == 0 else Cap.from_int(f, denom, bits)
-                if flow.inf:
-                    balance[u] -= flow.inf
-                    balance[v] += flow.inf
+            for (u, v, _), inf in zip(g.edges, infs):
+                if inf:
+                    balance[u] -= inf
+                    balance[v] += inf
             balance[s] += self.value.inf
             balance[t] -= self.value.inf
             if not any(balance):
-                return flows
+                return tuple(infs), tuple(f - (inf << bits) for f, inf in zip(flows, infs))
             bits *= 2
             caps = tuple(e.cap.to_int(denom, bits) for e in g.edges)
             r = _int_max_flow(g, s, t, caps)[2]
+
+    @cached_property
+    def flows(self) -> dict:
+        denom = self._g.fin_denominator
+        return {
+            i: Cap(Fraction(fin, denom), inf) if inf or fin else ZERO
+            for i, (inf, fin) in enumerate(zip(*self.tiers))
+        }
 
 
 def _check_pair(g, s, t):
@@ -68,7 +84,8 @@ def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
     Runs the int kernel once and returns the value and the cut shore, the
     set of vertices residual-reachable from s, which on perturbed inputs
     is the unique minimum st-cut (and is central).  The per-edge flows are
-    decoded only when ``FlowResult.flows`` is first read.
+    decoded only when ``FlowResult.tiers`` or ``FlowResult.flows`` is
+    first read.
 
     Encoding.  With D the common denominator of the finite parts and
     S = sum(|fin_e * D|), capacity c becomes the int
@@ -95,11 +112,11 @@ def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
     minimum cuts are the same for every such B; the residual-reachable
     set of any maximum flow is the unique inclusion-minimal one among
     them, so the first run's shore is the shore any wider run would give.
-    Only the per-edge flows may need one, and ``FlowResult.flows``
-    widens on demand.  Each edge's net flow is decoded like the value
-    (``Cap.from_int``).  On a finite edge its magnitude is at most
-    fin * D < 2**(B-1), so it decodes exactly.  Rounding to the nearest
-    tier keeps every decoded flow within its capacity.  On infinite edges
+    Only the per-edge flows may need one, and ``FlowResult.tiers``
+    widens on demand.  Each edge's net flow is split into its two tiers
+    as the value is (``Cap.from_int``).  On a finite edge its magnitude
+    is at most fin * D < 2**(B-1), so it decodes exactly.  Rounding to
+    the nearest tier keeps every decoded flow within its capacity.  On infinite edges
     the split into tiers is checked: if the infinite units do not balance
     at some vertex, B is doubled and the flow recomputed.  Once 2**(B-1)
     exceeds D times the finite part of every difference that the same

@@ -10,9 +10,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from ghkit import capgraph
 from ghkit.capacity import Cap
-from ghkit.embedding import check_weak_bag_minor, is_gh_subgraph
+from ghkit.embedding import is_gh_subgraph
 from ghkit.generators import split_seed
 from ghkit.ghtree import build_gh_tree, tree_lambda
 from ghkit.graph import cut_capacity, deperturb_value, perturb
@@ -27,7 +26,7 @@ from ghkit.suite import (
 )
 from ghkit.suiteutil import random_connected_graph
 
-from conftest import ONE, unit_k23, unit_k33
+from conftest import unit_k23, unit_k33
 
 SEED = 20260826
 

@@ -42,3 +42,24 @@ def test_every_public_definition_has_a_caller():
     pinned = {tuple(m["name"].split(".")[:2]) for m in metrics}
     uncalled = [f"{mod}.{name}" for mod, name in defined if name not in used and (mod, name) not in pinned]
     assert not uncalled, uncalled
+
+
+def test_no_module_level_import_is_unused():
+    """Every name a module-level import binds in the package or the tests
+    is read somewhere in its module, or listed in its ``__all__``."""
+    unused = []
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= {elt.value for elt in node.value.elts}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.relative_to(ROOT)}: {name}" for name in bound if name not in used]
+    assert not unused, unused

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghkit.capacity import INF, ONE, ZERO, Cap, cap_min
+from ghkit.capacity import INF, ONE, ZERO, Cap
 from ghkit.io import parse_capacity
 
 fractions = st.fractions(max_denominator=50)
@@ -41,11 +41,6 @@ def test_addition_componentwise(a, b):
 def test_scalar_multiplication(a, k):
     p = a * k
     assert p.fin == a.fin * k and p.inf == a.inf * k
-
-
-@given(caps, caps)
-def test_cap_min(a, b):
-    assert cap_min([a, b]) == (a if a <= b else b)
 
 
 @given(st.builds(Cap, fractions, st.integers(min_value=-3, max_value=5)))

@@ -11,7 +11,7 @@ from ghkit.dot import tree_dot
 from ghkit.ghtree import build_gh_tree
 from ghkit.io import dump
 
-from conftest import unit_k23, unit_k33
+from conftest import unit_k23
 
 
 @pytest.fixture

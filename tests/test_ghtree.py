@@ -1,3 +1,5 @@
+import copy
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,9 +16,10 @@ from ghkit.ghtree import (
     tree_lambda,
     verify_encoding,
 )
+import ghkit.ghtree
 import ghkit.maxflow
-from ghkit.graph import GraphError, deperturb_value, perturb
-from ghkit.maxflow import brute_min_cut, lambda_matrix
+from ghkit.graph import GraphError, cut_capacity, deperturb_value, perturb
+from ghkit.maxflow import brute_min_cut, lambda_matrix, max_flow
 from ghkit.suiteutil import random_connected_graph
 
 from conftest import ONE, unit_k23, unit_k33
@@ -102,9 +105,9 @@ def test_verify_encoding_passes_on_built_trees():
 
 
 def test_building_and_checking_decode_no_flows_and_test_no_centrality(monkeypatch):
-    """GH building and checking read only each flow's value and shore: one
-    kernel run and one Cap.from_int (the value) per max_flow, and no
-    is_central call."""
+    """GH building decodes no Cap flow: one kernel run and one
+    Cap.from_int (the value) per split, and no is_central call.  Checking
+    the tree reads the splits' kept flows and adds none of the three."""
     counts = {"kernel": 0, "from_int": 0, "central": 0}
 
     def counting(name, fn):
@@ -120,9 +123,9 @@ def test_building_and_checking_decode_no_flows_and_test_no_centrality(monkeypatc
     t = build_gh_tree(g)
     assert counts == {"kernel": g.n - 1, "from_int": g.n - 1, "central": 0}
     assert all(c.ok for c in verify_encoding(g, t))
-    assert counts == {"kernel": 2 * (g.n - 1), "from_int": 2 * (g.n - 1), "central": 0}
+    assert counts == {"kernel": g.n - 1, "from_int": g.n - 1, "central": 0}
     lambda_matrix(g)
-    flows = 2 * (g.n - 1) + g.n * (g.n - 1) // 2
+    flows = g.n - 1 + g.n * (g.n - 1) // 2
     assert counts == {"kernel": flows, "from_int": flows, "central": 0}
 
 
@@ -130,11 +133,168 @@ def test_verify_encoding_detects_tampered_capacity():
     g = perturb(unit_k23())
     t = build_gh_tree(g)
     bad_edges = list(t.edges)
-    e = bad_edges[0]
-    bad_edges[0] = GHEdge(e.s, e.t, e.cap + Cap(1))
+    bad_edges[0] = replace(bad_edges[0], cap=bad_edges[0].cap + Cap(1))
     bad = GHTree(t.terminals, t.bags, tuple(bad_edges), t.certificates)
     checks = verify_encoding(g, bad)
-    assert not all(c.ok for c in checks)
+    assert not checks[0].cut_ok and checks[0].flow_ok
+    assert all(c.ok for c in checks[1:])
+
+
+def _with_tiers(split, infs, fins):
+    bad = copy.copy(split)
+    bad.tiers = tuple(infs), tuple(fins)
+    return bad
+
+
+def _moved_unit(split, gp):
+    """split with one unit of the finite tier moved between two edges
+    that do not touch the split pair and have room for it: the value
+    stays, and conservation fails."""
+    infs, fins = split.tiers
+    caps = gp.tier_capacities
+    inner = [i for i, (u, v, _) in enumerate(gp.edges) if not {u, v} & {split.s, split.t}]
+
+    def fits(i, d):
+        return (-caps[i][0], -caps[i][1]) <= (infs[i], fins[i] + d) <= caps[i]
+
+    i, j = next((i, j) for i in inner for j in inner if i != j and fits(i, -1) and fits(j, 1))
+    fins = list(fins)
+    fins[i] -= 1
+    fins[j] += 1
+    return _with_tiers(split, infs, fins)
+
+
+def _swapped(split):
+    bad = copy.copy(split)
+    bad.s, bad.t = split.t, split.s
+    return bad
+
+
+def _mutate(name, gp, t):
+    """t with one defect that a correct tree cannot have; gp is the
+    perturbed graph t was built on."""
+    edges, certs, bags = list(t.edges), list(t.certificates), dict(t.bags)
+    if name == "flow-unit-moved":
+        edges[0] = replace(edges[0], split=_moved_unit(edges[0].split, gp))
+    elif name == "flow-zeroed":
+        # conserved and within capacity, but of the wrong value
+        m = len(edges[0].split.tiers[0])
+        edges[0] = replace(edges[0], split=_with_tiers(edges[0].split, [0] * m, [0] * m))
+    elif name == "split-pair-swapped":
+        edges[0] = replace(edges[0], split=_swapped(edges[0].split))
+    elif name == "capacity-raised":
+        edges[-1] = replace(edges[-1], cap=edges[-1].cap + Cap(Fraction(1, 2**40)))
+    elif name == "edge-end-moved":
+        # one end of e moves to a terminal c on its side, behind a lighter
+        # edge: e keeps its fundamental cut, the edges up to c do not
+        i, end, c = next(
+            (i, end, c)
+            for i, e in enumerate(edges) for end in ("s", "t") for c in t.terminals
+            if c != getattr(e, end) and (c in certs[i]) == (getattr(e, end) in certs[i])
+            and tree_lambda(t, getattr(e, end), c) < e.cap
+        )
+        edges[i] = replace(edges[i], **{end: c})
+    elif name == "edge-duplicated":
+        edges[-1], certs[-1] = edges[0], certs[0]
+    elif name == "vertex-moved-between-bags":
+        a = next(z for z in t.terminals if len(bags[z]) > 1)
+        b = next(z for z in t.terminals if z != a)
+        moved = min(bags[a] - {a})
+        bags[a], bags[b] = bags[a] - {moved}, bags[b] | {moved}
+    return GHTree(t.terminals, bags, tuple(edges), tuple(certs))
+
+
+MUTATIONS = [
+    "flow-unit-moved", "flow-zeroed", "split-pair-swapped", "capacity-raised", "edge-end-moved",
+    "edge-duplicated", "vertex-moved-between-bags",
+]
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_verify_encoding_rejects_every_mutation(name):
+    graphs = _pinned_graphs()
+    for key in ("rational", "infinite"):
+        g, z = graphs[key]
+        for gg in (g, perturb(g)):
+            t = build_gh_tree(gg, z)
+            assert all(c.ok for c in verify_encoding(gg, t))
+            assert not all(c.ok for c in verify_encoding(gg, _mutate(name, perturb(gg), t))), (key, gg.perturbed)
+
+
+def test_verify_encoding_rejects_a_doubled_edge_holding_both_ends():
+    """Edge 0-1 twice, each copy certified by the cut around terminal 2
+    and a flow from 0 to 1 of that cut's value.  Each copy's side then
+    holds both its ends, so neither is a bridge: 2 is not in the tree."""
+    g = perturb(capgraph(3, [(0, 1, Cap(10)), (1, 2, ONE)]))
+    t = build_gh_tree(g, (0, 1, 2))
+    _, fin = g.tier_capacities[1]  # the cut around 2 is edge 1-2
+    split = _with_tiers(t.edges[0].split, (0, 0), (fin, 0))
+    split.s, split.t = 0, 1
+    e = GHEdge(0, 1, g.edges[1].cap, split)
+    checks = verify_encoding(g, GHTree(t.terminals, t.bags, (e, e), (frozenset({0, 1}),) * 2))
+    assert [(c.cut_ok, c.flow_ok) for c in checks] == [(False, True), (False, True)]
+
+
+def test_verify_encoding_rejects_flows_the_chain_does_not_carry():
+    """On the star 0-1 (50), 0-2 (1), 0-3 (2), the path 1-0-2-3 is no GH
+    tree, yet each of its fundamental cuts {0, 2, 3}, {0, 1} and
+    {0, 1, 2} is the value of some flow from 0 to 1: the maximum one, and
+    two along the edge 0-1 alone.  Only the chain sees that 0 and 1 lie
+    on one side of the last two edges."""
+    g = perturb(capgraph(4, [(0, 1, Cap(50)), (0, 2, ONE), (0, 3, Cap(2))]))
+    flow = max_flow(g, 0, 1)
+    edges, certs = [], []
+    for s, t, shore in ((0, 1, {0, 2, 3}), (0, 2, {0, 1}), (2, 3, {0, 1, 2})):
+        cap = cut_capacity(g, shore)
+        split = flow
+        if cap != flow.value:  # the same value along the edge 0-1 alone
+            split = _with_tiers(flow, [0] * g.m, [int(cap.fin * g.fin_denominator)] + [0] * (g.m - 1))
+        edges.append(GHEdge(s, t, cap, split))
+        certs.append(frozenset(shore))
+    bags = {z: frozenset({z}) for z in range(4)}
+    checks = verify_encoding(g, GHTree((0, 1, 2, 3), bags, tuple(edges), tuple(certs)))
+    assert [(c.cut_ok, c.flow_ok) for c in checks] == [(True, True), (True, False), (True, False)]
+
+
+def test_verify_encoding_runs_no_solver(monkeypatch):
+    graphs = _pinned_graphs()
+    cases = [(g, z) for g, z in graphs.values()] + [(unit_k33(), tuple(range(6)))]
+    trees = [(g, build_gh_tree(g, z)) for g, z in cases]
+
+    def refuse(*args):
+        raise AssertionError("verify_encoding ran a max-flow")
+
+    monkeypatch.setattr(ghkit.maxflow, "_int_max_flow", refuse)
+    monkeypatch.setattr(ghkit.maxflow, "max_flow", refuse)
+    monkeypatch.setattr(ghkit.ghtree, "max_flow", refuse)
+    for g, t in trees:
+        assert all(c.ok for c in verify_encoding(g, t))
+
+
+def test_verify_encoding_accepts_a_finite_flow_on_an_infinite_edge():
+    """The flow from 1 to 2 carries 17/64 and more over the edge 0-2 of
+    capacity inf + 1/32: within capacity as a pair, though its finite
+    tier exceeds the capacity's."""
+    g = perturb(capgraph(3, [(0, 1, Cap(Fraction(17, 64))), (0, 2, INF + Cap(Fraction(1, 32)))]))
+    t = build_gh_tree(g, (1, 2))
+    (e,) = t.edges
+    infs, fins = e.split.tiers
+    assert infs[1] == 0 and fins[1] > g.tier_capacities[1][1]
+    assert all(c.ok for c in verify_encoding(g, t))
+
+
+@pytest.mark.parametrize("name", ["k33-tied-cuts", "infinite-edge"])
+def test_verify_encoding_on_unperturbed_input(name):
+    """The build ran on perturb(g); the check recomputes it and compares
+    each deperturbed certified value with the edge's capacity."""
+    if name == "k33-tied-cuts":
+        g, z = unit_k33(), tuple(range(6))
+    else:
+        g, z = capgraph(4, [(0, 1, INF), (1, 2, Cap(2)), (2, 3, ONE), (3, 0, Cap(Fraction(1, 2)))]), (0, 2, 3)
+    t = build_gh_tree(g, z)
+    checks = verify_encoding(g, t)
+    assert len(checks) == len(z) - 1 and all(c.ok for c in checks)
+    assert all(e.cap == brute_min_cut(g, e.s, e.t).capacity for e in t.edges)
 
 
 def test_verify_encoding_detects_bad_partition():
@@ -174,6 +334,15 @@ def test_tree_queries_reject_bad_arguments():
         tree_lambda(bare, 0, 1)
     with pytest.raises(GraphError):
         verify_encoding(g, bare)
+    cert = t.certificates[0]
+    a, b = next((a, b) for a in t.terminals for b in t.terminals if a < b and (a in cert) == (b in cert))
+    with pytest.raises(GraphError, match="no tree edge separates"):
+        tree_lambda(GHTree(t.terminals, t.bags, (t.edges[0],) * 2, (cert,) * 2), a, b)
+    with pytest.raises(GraphError, match="k - 1 edges"):
+        verify_encoding(g, GHTree(t.terminals, t.bags, t.edges[:1], t.certificates[:1]))
+    stray = (replace(t.edges[0], t=3), *t.edges[1:])  # 3 is not a terminal
+    with pytest.raises(GraphError, match="does not join two terminals"):
+        verify_encoding(g, GHTree(t.terminals, t.bags, stray, t.certificates))
 
 
 def test_verify_encoding_rejects_a_certificate_on_the_wrong_side():

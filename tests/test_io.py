@@ -5,12 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ghkit import capgraph
-from ghkit.capacity import INF, Cap
-from ghkit.generators import ThreeSeparatedSet, ZWebSpec, gen_zweb
+from ghkit.capacity import INF
+from ghkit.generators import ZWebSpec, gen_zweb
 from ghkit.graph import GraphError
 from ghkit.io import dump, format_instance, load, parse_instance
 
-from conftest import ONE, unit_k23
+from conftest import unit_k23
 
 
 def test_round_trip_plain_graph():
