@@ -3,6 +3,17 @@
 Capacities compare lexicographically, infinite tier first.  This keeps
 all arithmetic exact while letting "infinity" edges participate in cut
 sums and flow augmentation without magic numbers.
+
+The order is computed on ints: the infinite tiers are compared as ints,
+and only on a tie the finite parts, by cross-multiplication
+``p * s`` against ``r * q`` for ``fin = p/q`` and ``other.fin = r/s``
+(``Fraction.as_integer_ratio``; a Fraction's denominator is always
+positive, so the products order as the fractions do).  ``+`` and ``-``
+combine the same int pairs and normalise once, in ``Fraction(num, den)``.
+A Cap operand is used as it is; an int, Fraction or float operand is
+converted to a Cap first; anything else gives NotImplemented.  Every
+Cap, results of arithmetic included, is built through ``Cap.__init__``,
+so that patching it counts every allocation.
 """
 
 from __future__ import annotations
@@ -12,9 +23,7 @@ from fractions import Fraction
 
 
 def _as_cap(x):
-    """x as a Cap, or None if it is not a real number."""
-    if isinstance(x, Cap):
-        return x
+    """x, not a Cap, as a Cap, or None if it is not a real number."""
     if isinstance(x, (int, Fraction, float)):
         return Cap(x)
     return None
@@ -24,10 +33,15 @@ def _comparison(op):
     """A rich comparison in the lexicographic order, infinite tier first."""
 
     def compare(self, other):
-        other = _as_cap(other)
-        if other is None:
-            return NotImplemented
-        return op((self.inf, self.fin), (other.inf, other.fin))
+        if type(other) is not Cap:
+            other = _as_cap(other)
+            if other is None:
+                return NotImplemented
+        if self.inf != other.inf:
+            return op(self.inf, other.inf)
+        p, q = self.fin.as_integer_ratio()
+        r, s = other.fin.as_integer_ratio()
+        return op(p * s, r * q)
 
     return compare
 
@@ -43,8 +57,8 @@ class Cap:
     __slots__ = ("inf", "fin")
 
     def __init__(self, fin=0, inf=0):
-        object.__setattr__(self, "fin", fin if isinstance(fin, Fraction) else Fraction(fin))
-        object.__setattr__(self, "inf", int(inf))
+        _set_fin(self, fin if type(fin) is Fraction else Fraction(fin))
+        _set_inf(self, inf if type(inf) is int else int(inf))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cap is immutable")
@@ -73,18 +87,24 @@ class Cap:
         return Cap(Fraction(x - (inf << bits), denom), inf)
 
     def __add__(self, other):
-        other = _as_cap(other)
-        if other is None:
-            return NotImplemented
-        return Cap(self.fin + other.fin, self.inf + other.inf)
+        if type(other) is not Cap:
+            other = _as_cap(other)
+            if other is None:
+                return NotImplemented
+        p, q = self.fin.as_integer_ratio()
+        r, s = other.fin.as_integer_ratio()
+        return Cap(Fraction(p * s + r * q, q * s), self.inf + other.inf)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_cap(other)
-        if other is None:
-            return NotImplemented
-        return Cap(self.fin - other.fin, self.inf - other.inf)
+        if type(other) is not Cap:
+            other = _as_cap(other)
+            if other is None:
+                return NotImplemented
+        p, q = self.fin.as_integer_ratio()
+        r, s = other.fin.as_integer_ratio()
+        return Cap(Fraction(p * s - r * q, q * s), self.inf - other.inf)
 
     def __rsub__(self, other):
         other = _as_cap(other)
@@ -96,7 +116,7 @@ class Cap:
         return Cap(-self.fin, -self.inf)
 
     def __mul__(self, k):
-        if isinstance(k, Cap):
+        if type(k) is Cap:
             raise TypeError("cannot multiply two Caps")
         return Cap(self.fin * k, self.inf * k)
 
@@ -113,7 +133,7 @@ class Cap:
         return hash(self.fin) if self.inf == 0 else hash((self.inf, self.fin))
 
     def __bool__(self):
-        return self.inf != 0 or self.fin != 0
+        return self.inf != 0 or bool(self.fin)
 
     def __repr__(self):
         if self.inf == 0:
@@ -129,7 +149,9 @@ class Cap:
         return f"{self.inf}*inf+{self.fin}"
 
 
+_set_fin = Cap.fin.__set__
+_set_inf = Cap.inf.__set__
+
 ZERO = Cap(0)
 ONE = Cap(1)
 INF = Cap(0, 1)
-

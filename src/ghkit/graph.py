@@ -305,8 +305,8 @@ def perturb(g: CapGraph) -> CapGraph:
 def deperturb_value(g: CapGraph, value: Cap) -> Cap:
     """Round a perturbed cut value down to the original capacity grid."""
     l = g.grid
-    fin = Fraction(math.floor(value.fin * l), l)
-    return Cap(fin, value.inf)
+    num, den = value.fin.as_integer_ratio()
+    return Cap(Fraction(num * l // den, l), value.inf)
 
 
 def blocks(g: CapGraph):

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from operator import sub
 
-from .capacity import ZERO, Cap
+from .capacity import Cap
 from .graph import CapGraph, Cut, GraphError, is_central
 
 
@@ -26,9 +25,9 @@ class FlowResult:
     stored u->v direction, as two exact int tiers: a tuple of its
     infinite units and a tuple of its finite part times D, D =
     ``g.fin_denominator``, each indexed by edge id) is decoded from the
-    kept residuals on first read and then kept; if the infinite units do not balance, B is
-    doubled and the kernel rerun until they do (see ``max_flow``).
-    ``flows`` (edge_id -> signed Cap net flow) is built from ``tiers``.
+    kept residuals on first read and then kept; if the infinite units
+    do not balance, B is doubled and the kernel rerun until they do (see
+    ``max_flow``).
     """
 
     def __init__(self, g, s, t, value, shore, residuals):
@@ -62,14 +61,6 @@ class FlowResult:
             caps = tuple(e.cap.to_int(denom, bits) for e in g.edges)
             r = _int_max_flow(g, s, t, caps)[2]
 
-    @cached_property
-    def flows(self) -> dict:
-        denom = self._g.fin_denominator
-        return {
-            i: Cap(Fraction(fin, denom), inf) if inf or fin else ZERO
-            for i, (inf, fin) in enumerate(zip(*self.tiers))
-        }
-
 
 def _check_pair(g, s, t):
     if s == t:
@@ -84,8 +75,7 @@ def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
     Runs the int kernel once and returns the value and the cut shore, the
     set of vertices residual-reachable from s, which on perturbed inputs
     is the unique minimum st-cut (and is central).  The per-edge flows are
-    decoded only when ``FlowResult.tiers`` or ``FlowResult.flows`` is
-    first read.
+    decoded only when ``FlowResult.tiers`` is first read.
 
     Encoding.  With D the common denominator of the finite parts and
     S = sum(|fin_e * D|), capacity c becomes the int

@@ -34,17 +34,11 @@ class MinorPattern:
     k: int
     edges: tuple  # tuple of (i, j) with i < j
 
-    def degree(self, i):
-        return sum(1 for a, b in self.edges if i in (a, b))
-
-    def automorphisms(self):
-        """All vertex permutations preserving the edge set."""
-        return list(_automorphisms(self))
-
 
 @cache
 def _automorphisms(pattern: MinorPattern):
-    """`MinorPattern.automorphisms`, enumerated once per pattern value.
+    """All vertex permutations of the pattern preserving its edge set,
+    enumerated once per pattern value.
 
     Backtracking in position order: position i tries its images in
     increasing order and keeps one only if every pattern edge from an

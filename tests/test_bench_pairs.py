@@ -69,6 +69,29 @@ def test_summary_verdicts(base, change, want):
     assert out["instance_ms_p50"]["verdict"] == want
 
 
+def test_counts_changed_lists_only_differing_work_counts():
+    per_layer = [
+        {"name": "capacity.cap_allocs", "unit": "count", "better": "lower"},
+        {"name": "maxflow.max_flow.calls", "unit": "count", "better": "lower"},
+        {"name": "maxflow.self_s", "unit": "s", "better": "lower"},
+        {"name": "simplex.solve_lp.cells", "unit": "count", "better": "lower"},
+        {"name": "minors.detect_terminal_minor.found_ratio", "unit": "ratio", "better": "higher"},
+    ]
+    traced = {
+        "base": {"capacity.cap_allocs": 61025, "maxflow.max_flow.calls": 1917,
+                 "maxflow.self_s": 0.19, "minors.detect_terminal_minor.found_ratio": 0.5},
+        "change": {"capacity.cap_allocs": 61025, "maxflow.max_flow.calls": 1500,
+                   "maxflow.self_s": 0.12, "minors.detect_terminal_minor.found_ratio": 0.25,
+                   "simplex.solve_lp.cells": 40},
+    }
+    assert bench_pairs.counts_changed(traced, per_layer) == {
+        "maxflow.max_flow.calls": {"base": 1917, "change": 1500},
+        "simplex.solve_lp.cells": {"base": None, "change": 40},
+    }
+    same = {"base": traced["base"], "change": dict(traced["base"])}
+    assert bench_pairs.counts_changed(same, per_layer) == {}
+
+
 WORKLOADS = ["gh-trees", "cut-oracles", "flowcheck", "minor-search"]
 
 

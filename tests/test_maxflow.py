@@ -45,11 +45,16 @@ def test_flow_matches_brute_oracle():
             assert max_flow(g, 0, t).value == brute_min_cut(g, 0, t).capacity
 
 
+def flow_caps(g, r):
+    """Each edge's net flow, decoded from ``FlowResult.tiers`` into a Cap."""
+    return [Cap(Fraction(fin, g.fin_denominator), inf) for inf, fin in zip(*r.tiers)]
+
+
 def test_flow_conservation():
     g = unit_k23()
     r = max_flow(g, 0, 1)
     net = [Cap(0)] * g.n
-    for eid, f in r.flows.items():
+    for eid, f in enumerate(flow_caps(g, r)):
         u, v, _ = g.edges[eid]
         net[u] = net[u] - f
         net[v] = net[v] + f
@@ -131,7 +136,7 @@ def flow_instances(draw):
 def assert_valid_flow(g, s, t, r):
     """Decoded flows fit their capacities and conserve exactly as Caps."""
     net = [ZERO] * g.n
-    for eid, f in r.flows.items():
+    for eid, f in enumerate(flow_caps(g, r)):
         u, v, cap = g.edges[eid]
         assert -cap <= f <= cap
         net[u] = net[u] - f
@@ -156,7 +161,7 @@ def test_min_cut_is_built_from_the_shore_on_first_read(inst, perturbed):
     if perturbed:
         g = perturb(g)
     r = max_flow(g, s, t)
-    assert "flows" not in vars(r)  # nothing decoded yet
+    assert "tiers" not in vars(r)  # nothing decoded yet
     assert s in r.shore and t not in r.shore
     assert r.value == cut_capacity(g, r.shore)
     # on a perturbed graph the shore is the unique minimum cut, a bond
@@ -193,7 +198,7 @@ def test_flows_widen_only_when_read(monkeypatch):
     assert runs[1:] == [tuple(e.cap.to_int(denom, 2 * bits) for e in g.edges)]
     assert kernel(g, 5, 3, runs[1])[1] == shore
     assert r.value == value and r.shore == shore
-    r.flows
+    r.tiers
     assert len(runs) == 2  # the decoded flows are kept
 
 

@@ -13,7 +13,9 @@ For every workload, pair i runs ``perfbench/run.py --seed <seed + i>`` on
 both sides, base first in even pairs and change first in odd ones, so
 that drift in machine speed falls on both sides alike.  After the pairs,
 one ``--trace 1`` run per side keeps the per-layer metrics, work counts
-included.  The output file holds the environment, every pair, and per
+included, and ``counts_changed`` lists the work counts (per-layer
+metrics of unit ``count``) whose traced values differ between the sides.
+The output file holds the environment, every pair, and per
 end-to-end metric the median and interquartile range of each side, the
 ratio of the medians (change / base), the number of pairs the change
 wins, the metric's bound from ``BENCHMARK.json`` and a verdict (see
@@ -133,6 +135,20 @@ def summarise(pairs, end_to_end):
     return out
 
 
+def counts_changed(traced, per_layer):
+    """{name: {"base": value, "change": value}} for each per-layer metric
+    of unit "count" whose traced value differs between the two sides (a
+    count missing on one side reads None there)."""
+    out = {}
+    for m in per_layer:
+        name = m["name"]
+        if m["unit"] == "count":
+            base, change = traced["base"].get(name), traced["change"].get(name)
+            if base != change:
+                out[name] = {"base": base, "change": change}
+    return out
+
+
 def parse_pairs(text, workloads):
     """{workload: count} from "name=count,...", in order; ValueError unless
     each name is one of `workloads`, appears once and has a count >= 1."""
@@ -209,6 +225,7 @@ def main(argv=None):
                 "summary": summarise(pairs, spec["end_to_end"]),
                 "pairs": pairs,
                 "traced_seed": TRACE_SEED,
+                "counts_changed": counts_changed(traced, spec["per_layer"]),
                 "traced": traced,
             }
 
