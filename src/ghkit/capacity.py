@@ -51,14 +51,21 @@ class Cap:
 
     ``inf`` is an integer count of symbolic infinite units and ``fin`` a
     Fraction.  Caps form an ordered abelian group, which is all that cut
-    accounting and augmenting-path flow need.
+    accounting and augmenting-path flow need.  A non-int ``inf`` must be
+    integral (``2.0``, ``Fraction(4, 2)``); any other raises ValueError, so
+    ``INF * Fraction(1, 2)`` is an error rather than a truncated tier.
     """
 
     __slots__ = ("inf", "fin")
 
     def __init__(self, fin=0, inf=0):
         _set_fin(self, fin if type(fin) is Fraction else Fraction(fin))
-        _set_inf(self, inf if type(inf) is int else int(inf))
+        if type(inf) is not int:
+            whole = int(inf)
+            if whole != inf:
+                raise ValueError(f"infinite tier {inf!r} is not an integer")
+            inf = whole
+        _set_inf(self, inf)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cap is immutable")

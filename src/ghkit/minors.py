@@ -7,10 +7,20 @@ pattern edge.  The search fixes the pattern-vertex -> terminal seeding
 first (up to pattern automorphisms), then grows branch sets only when a
 pending pattern edge demands it.
 
-The search returns the first solution in a fixed depth-first order, and
-generated instances (`gen_adversarial_from_minor`) are built from that
-exact embedding.  Its prune only cuts subtrees that hold no solution
-(see `_search`), so it changes the work done, never the answer.
+Both searches work on int bitmasks: vertex v is bit v, a vertex set is
+the OR of its bits, and adjacency and overlap tests are one AND each.
+The fast search (`_search`) carries per branch set its mask and the mask
+of its neighbourhood, and prunes with a flood through the free vertices.
+The slow oracle (`slow_detect_terminal_minor`) enumerates connected
+vertex subsets as masks and shares no code with the fast search.
+
+The fast search returns the first solution in a fixed depth-first
+order, and generated instances (`gen_adversarial_from_minor`) are built
+from that exact embedding.  The order is that of the branch sets as
+frozensets, then of ``g.adj``, not ascending bit order (see `_search`).
+Its prune only cuts subtrees that hold no solution, so it changes the
+work done, never the answer; the same holds for the slow oracle's prune
+on the terminals it has left.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from functools import cache
 from itertools import permutations
 from operator import itemgetter
 
-from .graph import CapGraph, GraphError, check_terminals, model_connectors
+from .graph import CapGraph, GraphError, check_terminals, is_two_connected, model_connectors
 from .maxflow import BoundExceeded
 
 
@@ -138,17 +148,32 @@ def _seed_assignments(pattern: MinorPattern, z):
         yield perm
 
 
-def _search(g: CapGraph, pattern, seeds, nbrs):
+def _search(g: CapGraph, pattern, seeds, nb):
     """Grow branch sets from seeds until every pattern edge is realized.
+
+    A state holds, per pattern vertex, its branch set as a frozenset and
+    as a bitmask, and the mask of its neighbourhood (``reach``), plus the
+    mask of every vertex in some branch set (``used``).  ``nb[v]`` is the
+    neighbour mask of v.  A move adds one free vertex to one branch set
+    and updates these masks by OR; `visited` is keyed by the branch-set
+    masks.
 
     Branches only when the currently pending pattern edge has no
     connecting graph edge yet: every free vertex adjacent to either
     endpoint's branch set may be added to that set.  Complete because any
-    valid embedding extends some branch explored here.  `nbrs[v]` is the
-    neighbour set of v.
+    valid embedding extends some branch explored here.  The pending edge
+    expanded is the one with the fewest moves, counted with multiplicity
+    (a free vertex next to two members of a set counts twice); the first
+    such edge in pattern order on a tie.  Its moves are tried endpoint a
+    first, then b, each in the iteration order of the branch-set frozenset
+    and then of ``g.adj``, a vertex already tried skipped.  That order,
+    not ascending vertex order, fixes which solution comes first, and so
+    the frozensets are kept, built as ``sets[side] | {v}``, for their
+    iteration order and as the returned branch sets.
 
-    A state is cut when some pending edge (a, b) has no component of
-    G[free vertices] adjacent to both branch sets.  Sets only grow and
+    A state is cut when, for some pending edge (a, b), the flood through
+    the free vertices from the free part of reach[a] misses reach[b]:
+    no component of G[free] touches both branch sets.  Sets only grow and
     stay connected, so in any embedding extending the state, a shortest
     path from sets[a] to sets[b] has a non-empty interior made of free
     vertices, all in one such component.  A cut subtree thus holds no
@@ -158,71 +183,82 @@ def _search(g: CapGraph, pattern, seeds, nbrs):
     does not change.
     """
     adj = g.adj
-    init = tuple(frozenset([s]) for s in seeds)
-    used = set(seeds)
+    full = (1 << g.n) - 1
     visited = set()
 
-    def rec(sets, pending):
-        visited.add(sets)
+    def flood(start, free):
+        # The union of the components of G[free] that meet start (a subset of free).
+        comp = frontier = start
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= nb[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & free & ~comp
+            comp |= frontier
+        return comp
+
+    def rec(sets, masks, reach, used, pending):
+        visited.add(masks)
         if not pending:
             return sets
-        # Free neighbours of each branch set a pending edge touches, in
-        # the order the moves are tried.
-        free = {}
-        for edge in pending:
-            for side in edge:
-                if side not in free:
-                    free[side] = [v for u in sets[side] for v, _ in adj[u] if v not in used]
-        # Label the components of G[free vertices] that touch those sets.
-        label = {}
-        for vs in free.values():
-            for root in vs:
-                if root in label:
-                    continue
-                label[root] = root
-                stack = [root]
-                while stack:
-                    for y in nbrs[stack.pop()]:
-                        if y not in used and y not in label:
-                            label[y] = root
-                            stack.append(y)
-        comps = {side: {label[v] for v in vs} for side, vs in free.items()}
-        # Expand the pending edge with the fewest growth options, counted
-        # with multiplicity; the first such edge on a tie.
+        free = full & ~used
+        floods = {}
+        moves = {}
         best = None
         best_moves = 0
         for a, b in pending:
-            if comps[a].isdisjoint(comps[b]):
+            comp = floods.get(a)
+            if comp is None:
+                comp = floods[a] = flood(reach[a] & free, free)
+            if not comp & reach[b]:
                 return None  # this edge can never be realized
-            moves = len(free[a]) + len(free[b])
-            if best is None or moves < best_moves:
-                best, best_moves = (a, b), moves
+            for side in (a, b):
+                if side not in moves:
+                    moves[side] = sum((nb[u] & free).bit_count() for u in sets[side])
+            count = moves[a] + moves[b]
+            if best is None or count < best_moves:
+                best, best_moves = (a, b), count
         for side in best:
-            tried = set()
-            for v in free[side]:
-                if v in tried:
-                    continue
-                tried.add(v)
-                nsets = sets[:side] + (sets[side] | {v},) + sets[side + 1:]
-                if nsets in visited:
-                    continue
-                # v realizes a pending edge (side, other) when it touches sets[other].
-                near = nbrs[v]
-                npending = [
-                    (a, b) for a, b in pending
-                    if not (
-                        (a == side and not near.isdisjoint(sets[b]))
-                        or (b == side and not near.isdisjoint(sets[a]))
+            tried = used
+            for u in sets[side]:
+                for v, _ in adj[u]:
+                    bit = 1 << v
+                    if tried & bit:
+                        continue
+                    tried |= bit
+                    nmasks = masks[:side] + (masks[side] | bit,) + masks[side + 1:]
+                    if nmasks in visited:
+                        continue
+                    # v realizes a pending edge (side, other) when it touches sets[other].
+                    near = nb[v]
+                    npending = [
+                        (a, b) for a, b in pending
+                        if not (
+                            (a == side and near & masks[b])
+                            or (b == side and near & masks[a])
+                        )
+                    ]
+                    res = rec(
+                        sets[:side] + (sets[side] | {v},) + sets[side + 1:],
+                        nmasks,
+                        reach[:side] + (reach[side] | near,) + reach[side + 1:],
+                        used | bit,
+                        npending,
                     )
-                ]
-                used.add(v)
-                res = rec(nsets, npending)
-                used.remove(v)
-                if res is not None:
-                    return res
+                    if res is not None:
+                        return res
         return None
 
-    return rec(init, [(a, b) for a, b in pattern.edges if seeds[b] not in nbrs[seeds[a]]])
+    masks = tuple(1 << s for s in seeds)
+    return rec(
+        tuple(frozenset([s]) for s in seeds),
+        masks,
+        tuple(nb[s] for s in seeds),
+        sum(masks),  # the seeds are distinct, so the sum is their union
+        [(a, b) for a, b in pattern.edges if not nb[seeds[a]] >> seeds[b] & 1],
+    )
 
 
 def detect_terminal_minor(
@@ -237,9 +273,9 @@ def detect_terminal_minor(
     check_terminals(g.n, z)
     if len(z) < pattern.k:
         return None
-    nbrs = [frozenset(v for v, _ in row) for row in g.adj]
+    nb = [sum(1 << v for v, _ in row) for row in g.adj]
     for seeds in _seed_assignments(pattern, z):
-        sets = _search(g, pattern, seeds, nbrs)
+        sets = _search(g, pattern, seeds, nb)
         if sets is not None:
             emb = MinorEmbedding(pattern, sets, seeds)
             assert verify_embedding(g, z, pattern, emb)
@@ -252,8 +288,13 @@ def slow_detect_terminal_minor(g: CapGraph, z, pattern: MinorPattern):
     on graphs of at most SLOW_MINOR_BOUND vertices.
 
     Precomputes every connected vertex subset as a bitmask, then picks
-    one per pattern vertex (disjoint, each holding that vertex's seed
-    terminal), checking pattern edges as soon as both ends are placed.
+    one per pattern vertex p = 0, 1, ... (disjoint, each holding that
+    vertex's seed terminal), checking pattern edges as soon as both ends
+    are placed.  A subset is skipped when fewer unused terminals lie
+    outside it and the earlier subsets than the k - p - 1 pattern
+    vertices still to place: each of those needs a seed of its own, so no
+    solution extends it.  The prune cuts only such subtrees and leaves the
+    placement order as it is, so the first embedding found does not change.
     Raises GraphError if a terminal of z is out of range or repeated.
     """
     if g.n > SLOW_MINOR_BOUND:
@@ -288,6 +329,10 @@ def slow_detect_terminal_minor(g: CapGraph, z, pattern: MinorPattern):
             if mask >> t & 1:
                 by_seed.setdefault(t, []).append(mask)
 
+    zmask = 0
+    for t in z:
+        zmask |= 1 << t
+
     # earlier[p]: the pattern neighbours of p that are placed before it
     earlier = [
         [a if b == p else b for a, b in pattern.edges if max(a, b) == p] for p in range(k)
@@ -299,11 +344,13 @@ def slow_detect_terminal_minor(g: CapGraph, z, pattern: MinorPattern):
                 frozenset(v for v in range(n) if chosen[i] >> v & 1) for i in range(k)
             )
             return MinorEmbedding(pattern, sets, tuple(seeds))
+        need = k - p - 1  # pattern vertices still to place after p
+        left = zmask & ~used_mask
         for t in z:
             if t in seeds or used_mask >> t & 1:
                 continue
             for mask in by_seed.get(t, ()):
-                if mask & used_mask:
+                if mask & used_mask or (left & ~mask).bit_count() < need:
                     continue
                 near = reach[mask]
                 for q in earlier[p]:
@@ -342,8 +389,6 @@ def implied_minor_checks(g: CapGraph, z):
     (b) 2-connected, |Z| >= 5, K2,3-free implies a spanning terminal cycle.
     Violations indicate implementation bugs, not instance properties.
     Each search runs on at most DEFAULT_MINOR_BOUND vertices."""
-    from .graph import is_two_connected
-
     z = tuple(z)
     k4_emb = detect_terminal_minor(g, z, k4()) if len(z) >= 4 else None
     k23_emb = detect_terminal_minor(g, z, k23()) if len(z) >= 5 else None

@@ -161,6 +161,23 @@ def test_two_caps_do_not_multiply():
         INF * Cap(2)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: INF * Fraction(1, 2), lambda: Cap(1, 3) * Fraction(1, 2), lambda: Cap(0, 1.5)],
+    ids=["inf-halved", "odd-tier-halved", "float-tier"],
+)
+def test_non_integral_infinite_tier_is_rejected(build):
+    # int() would truncate the tier: INF / 2 would come out finite
+    with pytest.raises(ValueError, match="infinite tier"):
+        build()
+
+
+def test_integral_tiers_and_finite_halves_are_kept():
+    assert Cap(0, 2.0) == Cap(0, 2) and type(Cap(0, 2.0).inf) is int
+    assert Cap(1, 4) * Fraction(1, 2) == Cap(Fraction(1, 2), 2)
+    assert Cap(3) * Fraction(1, 2) == Cap(Fraction(3, 2))
+
+
 def test_every_cap_is_built_through_init(monkeypatch):
     """Each arithmetic result is exactly one Cap.__init__ call and a
     Cap-Cap comparison none, so a counter patched into __init__ (as the

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from ghkit.minors import (
     slow_detect_terminal_minor,
     verify_embedding,
 )
+from ghkit.suite import random_zweb
 from ghkit.suiteutil import random_connected_graph
 
 from conftest import ONE, unit_k23, unit_k33
@@ -246,3 +250,78 @@ def test_automorphisms_of_long_cycles():
     # permutations would not finish for k = 20
     assert len(_automorphisms(cycle(12))) == 24
     assert len(_automorphisms(cycle(20))) == 40
+
+
+# -- pinned search order ---------------------------------------------------
+#
+# Digests of the first embeddings over fixed seeded case lists.  Generated
+# adversarial instances (and the benchmark's answer digests) are built from
+# exactly these embeddings, so a rewrite of either search must find the
+# same embedding in the same order on every case.
+
+PIN_SEED = 19
+
+
+def _canonical(emb):
+    if emb is None:
+        return None
+    return emb.seeds, tuple(tuple(sorted(s)) for s in emb.branch_sets)
+
+
+def _digest(embs):
+    return hashlib.sha256(repr([_canonical(e) for e in embs]).encode()).hexdigest()
+
+
+def _random_case(i, max_n):
+    """A random connected graph on 5..max_n vertices, one of four pattern
+    kinds by i, and a shuffled terminal subset big enough for it."""
+    rng = random.Random(split_seed(PIN_SEED, i))
+    g = random_connected_graph(rng.randrange(2**60), max_n=max_n, min_n=5)
+    kind = ("k23", "k4", "k4plus", "cycle")[i % 4]
+    order = list(range(g.n))
+    rng.shuffle(order)
+    if kind == "cycle":
+        z = tuple(order[: rng.randint(3, min(g.n, 6))])
+        return g, z, cycle(len(z))
+    pattern = {"k23": k23, "k4": k4, "k4plus": k4_plus}[kind]()
+    z = tuple(order[: rng.randint(pattern.k, min(g.n, pattern.k + 2))])
+    return g, z, pattern
+
+
+def _fast_pin_cases():
+    for i in range(360):
+        yield _random_case(i, 12)
+    for i in range(80):
+        g = random_zweb(split_seed(PIN_SEED + 1, i), k_range=(5, 6), max_n=12).graph
+        yield g, g.terminals, (k23(), k4(), k4_plus(), cycle(len(g.terminals)))[i % 4]
+    for i in range(60):
+        g = gen_k23_subdivision(split_seed(PIN_SEED + 2, i), max_subdiv=2)
+        yield g, g.terminals, k23()
+
+
+def test_fast_search_order_is_pinned():
+    embs = [detect_terminal_minor(g, z, p) for g, z, p in _fast_pin_cases()]
+    assert len(embs) == 500 and sum(e is not None for e in embs) == 351
+    assert _digest(embs) == "077c7971c044171e44c3174d07e848a19e48b7311d5e3bac02d292f5e86c4537"
+
+
+def test_slow_oracle_order_is_pinned():
+    cases = [_random_case(1000 + i, 7) for i in range(100)]
+    embs = [slow_detect_terminal_minor(g, z, p) for g, z, p in cases]
+    assert sum(e is not None for e in embs) == 64
+    assert _digest(embs) == "5945df79cedb83ddf28c01fc429985d535be2e43ebf62e04576b2c17f100919e"
+
+
+def test_terminal_prune_keeps_a_spare_terminal_inside_a_branch_set():
+    # K2,3 (sides {0, 1} and {2, 3, 4}) with edge 0-2 subdivided by 5, and
+    # all six vertices terminals.  Five branch sets cover at most six
+    # vertices, and leaving one out leaves too few edges, so every
+    # embedding puts a terminal that is not a seed into a branch set: the
+    # slow oracle's prune must count the terminals outside the placed
+    # sets, not the seeds still unused.
+    edges = [(0, 5), (5, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
+    g = capgraph(6, [(u, v, ONE) for u, v in edges], tuple(range(6)))
+    z = g.terminals
+    for emb in (detect_terminal_minor(g, z, k23()), slow_detect_terminal_minor(g, z, k23())):
+        assert emb is not None and verify_embedding(g, z, k23(), emb)
+        assert any(s - {seed} for seed, s in zip(emb.seeds, emb.branch_sets))
