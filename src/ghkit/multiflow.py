@@ -162,6 +162,11 @@ def _concurrent_lp(inst: MultiflowInstance):
     Flow decomposition (_split_flows) turns a group's flow back into one
     flow per demand, so lambda* is the per-demand LP's optimum.
 
+    The LP needs no phase-1 pivot: lambda = 0 with zero flow is feasible.
+    Each capacity row's slack is a unit column, so solve_lp starts it
+    basic, and every conservation row has right-hand side 0, so the
+    artificials left basic are already 0 and phase 1 is skipped.
+
     ``flows`` maps (source, edge_id) to the nonzero (forward, reverse).
     When lambda* is infinite the LP is unbounded, and lambda and flows
     are read from solve_lp's improving ray instead.  The ray satisfies

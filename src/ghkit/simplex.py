@@ -5,16 +5,41 @@ Fraction) data.  Callers add their own slack variables for inequality
 rows.  Bland's rule makes cycling impossible; everything is exact, so
 feasibility answers are certificates, not approximations.
 
+Phase 1 starts from a feasible basis without artificial columns.  Rows
+with b < 0 are negated, and row i's artificial is basic variable
+nvars + i, held without a column:
+- An artificial that leaves the basis never re-enters.  Fixing it at 0
+  leaves a phase-1 LP whose optimum is still 0 exactly when A x = b,
+  x >= 0 is feasible, and the reduced costs of the real columns depend
+  only on which artificials are basic.  Nothing else reads an
+  artificial column (x and the ray are read from real columns), so the
+  tableau is nvars + 1 wide in both phases.
+- Unit columns start basic: a column whose only nonzero is positive and
+  in row i (the lowest such, per row) is pivoted into row i first.  It
+  is 0 in every other row, so the pivot rewrites only row i and the
+  objective, and its value b_i / a_ij >= 0 keeps the basis feasible.
+  The phase-1 objective row is then minus the sum of the rows still
+  held by artificials.
+- If that sum's right-hand side is 0, every basic artificial is 0 and
+  the phase-1 objective, a sum of non-negative artificials, is at its
+  optimum, so the phase-1 loop is skipped.  Rows still held by
+  artificials have right-hand side 0 either way; their artificials are
+  driven out where a real column allows, and the rest of the rows are
+  redundant and dropped.  Phase 2 keeps the tableau and replaces only
+  its objective row.
+
 The tableau holds Python ints (Bareiss 1968).  D is the absolute
-determinant of the current basis of the scaled input; over D, every
-entry of the tableau is, up to sign, a minor of that basis, so it is an
-int (Sylvester's identity).  Each row r keeps its own positive
-denominator den[r] and stands for tab[r] / den[r]: a pivot rewrites only
-the pivot row and the rows with a nonzero in the pivot column, each over
-the new D, and leaves every other row, whose true values do not change,
-over the older D it was last written with.  Every division is exact,
-because each result is an entry of the tableau over D.  All rows are
-brought to one denominator at the end of phase 1.
+determinant of the current basis of the scaled input, artificials
+counted as unit columns; over D, every entry of the tableau is, up to
+sign, a minor of that basis, so it is an int (Sylvester's identity).
+The unit-column pivots are ordinary pivots, so this holds from the
+first one on.  Each row r keeps its own positive denominator den[r] and
+stands for tab[r] / den[r]: a pivot rewrites only the pivot row and the
+rows with a nonzero in the pivot column, each over the new D, and leaves
+every other row, whose true values do not change, over the older D it
+was last written with.  Every division is exact, because each result is
+an entry of the tableau over D.  All rows are brought to one denominator
+at the end of phase 1.
 
 A and b are scaled by one common factor, which scales every phase-1
 reduced cost and every ratio by the same positive amount, and a row's
@@ -114,6 +139,17 @@ def _scaled(values, scale):
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
+def _unit_columns(rows):
+    """(row, column) pairs, by row: for each row, the lowest column of A
+    whose only nonzero is positive and in that row."""
+    found = {}
+    for j, col in enumerate(zip(*rows)):
+        top = max(col)
+        if top > 0 and col.count(0) == len(col) - 1:
+            found.setdefault(col.index(top), j)
+    return sorted(found.items())
+
+
 def solve_lp(c, a_rows, b, nvars) -> LPResult:
     """min c.x  s.t.  a_rows x = b, x >= 0.  Entries are ints or Fractions."""
     m = len(a_rows)
@@ -126,23 +162,21 @@ def solve_lp(c, a_rows, b, nvars) -> LPResult:
             rows[i] = [-v for v in rows[i]]
             rhs[i] = -rhs[i]
 
-    # Phase 1: artificial basis, so the denominator starts at 1.
-    total = nvars + m
-    tab = []
-    for i in range(m):
-        row = rows[i] + [0] * m + [rhs[i]]
-        row[nvars + i] = 1
-        tab.append(row)
-    obj = [-sum(col) for col in zip(*tab)] if tab else [0] * (total + 1)
-    for i in range(m):
-        obj[nvars + i] = 0
-    tab.append(obj)
+    # Phase 1: row i's artificial is basic variable nvars + i, with no
+    # column; the denominator starts at 1.  Unit columns are pivoted in
+    # first, and the phase-1 loop runs only if an artificial is nonzero.
+    tab = [row + [bi] for row, bi in zip(rows, rhs)]
+    tab.append([-sum(col) for col in zip(*tab)] if tab else [0] * (nvars + 1))
     basis = [nvars + i for i in range(m)]
     den = [1] * (m + 1)
-    d, col = _simplex_loop(tab, den, basis, total, 1)
-    assert col is None  # phase-1 objective is bounded below by 0
-    if tab[-1][-1] < 0:
-        return LPResult(INFEASIBLE)
+    d = 1
+    for r, j in _unit_columns(rows):
+        d = _pivot(tab, den, basis, d, r, j)
+    if tab[-1][-1]:
+        d, col = _simplex_loop(tab, den, basis, nvars, d)
+        assert col is None  # phase-1 objective is bounded below by 0
+        if tab[-1][-1] < 0:
+            return LPResult(INFEASIBLE)
 
     # Drive artificials out of the basis where possible.  Such a row has
     # right-hand side 0, so negating it to make the pivot positive keeps
@@ -156,25 +190,25 @@ def solve_lp(c, a_rows, b, nvars) -> LPResult:
                 d = _pivot(tab, den, basis, d, r, piv)
 
     # Drop redundant rows still held by artificials, bring the rest to
-    # the one denominator d and rebuild with the real objective.
+    # the one denominator d and replace the objective with the real one.
     keep = [r for r in range(m) if basis[r] < nvars]
-    tab2 = [_over(tab[r][:nvars] + [tab[r][-1]], den[r], d) for r in keep]
-    basis2 = [basis[r] for r in keep]
-    obj2 = [d * v for v in cost] + [0]
-    for r, vec in enumerate(tab2):
-        f = cost[basis2[r]]
+    tab = [_over(tab[r], den[r], d) for r in keep]
+    basis = [basis[r] for r in keep]
+    obj = [d * v for v in cost] + [0]
+    for vec, j in zip(tab, basis):
+        f = cost[j]
         if f:
-            obj2 = [a - f * bb for a, bb in zip(obj2, vec)]
-    tab2.append(obj2)
-    den2 = [d] * len(tab2)
-    d, col = _simplex_loop(tab2, den2, basis2, nvars, d)
+            obj = [a - f * bb for a, bb in zip(obj, vec)]
+    tab.append(obj)
+    den = [d] * len(tab)
+    d, col = _simplex_loop(tab, den, basis, nvars, d)
     if col is not None:
         ray = [Fraction(0)] * nvars
         ray[col] = Fraction(1)
-        for r, bcol in enumerate(basis2):
-            ray[bcol] = Fraction(-tab2[r][col], den2[r])
+        for r, bcol in enumerate(basis):
+            ray[bcol] = Fraction(-tab[r][col], den[r])
         return LPResult(UNBOUNDED, ray=ray)
     x = [Fraction(0)] * nvars
-    for r, bcol in enumerate(basis2):
-        x[bcol] = Fraction(tab2[r][-1], den2[r])
-    return LPResult(OPTIMAL, x, sum(Fraction(ci) * xi for ci, xi in zip(c, x)))
+    for r, bcol in enumerate(basis):
+        x[bcol] = Fraction(tab[r][-1], den[r])
+    return LPResult(OPTIMAL, x, sum((c[j] * x[j] for j in basis if c[j]), Fraction(0)))

@@ -1,15 +1,17 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghkit import capgraph
+from ghkit import capgraph, simplex
 from ghkit.capacity import INF, Cap
 from ghkit.generators import ZWebSpec, gen_zweb, split_seed
 from ghkit.graph import GraphError, cut_capacity, is_central, shore_cuts
 from ghkit.maxflow import BoundExceeded
 from ghkit.simplex import OPTIMAL, UNBOUNDED, solve_lp
+from ghkit.suite import random_demands, random_zweb
 from ghkit.multiflow import (
     FeasibilityCert,
     MultiflowInstance,
@@ -344,6 +346,28 @@ def test_feasibility_certificates_check_independently(inst):
         tight_cert = feasible(tight)
         assert tight_cert.concurrent_value == 1
         assert_routes_demands(tight, tight_cert)
+
+
+def test_concurrent_lp_starts_at_a_feasible_basis():
+    # lambda = 0 with zero flow is feasible: every capacity row's slack
+    # starts basic and every conservation row has b = 0, so each solve
+    # skips phase 1 and runs the simplex loop once, for phase 2.
+    instances = [canonical_gap_instance()]
+    for seed in range(12):
+        web = random_zweb(seed ^ 3, k_range=(4, 5), max_n=6)
+        instances.append(MultiflowInstance(web.graph, random_demands(web.graph, seed ^ 7, max_demands=3)))
+    loops = []
+    kernel_loop = simplex._simplex_loop
+
+    def counting(*args):
+        loops.append(1)
+        return kernel_loop(*args)
+
+    for inst in instances:
+        loops.clear()
+        with mock.patch.object(simplex, "_simplex_loop", counting):
+            _concurrent_lp(inst)
+        assert len(loops) == 1
 
 
 @st.composite

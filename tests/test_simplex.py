@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghkit import simplex
@@ -101,14 +101,25 @@ def test_beale_cycling_example_terminates():
 
 
 def test_vertex_is_the_one_blands_rule_reaches():
-    # With c = 0 every feasible x is optimal.  Bland's rule on the
-    # unscaled tableau ends at (0, 1/7, 13/7, 0); scaling each row by its
-    # own denominator would change the phase-1 reduced costs and end at
-    # (1/9, 0, 17/9, 0).
-    rows = [[F(-1), F(-1, 3), F(2), F(0)], [F(1), F(1), F(1), F(1)]]
-    res = solve_lp([F(0)] * 4, rows, [F(11, 3), F(2)], 4)
+    # With c = 0 every feasible x is optimal.  Neither row has a unit
+    # column, so both artificials start basic and phase 1 reads the sum
+    # of both rows.  On the one common scale (6) Bland's rule enters x2,
+    # then x0, and ends at (4/3, 0, 10/3, 0); scaling each row by its own
+    # denominator (1 and 6) would make x1 the first improving column and
+    # end at (0, 2/3, 8/3, 0).
+    rows = [[F(-1), F(-1), F(1), F(1)], [F(0), F(1, 2), F(1, 2), F(2)]]
+    res = solve_lp([F(0)] * 4, rows, [F(2), F(5, 3)], 4)
     assert res.status == OPTIMAL
-    assert res.x == [0, F(1, 7), F(13, 7), 0]
+    assert res.x == [F(4, 3), 0, F(10, 3), 0]
+
+
+def test_objective_is_a_fraction_without_variables():
+    res = solve_lp([], [], [], 0)
+    assert res.status == OPTIMAL and res.x == []
+    assert type(res.objective) is Fraction and res.objective == 0
+    # int costs still give a Fraction objective
+    res = solve_lp([-1, 0], [[1, 1]], [F(5, 2)], 2)
+    assert type(res.objective) is Fraction and res.objective == F(-5, 2)
 
 
 def _basic_solution(cols, rows, b):
@@ -165,8 +176,56 @@ def bounded_lps(draw):
     return c, [rows[i] for i in order], [b[i] for i in order], n + 1
 
 
+@st.composite
+def slack_lps(draw):
+    """Inequality rows a.x + (slacks) = b with 0 to 2 slack columns each,
+    plus the bounding row sum(x) + s = M over the structural columns, all
+    columns shuffled.  Slack entries are positive and may be 3/2; a row
+    with b < 0 negates its slacks, so they are no unit columns; a row may
+    hold two unit columns, or have b = 0 and no slack.  Every slack is
+    fixed by its row once x is, so the LP is bounded."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    q = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    weight = st.sampled_from([F(1), F(3, 2), F(2), F(1, 3)])
+    rows = draw(st.lists(st.lists(q, min_size=n, max_size=n), min_size=1, max_size=3))
+    b = [draw(st.one_of(st.just(F(0)), q)) for _ in rows]
+    rows.append([F(1)] * n)
+    b.append(draw(st.fractions(min_value=0, max_value=6, max_denominator=3)))
+    slacks = [draw(st.lists(weight, max_size=2)) for _ in rows[:-1]] + [[draw(weight)]]
+    total = n + sum(len(w) for w in slacks)
+    full = []
+    k = n
+    for row, ws in zip(rows, slacks):
+        vec = row + [F(0)] * (total - n)
+        for w in ws:
+            vec[k] = w
+            k += 1
+        full.append(vec)
+    cols = draw(st.permutations(range(total)))
+    order = draw(st.permutations(range(len(full))))
+    c = draw(st.lists(q, min_size=total, max_size=total))
+    return c, [[full[i][j] for j in cols] for i in order], [b[i] for i in order], total
+
+
+# Slack 3/2 in row 0 and 1 in row 2 (bounding row); row 1 has b < 0, so
+# its slack 2 is negated; row 0 holds two unit columns; row 3 has b = 0
+# and no slack.
+SLACK_EXAMPLE = (
+    [F(-1), F(-2), F(0), F(0), F(1), F(0)],
+    [
+        [F(1), F(1, 2), F(3, 2), F(1), F(0), F(0)],
+        [F(-1), F(1), F(0), F(0), F(2), F(0)],
+        [F(1), F(1), F(0), F(0), F(0), F(1)],
+        [F(1), F(-3), F(0), F(0), F(0), F(0)],
+    ],
+    [F(2), F(-1, 2), F(3), F(0)],
+    6,
+)
+
+
 @settings(max_examples=400, deadline=None)
-@given(bounded_lps())
+@given(st.one_of(bounded_lps(), slack_lps()))
+@example(SLACK_EXAMPLE)
 def test_solve_lp_matches_basis_enumeration(lp):
     c, rows, b, nvars = lp
     res = solve_lp(c, rows, b, nvars)
@@ -184,11 +243,14 @@ def test_solve_lp_matches_basis_enumeration(lp):
 
 def _reference_simplex(c, rows, b, nvars):
     """The two-phase simplex solve_lp implements, on a Fraction tableau:
-    rows with b < 0 negated, an artificial basis, Bland's rule (first
-    improving column; least ratio, ties to the lower basic variable),
-    artificials driven out at their row's first nonzero real column,
-    rows still held by artificials dropped.  Returns (status, x, pivots),
-    each pivot as (leaving variable, entering variable)."""
+    rows with b < 0 negated; each row's artificial basic, held without a
+    column; for each row in turn, the first column whose only nonzero is
+    positive and in that row pivoted in; phase 1 only while some
+    artificial is positive, with Bland's rule (first improving column;
+    least ratio, ties to the lower basic variable); artificials driven out
+    at their row's first nonzero real column, rows still held by
+    artificials dropped.  Returns (status, x, pivots), each pivot as
+    (leaving variable, entering variable)."""
     m = len(rows)
     pivots = []
 
@@ -202,9 +264,9 @@ def _reference_simplex(c, rows, b, nvars):
                 tab[i] = [v - f * w for v, w in zip(vec, tab[r])]
         basis[r] = j
 
-    def optimize(tab, basis, ncols):
+    def optimize(tab, basis):
         while True:
-            col = next((j for j in range(ncols) if tab[-1][j] < 0), None)
+            col = next((j for j in range(nvars) if tab[-1][j] < 0), None)
             if col is None:
                 return OPTIMAL
             rows_in = [r for r in range(len(tab) - 1) if tab[r][col] > 0]
@@ -214,31 +276,35 @@ def _reference_simplex(c, rows, b, nvars):
             pivot(tab, basis, row, col)
 
     tab = []
-    for i, (row, bi) in enumerate(zip(rows, b)):
+    for row, bi in zip(rows, b):
         sign = -1 if bi < 0 else 1
-        unit = [F(int(k == i)) for k in range(m)]
-        tab.append([sign * F(v) for v in row] + unit + [sign * F(bi)])
-    obj = [-sum(col) for col in zip(*tab)] if tab else [F(0)] * (nvars + 1)
-    obj[nvars:nvars + m] = [F(0)] * m
-    tab.append(obj)
+        tab.append([sign * F(v) for v in row] + [sign * F(bi)])
+    # phase-1 objective: minimise the sum of the artificials
+    tab.append([-sum(col, F(0)) for col in zip(*tab)] if tab else [F(0)] * (nvars + 1))
     basis = [nvars + i for i in range(m)]
-    optimize(tab, basis, nvars + m)
-    if tab[-1][-1] < 0:
-        return INFEASIBLE, None, pivots
+    for i in range(m):
+        for j in range(nvars):
+            if tab[i][j] > 0 and not any(tab[k][j] for k in range(m) if k != i):
+                pivot(tab, basis, i, j)
+                break
+    if any(basis[r] >= nvars and tab[r][-1] > 0 for r in range(m)):
+        optimize(tab, basis)
+        if tab[-1][-1] < 0:
+            return INFEASIBLE, None, pivots
     for r in range(m):
         if basis[r] >= nvars:
             j = next((j for j in range(nvars) if tab[r][j]), None)
             if j is not None:
                 pivot(tab, basis, r, j)
     keep = [r for r in range(m) if basis[r] < nvars]
-    tab = [tab[r][:nvars] + [tab[r][-1]] for r in keep]
+    tab = [tab[r] for r in keep]
     basis = [basis[r] for r in keep]
     obj = [F(v) for v in c] + [F(0)]
     for r, vec in enumerate(tab):
         f = obj[basis[r]]
         obj = [v - f * w for v, w in zip(obj, vec)]
     tab.append(obj)
-    if optimize(tab, basis, nvars) == UNBOUNDED:
+    if optimize(tab, basis) == UNBOUNDED:
         return UNBOUNDED, None, pivots
     x = [F(0)] * nvars
     for r, j in enumerate(basis):
@@ -284,7 +350,8 @@ def sparse_lps(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(sparse_lps(), bounded_lps()))
+@given(st.one_of(sparse_lps(), bounded_lps(), slack_lps()))
+@example(SLACK_EXAMPLE)
 def test_solve_lp_pivots_as_the_fraction_tableau(lp):
     c, rows, b, nvars = lp
     status, x, pivots = _reference_simplex(c, rows, b, nvars)
