@@ -167,6 +167,11 @@ def _concurrent_lp(inst: MultiflowInstance):
     basic, and every conservation row has right-hand side 0, so the
     artificials left basic are already 0 and phase 1 is skipped.
 
+    Flow and slack columns hold only 0 and +-1, so solve_lp, which scales
+    each column by the lcm of its own denominators, scales only lambda's
+    column (the D_v); b, the capacities, is scaled by its own lcm.  The
+    Bareiss denominators thus stay small integers.
+
     ``flows`` maps (source, edge_id) to the nonzero (forward, reverse).
     When lambda* is infinite the LP is unbounded, and lambda and flows
     are read from solve_lp's improving ray instead.  The ray satisfies

@@ -41,18 +41,29 @@ was last written with.  Every division is exact, because each result is
 an entry of the tableau over D.  All rows are brought to one denominator
 at the end of phase 1.
 
-A and b are scaled by one common factor, which scales every phase-1
-reduced cost and every ratio by the same positive amount, and a row's
-own denominator scales its entries by one positive amount too; every
-sign test and ratio comparison therefore answers as it would on the
-Fraction tableau, and Bland's rule takes the same pivots.  The solution
-is decoded to Fractions once.
+Each column j of A is scaled by its own positive factor s_j, the lcm
+of that column's denominators, and b by s_b, the lcm of its own; the
+cost is c_j * s_j over the common denominator of those products.  In
+the variables y_j = x_j * s_b / s_j this is the same LP, so the tableau
+differs from the Fraction one only by positive factors: column j's
+reduced cost, in either phase, is multiplied by s_j (times the cost's
+positive common factor in phase 2), and every ratio in column j's ratio
+test by s_b / s_j.  Row r's basic variable's factor cancels out of its
+ratio, and a row's own denominator scales its entries by one positive
+amount too.  So every sign test, every argmin and every tie reads as on
+the Fraction tableau, and Bland's rule takes the same pivots.  The
+integers stay small: D is the basis determinant of the column-scaled
+input, not of A times one lcm of every denominator, which would
+multiply D by that lcm to the power of the basis size.  The solution is
+decoded to Fractions once, x_j = tab[r][-1] * s_j / (den[r] * s_b) for
+the variable j basic in row r.
 
 An unbounded LP carries an improving ray.  When phase 2 finds an
 improving column j with no positive entry, ray[j] = 1, ray[B[r]] =
--tab[r][j] / den[r] and 0 elsewhere give ray >= 0, A.ray = 0 (the
-tableau is B^-1 A, and a row dropped as redundant is 0 in every real
-column) and c.ray = the reduced cost of j, which is negative.
+-tab[r][j] * s_B[r] / (den[r] * s_j) and 0 elsewhere give ray >= 0,
+A.ray = 0 (the tableau is B^-1 A over the column scales, and a row
+dropped as redundant is 0 in every real column) and c.ray, the reduced
+cost of j divided by positive factors, is negative.
 """
 
 from __future__ import annotations
@@ -135,6 +146,10 @@ def _over(vec, dr, d):
     return vec if dr == d else [a and a * d // dr for a in vec]
 
 
+def _lcm_of_denominators(values):
+    return lcm(*{v.denominator for v in values})
+
+
 def _scaled(values, scale):
     return [v.numerator * (scale // v.denominator) for v in values]
 
@@ -153,10 +168,15 @@ def _unit_columns(rows):
 def solve_lp(c, a_rows, b, nvars) -> LPResult:
     """min c.x  s.t.  a_rows x = b, x >= 0.  Entries are ints or Fractions."""
     m = len(a_rows)
-    scale = lcm(*(v.denominator for row in a_rows for v in row), *(v.denominator for v in b))
-    rows = [_scaled(row, scale) for row in a_rows]
-    rhs = _scaled(b, scale)
-    cost = _scaled(c, lcm(*(v.denominator for v in c)))
+    if len(c) != nvars or len(b) != m or any(len(row) != nvars for row in a_rows):
+        raise ValueError(f"c and every row need nvars = {nvars} entries, and b one per row ({m})")
+    # column j is scaled by s_j = scales[j], b by s_b (see the module doc)
+    scales = [_lcm_of_denominators(col) for col in zip(*a_rows)] if m else [1] * nvars
+    s_b = _lcm_of_denominators(b)
+    rows = [[v.numerator * (s // v.denominator) for v, s in zip(row, scales)] for row in a_rows]
+    rhs = _scaled(b, s_b)
+    weighted = [cj * s for cj, s in zip(c, scales)]
+    cost = _scaled(weighted, _lcm_of_denominators(weighted))
     for i in range(m):
         if rhs[i] < 0:
             rows[i] = [-v for v in rows[i]]
@@ -206,9 +226,9 @@ def solve_lp(c, a_rows, b, nvars) -> LPResult:
         ray = [Fraction(0)] * nvars
         ray[col] = Fraction(1)
         for r, bcol in enumerate(basis):
-            ray[bcol] = Fraction(-tab[r][col], den[r])
+            ray[bcol] = Fraction(-tab[r][col] * scales[bcol], den[r] * scales[col])
         return LPResult(UNBOUNDED, ray=ray)
     x = [Fraction(0)] * nvars
     for r, bcol in enumerate(basis):
-        x[bcol] = Fraction(tab[r][-1], den[r])
+        x[bcol] = Fraction(tab[r][-1] * scales[bcol], den[r] * s_b)
     return LPResult(OPTIMAL, x, sum((c[j] * x[j] for j in basis if c[j]), Fraction(0)))

@@ -370,6 +370,27 @@ def test_concurrent_lp_starts_at_a_feasible_basis():
         assert len(loops) == 1
 
 
+def test_concurrent_lp_pivots_on_small_integers():
+    # Only lambda's column holds demand denominators; flow and slack
+    # columns hold 0 and +-1.  With each column scaled on its own, the
+    # Bareiss denominator D stays small on these n = 19 and n = 25
+    # Z-webs; one common scale over all of A and b would give D of 965 and
+    # 1,344 bits.
+    for spec, lam in ((ZWebSpec(6, 2, (4, 4, 3)), F(181, 112)), (ZWebSpec(6, 3, (4, 4, 4, 4)), F(13, 5))):
+        g = gen_zweb(spec, 2).graph
+        assert g.n >= 19
+        dens = []
+        kernel_pivot = simplex._pivot
+
+        def recording(*args):
+            dens.append(kernel_pivot(*args))
+            return dens[-1]
+
+        with mock.patch.object(simplex, "_pivot", recording):
+            assert max_concurrent_flow(MultiflowInstance(g, random_demands(g, 2, max_demands=4))) == lam
+        assert dens and max(dens).bit_length() < 64
+
+
 @st.composite
 def shared_source_instances(draw):
     """2..6 vertices, all terminals, rational or infinite capacities, and

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +66,26 @@ def test_unbounded_direction():
     assert res.status == UNBOUNDED
     assert res.ray == [1, 0, F(1, 3), 2]
     assert_improving_ray(c, rows, res.ray)
+    # min -x0 - x1 s.t. x0/3 - x1/5 = 0: the columns are scaled by 3 and
+    # 5, so the ray is read through both scales
+    c, rows = [F(-1), F(-1)], [[F(1, 3), F(-1, 5)]]
+    res = solve_lp(c, rows, [F(0)], 2)
+    assert res.status == UNBOUNDED
+    assert res.ray == [F(3, 5), 1]
+    assert_improving_ray(c, rows, res.ray)
+
+
+@pytest.mark.parametrize(
+    "c, rows, b, nvars",
+    [
+        ([1], [[1, 1]], [1], 1),  # a row longer than nvars
+        ([-1, 0], [[1, 1]], [1, 2], 2),  # a right-hand side without a row
+        ([-1], [[1, 1]], [1], 2),  # a cost vector shorter than nvars
+    ],
+)
+def test_wrong_shapes_are_rejected(c, rows, b, nvars):
+    with pytest.raises(ValueError):
+        solve_lp(c, rows, b, nvars)
 
 
 def test_negative_rhs_is_normalized():
@@ -103,10 +124,11 @@ def test_beale_cycling_example_terminates():
 def test_vertex_is_the_one_blands_rule_reaches():
     # With c = 0 every feasible x is optimal.  Neither row has a unit
     # column, so both artificials start basic and phase 1 reads the sum
-    # of both rows.  On the one common scale (6) Bland's rule enters x2,
-    # then x0, and ends at (4/3, 0, 10/3, 0); scaling each row by its own
-    # denominator (1 and 6) would make x1 the first improving column and
-    # end at (0, 2/3, 8/3, 0).
+    # of both rows.  With each column on its own scale (1, 2, 2, 1), as
+    # on one common scale (6), Bland's rule enters x2, then x0, and ends
+    # at (4/3, 0, 10/3, 0); scaling each row by its own denominator (1
+    # and 6) would make x1 the first improving column and end at
+    # (0, 2/3, 8/3, 0).
     rows = [[F(-1), F(-1), F(1), F(1)], [F(0), F(1, 2), F(1, 2), F(2)]]
     res = solve_lp([F(0)] * 4, rows, [F(2), F(5, 3)], 4)
     assert res.status == OPTIMAL
@@ -160,7 +182,8 @@ def _optimum_by_basis_enumeration(c, rows, b, nvars):
 def bounded_lps(draw):
     """At most 4 rows and 6 columns: up to two random rows, sometimes a
     redundant combination of them, and the bounding row sum(x) + s = M,
-    in random order."""
+    in random order; then every column is divided by its own
+    denominator from {1, 2, 3, 5, 7}, so columns have distinct scales."""
     n = draw(st.integers(min_value=1, max_value=5))
     q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     rows = draw(st.lists(st.lists(q, min_size=n, max_size=n), max_size=2))
@@ -171,6 +194,8 @@ def bounded_lps(draw):
         b.append(sum(ki * bi for ki, bi in zip(k, b)))
     rows = [row + [F(0)] for row in rows] + [[F(1)] * (n + 1)]
     b.append(draw(st.fractions(min_value=1, max_value=6, max_denominator=3)))
+    dens = draw(st.lists(st.sampled_from([1, 2, 3, 5, 7]), min_size=n + 1, max_size=n + 1))
+    rows = [[v / k for v, k in zip(row, dens)] for row in rows]
     order = draw(st.permutations(range(len(rows))))
     c = draw(st.lists(q, min_size=n, max_size=n)) + [F(0)]
     return c, [rows[i] for i in order], [b[i] for i in order], n + 1
