@@ -80,19 +80,6 @@ class Cap:
             return value
         return Cap(Fraction(value))
 
-    def to_int(self, denom: int, bits: int) -> int:
-        """This Cap as the int ``inf * 2**bits + fin * denom``; denom must
-        be a multiple of the denominator of fin."""
-        return (self.inf << bits) + self.fin.numerator * (denom // self.fin.denominator)
-
-    @staticmethod
-    def from_int(x: int, denom: int, bits: int) -> "Cap":
-        """The inverse of to_int, for finite parts with
-        ``|fin * denom| < 2**(bits-1)``: the multiple of 2**bits nearest
-        to x gives the infinite tier, the rest the finite part."""
-        inf = (x + (1 << (bits - 1))) >> bits
-        return Cap(Fraction(x - (inf << bits), denom), inf)
-
     def __add__(self, other):
         if type(other) is not Cap:
             other = _as_cap(other)
@@ -160,5 +147,4 @@ _set_fin = Cap.fin.__set__
 _set_inf = Cap.inf.__set__
 
 ZERO = Cap(0)
-ONE = Cap(1)
 INF = Cap(0, 1)

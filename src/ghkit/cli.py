@@ -26,7 +26,7 @@ from .ghtree import build_gh_tree
 from .graph import GraphError
 from .maxflow import BoundExceeded
 from .minors import DEFAULT_MINOR_BOUND, PATTERNS, cycle, detect_terminal_minor, k23
-from .multiflow import MultiflowInstance, cut_condition, max_concurrent_flow
+from .multiflow import DEFAULT_CUT_BOUND, MultiflowInstance, cut_condition, max_concurrent_flow
 from .suite import SuiteConfig, run_suite
 
 EXIT_OK = 0
@@ -166,10 +166,10 @@ def cmd_suite(args):
     for r in results:
         status = "pass" if r.ok else "FAIL"
         print(f"{r.name}: {status} ({r.passed}/{r.trials})")
-        for desc, dump in r.failures:
+        for desc, instance in r.failures:
             bad = True
             print(f"  counterexample: {desc}")
-            for ln in dump.splitlines():
+            for ln in instance.splitlines():
                 print(f"    {ln}")
     return EXIT_VIOLATION if bad else EXIT_OK
 
@@ -280,7 +280,7 @@ def build_parser():
 
     s = sub.add_parser("flowcheck", help="cut condition, feasibility, gap")
     s.add_argument("input")
-    s.add_argument("--bound-n", type=_bound, default=DEFAULT_MINOR_BOUND)
+    s.add_argument("--bound-n", type=_bound, default=DEFAULT_CUT_BOUND)
     s.add_argument("--out")
 
     s = sub.add_parser("suite", help="run the property suites")

@@ -2,22 +2,18 @@
 
 from __future__ import annotations
 
-from .graph import CapGraph, GraphError, model_connectors
+from .graph import CapGraph, model_connectors
 from .ghtree import GHTree, build_gh_tree, require_partition
 
 
-def is_gh_subgraph(g: CapGraph, t: GHTree = None):
+def is_gh_subgraph(g: CapGraph):
     """Is the (unique) all-vertex GH tree a subgraph of g?
 
     Returns (bool, witness); the witness maps each tree edge to the graph
     edge id realizing it.
     """
-    if t is None:
-        t = build_gh_tree(g, tuple(range(g.n)))
-    if set(t.terminals) != set(range(g.n)):
-        raise GraphError("subgraph check needs a tree on all vertices")
     witness = {}
-    for e in t.edges:
+    for e in build_gh_tree(g, tuple(range(g.n))).edges:
         i = g.edge_index.get((min(e.s, e.t), max(e.s, e.t)))
         if i is None:
             return False, None

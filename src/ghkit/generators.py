@@ -32,9 +32,9 @@ def _chords_cross(a, b, c, d):
     return (a < c < b < d) or (c < a < d < b)
 
 
-def gen_outerplanar(n: int, seed: int, terminals=None) -> CapGraph:
-    """2-connected outerplanar graph: outer cycle 0..n-1 plus a random set
-    of pairwise non-crossing chords, random positive rational capacities."""
+def gen_outerplanar(n: int, seed: int) -> CapGraph:
+    """2-connected outerplanar graph on terminals 0..n-1: their cycle plus
+    random pairwise non-crossing chords, random positive rational capacities."""
     if n < 3:
         raise GraphError("need n >= 3")
     rng = random.Random(seed)
@@ -54,9 +54,7 @@ def gen_outerplanar(n: int, seed: int, terminals=None) -> CapGraph:
             chords.append(c)
     edges = [(i, (i + 1) % n, random_capacity(rng)) for i in range(n)]
     edges += [(i, j, random_capacity(rng)) for i, j in chords]
-    if terminals is None:
-        terminals = tuple(range(n))
-    return capgraph(n, edges, terminals)
+    return capgraph(n, edges, tuple(range(n)))
 
 
 def gen_onesum(block_specs, seed: int) -> CapGraph:

@@ -17,7 +17,8 @@ Each tree edge keeps the max-flow of the split that made it, and
 verification reads those flows: each one bounds its split pair's
 minimum cut from below, and a chain of heavier tree edges carries the
 bound to the edge's own ends (Gomory and Hu 1961).  Checking a tree
-therefore runs no max-flow.
+therefore runs no max-flow, save the rerun that decoding a split's flow
+may need on infinite edges (``FlowResult.tiers``).
 """
 
 from __future__ import annotations
@@ -49,15 +50,6 @@ class GHTree:
     edges: tuple  # tuple[GHEdge, ...]
     certificates: tuple  # per edge: frozenset shore (side containing edge.s)
 
-    def is_star(self):
-        """Three or more terminals, one of them joined to all the others.
-
-        A tree on k >= 3 vertices has at most one vertex of degree k - 1.
-        """
-        k = len(self.terminals)
-        ends = [v for e in self.edges for v in (e.s, e.t)]
-        return k >= 3 and any(ends.count(z) == k - 1 for z in self.terminals)
-
 
 def build_gh_tree(g: CapGraph, z=None) -> GHTree:
     """Build the GH tree over terminals z (all vertices if omitted).
@@ -83,9 +75,9 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
     the shore stays the edge's fundamental cut in the final tree and
     holds the final bag of its edge.s.
 
-    Each edge keeps its split's FlowResult, with the flow's two tiers
-    decoded here, so that a widening kernel rerun (``FlowResult.tiers``)
-    belongs to the build and ``verify_encoding`` runs no solver.  The
+    Each edge keeps its split's FlowResult; its flow's tiers, and the
+    widening rerun that infinite edges may need, are decoded when
+    ``verify_encoding`` first reads them (``FlowResult.tiers``).  The
     split pair (s, t) of edge e need not be (e.s, e.t), but every tree
     edge f on the paths e.s...s and t...e.t is heavier than e.  Such an
     f keeps t and e.t (or s and e.s) on one side, so its fundamental
@@ -121,7 +113,6 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
 
         # The unique minimum s-t cut of gp crosses no neighbouring subtree.
         res = max_flow(gp, s, t)
-        res.tiers  # decoded now: any widening rerun is part of the build
         shore = res.shore
         side_a = nodes[target] & shore  # contains s
         side_b = nodes[target] - shore
@@ -196,7 +187,8 @@ def require_partition(g: CapGraph, t: GHTree):
 
 def verify_encoding(g: CapGraph, t: GHTree):
     """Certify t as a GH tree of g from its build's own split flows; no
-    max-flow is run.
+    max-flow is run but the widening rerun of ``FlowResult.tiers``, which
+    only infinite edges can need.
 
     Returns one EdgeCheck per tree edge e, in edge order.  Let gp be g if
     g is perturbed and ``perturb(g)`` otherwise, recomputed here (perturb

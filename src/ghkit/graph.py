@@ -109,17 +109,17 @@ class CapGraph:
 
     @cached_property
     def scaled_capacities(self):
-        """(D, B, caps) with caps[i] = edges[i].cap.to_int(D, B).
+        """(D, B, caps) with caps[i] = inf * 2**B + fin * D, packed from
+        edge i's pair (inf, fin * D) of ``tier_capacities``.
 
         D is ``fin_denominator``, and B = S.bit_length() + 1 with
         S = sum(|fin_i * D|), so 2**B > 2S.  Sums of distinct edges'
         capacities then compare as ints exactly as they do as Caps; see
         ``maxflow.max_flow``.
         """
-        denom = self.fin_denominator
-        total = sum(abs(e.cap.fin.numerator) * (denom // e.cap.fin.denominator) for e in self.edges)
-        bits = total.bit_length() + 1
-        return denom, bits, tuple(e.cap.to_int(denom, bits) for e in self.edges)
+        pairs = self.tier_capacities
+        bits = sum(abs(fin) for _, fin in pairs).bit_length() + 1
+        return self.fin_denominator, bits, tuple((inf << bits) + fin for inf, fin in pairs)
 
     @cached_property
     def shore_table(self):

@@ -98,14 +98,8 @@ def _ints(ln, count, what):
     return tuple(int(x) for x in _fields(ln, count, what))
 
 
-def format_instance(
-    g: CapGraph, demands=(), tsets=(), comment: str | None = None
-) -> str:
-    out = []
-    if comment:
-        for ln in comment.splitlines():
-            out.append(f"# {ln}")
-    out.append(f"{g.n} {g.m} {len(g.terminals)}")
+def format_instance(g: CapGraph, demands=(), tsets=()) -> str:
+    out = [f"{g.n} {g.m} {len(g.terminals)}"]
     if g.terminals:
         out.append(" ".join(str(t) for t in g.terminals))
     for u, v, cap in g.edges:
@@ -125,8 +119,3 @@ def format_instance(
 def load(path) -> ParsedInstance:
     with open(path) as fh:
         return parse_instance(fh.read())
-
-
-def dump(path, g, demands=(), tsets=(), comment=None):
-    with open(path, "w") as fh:
-        fh.write(format_instance(g, demands, tsets, comment))

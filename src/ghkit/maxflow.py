@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from operator import sub
 
@@ -40,14 +41,14 @@ class FlowResult:
     @cached_property
     def tiers(self) -> tuple:
         g, s, t = self._g, self.s, self.t
-        denom, bits, caps = g.scaled_capacities
+        _, bits, caps = g.scaled_capacities
         r = self._residuals
         while True:
             flows = list(map(sub, caps, r[0::2]))  # net flow from u to v
             half = 1 << (bits - 1)
             if not self.value.inf and -half <= min(flows, default=0) and max(flows, default=0) < half:
                 return (0,) * len(flows), tuple(flows)  # no infinite unit anywhere
-            infs = [(f + half) >> bits for f in flows]  # the split of Cap.from_int
+            infs, fins = zip(*(_split(f, bits) for f in flows))  # not empty: the test above failed
             balance = [0] * g.n
             for (u, v, _), inf in zip(g.edges, infs):
                 if inf:
@@ -56,10 +57,17 @@ class FlowResult:
             balance[s] += self.value.inf
             balance[t] -= self.value.inf
             if not any(balance):
-                return tuple(infs), tuple(f - (inf << bits) for f, inf in zip(flows, infs))
+                return infs, fins
             bits *= 2
-            caps = tuple(e.cap.to_int(denom, bits) for e in g.edges)
+            caps = tuple((inf << bits) + fin for inf, fin in g.tier_capacities)
             r = _int_max_flow(g, s, t, caps)[2]
+
+
+def _split(x, bits):
+    """The pair (inf, fin * D) packed into x = inf * 2**bits + fin * D, for
+    |fin * D| < 2**(bits-1): inf * 2**bits is the multiple of 2**bits nearest to x."""
+    inf = (x + (1 << (bits - 1))) >> bits
+    return inf, x - (inf << bits)
 
 
 def _check_pair(g, s, t):
@@ -79,9 +87,8 @@ def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
 
     Encoding.  With D the common denominator of the finite parts and
     S = sum(|fin_e * D|), capacity c becomes the int
-    ``c.inf * 2**B + c.fin * D`` (``Cap.to_int``), where
-    B = S.bit_length() + 1, so that 2**B > 2S
-    (``CapGraph.scaled_capacities``).  The map is additive, so
+    ``c.inf * 2**B + c.fin * D``, where B = S.bit_length() + 1, so that
+    2**B > 2S (``CapGraph.scaled_capacities``).  The map is additive, so
     augmenting and conserving flow mean the same on ints as on Caps, and
     every positive Cap maps to a positive int.
 
@@ -104,7 +111,7 @@ def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
     them, so the first run's shore is the shore any wider run would give.
     Only the per-edge flows may need one, and ``FlowResult.tiers``
     widens on demand.  Each edge's net flow is split into its two tiers
-    as the value is (``Cap.from_int``).  On a finite edge its magnitude
+    as the value is (``_split``).  On a finite edge its magnitude
     is at most fin * D < 2**(B-1), so it decodes exactly.  Rounding to
     the nearest tier keeps every decoded flow within its capacity.  On infinite edges
     the split into tiers is checked: if the infinite units do not balance
@@ -116,7 +123,8 @@ def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
     _check_pair(g, s, t)
     denom, bits, caps = g.scaled_capacities
     value, shore, residuals = _int_max_flow(g, s, t, caps)
-    return FlowResult(g, s, t, Cap.from_int(value, denom, bits), shore, residuals)
+    inf, fin = _split(value, bits)
+    return FlowResult(g, s, t, Cap(Fraction(fin, denom), inf), shore, residuals)
 
 
 def _int_max_flow(g, s, t, caps):

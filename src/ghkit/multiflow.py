@@ -17,7 +17,7 @@ from .maxflow import BoundExceeded
 from .simplex import INFEASIBLE, solve_lp
 
 
-DEFAULT_CUT_BOUND = 18
+DEFAULT_CUT_BOUND = 20
 
 
 @dataclass(frozen=True)

@@ -72,11 +72,10 @@ def suite_gh_oracle(seed: int, trials: int) -> SuiteResult:
     return res
 
 
-def suite_gh_subtrees(seed: int, trials: int, negative_trials: int | None = None) -> SuiteResult:
+def suite_gh_subtrees(seed: int, trials: int) -> SuiteResult:
     """1-sums of outerplanar and K4 blocks always have GH subtrees;
     graphs with a K2,3 minor admit capacities defeating the subtree."""
-    if negative_trials is None:
-        negative_trials = max(1, trials // 5)
+    negative_trials = max(1, trials // 5)
     res = SuiteResult("gh-subtrees", trials + negative_trials, 0)
     for i in range(trials):
         rng = random.Random(split_seed(seed, i))
@@ -124,11 +123,10 @@ def random_zweb(seed: int, k_range=(5, 7), max_n=16):
     return gen_zweb(ZWebSpec(k, interior, attach), rng.randrange(2**60))
 
 
-def suite_bag_minors(seed: int, trials: int, negative_trials: int | None = None) -> SuiteResult:
+def suite_bag_minors(seed: int, trials: int) -> SuiteResult:
     """Z-webs are terminal-K2,3 free and their GH Z-trees are bag minors;
     adversarial instances from a K2,3 embedding defeat weak bag minors."""
-    if negative_trials is None:
-        negative_trials = max(1, trials // 5)
+    negative_trials = max(1, trials // 5)
     res = SuiteResult("bag-minors", trials + negative_trials, 0)
     for i in range(trials):
         web = random_zweb(split_seed(seed, i))

@@ -3,15 +3,34 @@ from fractions import Fraction
 import pytest
 
 from ghkit import capgraph
-from ghkit.capacity import Cap
+from ghkit.capacity import INF, Cap
 
 ONE = Cap(Fraction(1))
+
+# s = 5, t = 3: the flows of the first int run leave the infinite units
+# unbalanced, so reading them doubles B once and runs the kernel again.
+WIDENING_EDGES = [
+    (4, 5, INF), (1, 3, INF), (5, 6, INF * 2), (2, 5, Cap(-1, 1)), (0, 3, Cap(2, 3)),
+    (1, 6, Cap(-2, 1)), (0, 5, Cap(-1, 3)), (2, 3, INF * 2), (0, 2, INF * 2),
+    (4, 6, INF), (0, 4, INF), (0, 1, INF), (1, 4, INF),
+]
 
 
 def unit_k23(terminals=(0, 1, 2, 3, 4)):
     """Complete bipartite K2,3: vertices 0,1 have degree 3; 2,3,4 degree 2."""
     edges = [(u, v, ONE) for u in (0, 1) for v in (2, 3, 4)]
     return capgraph(5, edges, terminals)
+
+
+def is_star(t):
+    """Whether the tree t has three or more terminals, one of them joined
+    to all the others.
+
+    A tree on k >= 3 vertices has at most one vertex of degree k - 1.
+    """
+    k = len(t.terminals)
+    ends = [v for e in t.edges for v in (e.s, e.t)]
+    return k >= 3 and any(ends.count(z) == k - 1 for z in t.terminals)
 
 
 def unit_k33(terminals=(0, 1, 2, 3, 4, 5)):

@@ -26,7 +26,7 @@ from ghkit.suite import (
 )
 from ghkit.suiteutil import random_connected_graph
 
-from conftest import unit_k23, unit_k33
+from conftest import is_star, unit_k23, unit_k33
 
 SEED = 20260826
 
@@ -120,7 +120,7 @@ def test_accept_3_k33_five_star():
     with budget("k33-five-star", 1):
         gp = perturb(unit_k33())
         t = build_gh_tree(gp, tuple(range(6)))
-        assert t.is_star()
+        assert is_star(t)
         assert len(t.edges) == 5
         for e in t.edges:
             assert deperturb_value(gp, e.cap) == Cap(3)
@@ -130,7 +130,7 @@ def test_accept_4_onesum_subtrees_and_adversarial_negatives():
     # >= 100 1-sums of outerplanar and K4 blocks (each also checked on 3
     # random capacitated subgraphs) plus >= 20 adversarial negatives.
     with budget("onesum-gh-subtrees", 300):
-        result = suite_gh_subtrees(SEED, 100, 20)
+        result = suite_gh_subtrees(SEED, 100)
         assert result.ok, _fail_summary(result)
         assert result.passed == 120
 
@@ -140,7 +140,7 @@ def test_accept_5_zwebs_bag_minors_and_adversarial_negatives():
     # Z-tree a bag minor; >= 20 adversarial instances defeat even the
     # weak bag minor.
     with budget("zweb-bag-minors", 600):
-        result = suite_bag_minors(SEED, 100, 20)
+        result = suite_bag_minors(SEED, 100)
         assert result.ok, _fail_summary(result)
         assert result.passed == 120
 

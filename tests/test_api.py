@@ -1,5 +1,6 @@
 import ast
 import json
+import sys
 from pathlib import Path
 
 import ghkit
@@ -12,36 +13,111 @@ def test_every_exported_name_resolves():
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ghkit"
+# perfbench's self-test reaches brute_min_cut's bound through a local alias
+ALLOWED_UNSET = {"maxflow.brute_min_cut(bound)"}
+
+
+def _caller_trees():
+    """(path, AST) of every module of the package (the re-exports of
+    ``__init__.py`` aside), perfbench and tools."""
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"), *(ROOT / "tools").glob("*.py")]
+    return [(path, ast.parse(path.read_text(), str(path))) for path in paths if path != PACKAGE / "__init__.py"]
+
+
+def _stdlib_modules(tree):
+    """The names that ``import`` statements of stdlib modules bind in tree."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] in sys.stdlib_module_names
+    }
+
+
+def _is_public(name):
+    return not name.startswith(("_", "cmd_"))
+
+
+def _public_functions(cls):
+    return [node for node in cls.body if isinstance(node, ast.FunctionDef) and _is_public(node.name)]
 
 
 def test_every_public_definition_has_a_caller():
-    """Each public module-level function and class of the package is
-    referenced, as a Name or an Attribute, somewhere in the package (the
-    re-exports of ``__init__.py`` aside), perfbench or tools, or is named
-    by a per-layer metric of BENCHMARK.json.  ``cmd_*`` are looked up by
-    the CLI through ``globals()``."""
+    """Each public module-level function, class and constant of the
+    package, and each public method and property of its public classes,
+    is read, as a Name or an Attribute, in a caller tree
+    (``_caller_trees``), or is named by a per-layer metric of
+    BENCHMARK.json.  An attribute of a stdlib module imported in the same
+    file, such as ``json.dump``, is no reference.  ``cmd_*`` are looked
+    up by the CLI through ``globals()``."""
     used = set()
     defined = []
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"), *(ROOT / "tools").glob("*.py")]:
-        if path == PACKAGE / "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(), str(path))
+    for path, tree in _caller_trees():
+        stdlib = _stdlib_modules(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) not in stdlib:
                 used.add(node.attr)
-        if path.parent == PACKAGE:
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_public(node.name):
+                defined.append((path.stem, node.name, node.name))
+            if isinstance(node, ast.ClassDef) and _is_public(node.name):
+                defined += [(path.stem, f"{node.name}.{f.name}", f.name) for f in _public_functions(node)]
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
             defined += [
-                (path.stem, node.name)
-                for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith(("_", "cmd_"))
+                (path.stem, t.id, t.id) for t in targets if isinstance(t, ast.Name) and _is_public(t.id)
             ]
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     pinned = {tuple(m["name"].split(".")[:2]) for m in metrics}
-    uncalled = [f"{mod}.{name}" for mod, name in defined if name not in used and (mod, name) not in pinned]
+    uncalled = [
+        f"{mod}.{name}" for mod, name, ref in defined if ref not in used and (mod, name) not in pinned
+    ]
     assert not uncalled, uncalled
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    """Each defaulted parameter of a public function of the package, or
+    of a public method of its public classes, is set, by keyword or by
+    position, in some call in a caller tree (``_caller_trees``) to a
+    function or method of that name."""
+    positions, keywords = {}, {}  # callee name -> most positional arguments / keywords set
+    for _, tree in _caller_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            count = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            positions[name] = max(positions.get(name, 0), count)
+            keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)  # None: **kwargs
+    unset = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [(f, 0) for f in tree.body if isinstance(f, ast.FunctionDef) and _is_public(f.name)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and _is_public(cls.name):
+                functions += [
+                    (f, 0 if any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list) else 1)
+                    for f in _public_functions(cls)
+                ]
+        for f, skip in functions:  # skip: the self parameter, which a call does not pass
+            params = [*f.args.posonlyargs, *f.args.args][skip:]
+            by_keyword = keywords.get(f.name, set())
+            defaulted = [
+                (p.arg, i < positions.get(f.name, 0))
+                for i, p in enumerate(params)
+                if i >= len(params) - len(f.args.defaults)
+            ]
+            defaulted += [(p.arg, False) for p, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+            unset |= {
+                f"{path.stem}.{f.name}({arg})"
+                for arg, by_position in defaulted
+                if not (by_position or arg in by_keyword or None in by_keyword)
+            }
+    assert unset <= ALLOWED_UNSET, sorted(unset - ALLOWED_UNSET)
 
 
 def test_no_module_level_import_is_unused():

@@ -115,7 +115,8 @@ def test_bad_pairs_stop_before_any_run(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(bench_pairs, "run_bench", no_runs)
     monkeypatch.setattr(bench_pairs, "export_revision", no_runs)
-    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    monkeypatch.setattr(bench_pairs, "git", no_runs)  # --pairs is checked outside a checkout too
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "bench.json"
     with pytest.raises(SystemExit) as e:
         bench_pairs.main(["--pairs", "gh-trees=2,minor-serch=2", "--out", str(out)])

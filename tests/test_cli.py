@@ -1,15 +1,18 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ghkit
+from ghkit import capgraph
 from ghkit.cli import main
 from ghkit.dot import tree_dot
 from ghkit.ghtree import build_gh_tree
-from ghkit.io import dump
+from ghkit.io import format_instance
+from ghkit.multiflow import MultiflowInstance, feasible
 
 from conftest import unit_k23
 
@@ -17,7 +20,7 @@ from conftest import unit_k23
 @pytest.fixture
 def k23_file(tmp_path):
     p = tmp_path / "k23.txt"
-    dump(p, unit_k23())
+    p.write_text(format_instance(unit_k23()))
     return str(p)
 
 
@@ -116,6 +119,20 @@ def test_flowcheck_reports_violated_star(tmp_path, capsys):
     assert "cut_condition: violated" in out
     assert "max_concurrent_flow: 9/10" in out
     assert any(ln.startswith("violated_shore: ") for ln in out)
+
+
+def test_flowcheck_and_feasible_report_one_violated_cut_on_a_19_vertex_path(tmp_path, capsys):
+    """Both enumerate cuts up to one bound, so on 19 vertices ``feasible``
+    returns the violated cut that ``flowcheck`` prints."""
+    demands = ((0, 18, Fraction(2)),)
+    g = capgraph(19, [(i, i + 1, 1) for i in range(18)], (0, 18))
+    cert = feasible(MultiflowInstance(g, demands))
+    assert not cert.feasible and not cert.violated_cut.holds
+    path = tmp_path / "path.txt"
+    path.write_text(format_instance(g, demands=demands))
+    assert main(["flowcheck", str(path)]) == 0
+    shore = " ".join(str(v) for v in sorted(cert.violated_cut.shore))
+    assert f"violated_shore: {shore}" in capsys.readouterr().out.splitlines()
 
 
 def test_python_dash_m_runs_flowcheck(tmp_path):

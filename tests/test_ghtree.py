@@ -22,7 +22,7 @@ from ghkit.graph import GraphError, cut_capacity, deperturb_value, perturb
 from ghkit.maxflow import brute_min_cut, lambda_matrix, max_flow
 from ghkit.suiteutil import random_connected_graph
 
-from conftest import ONE, unit_k23, unit_k33
+from conftest import ONE, WIDENING_EDGES, is_star, unit_k23, unit_k33
 
 
 def test_k23_pairwise_cut_values(k23_graph):
@@ -38,10 +38,10 @@ def test_k23_pairwise_cut_values(k23_graph):
 
 def test_k33_tree_is_five_star(k33_graph):
     t = build_gh_tree(k33_graph, tuple(range(6)))
-    assert t.is_star()
+    assert is_star(t)
     gp = perturb(k33_graph)
     tp = build_gh_tree(gp, tuple(range(6)))
-    assert tp.is_star()
+    assert is_star(tp)
     for e in tp.edges:
         assert deperturb_value(gp, e.cap) == Cap(3)
 
@@ -60,7 +60,7 @@ def test_is_star(pairs, star):
     k = len(pairs) + 1
     bags = {z: frozenset({z}) for z in range(k)}
     t = GHTree(tuple(range(k)), bags, tuple(GHEdge(s, u, ONE) for s, u in pairs), ())
-    assert t.is_star() == star
+    assert is_star(t) == star
 
 
 def test_tree_input_reproduces_itself():
@@ -105,10 +105,11 @@ def test_verify_encoding_passes_on_built_trees():
 
 
 def test_building_and_checking_decode_no_flows_and_test_no_centrality(monkeypatch):
-    """GH building decodes no Cap flow: one kernel run and one
-    Cap.from_int (the value) per split, and no is_central call.  Checking
-    the tree reads the splits' kept flows and adds none of the three."""
-    counts = {"kernel": 0, "from_int": 0, "central": 0}
+    """GH building decodes no flow: one kernel run and one split of the
+    packed value (maxflow._split) per split, no tiers read, and no
+    is_central call.  Checking the tree decodes the splits' kept flows,
+    which on finite capacities adds none of the three."""
+    counts = {"kernel": 0, "split": 0, "central": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -117,16 +118,40 @@ def test_building_and_checking_decode_no_flows_and_test_no_centrality(monkeypatc
         return wrapper
 
     monkeypatch.setattr(ghkit.maxflow, "_int_max_flow", counting("kernel", ghkit.maxflow._int_max_flow))
-    monkeypatch.setattr(Cap, "from_int", staticmethod(counting("from_int", Cap.from_int)))
+    monkeypatch.setattr(ghkit.maxflow, "_split", counting("split", ghkit.maxflow._split))
     monkeypatch.setattr(ghkit.maxflow, "is_central", counting("central", ghkit.maxflow.is_central))
     g = perturb(random_connected_graph(split_seed(47, 3), max_n=8, min_n=6))
     t = build_gh_tree(g)
-    assert counts == {"kernel": g.n - 1, "from_int": g.n - 1, "central": 0}
+    assert counts == {"kernel": g.n - 1, "split": g.n - 1, "central": 0}
+    assert not any("tiers" in vars(e.split) for e in t.edges)
     assert all(c.ok for c in verify_encoding(g, t))
-    assert counts == {"kernel": g.n - 1, "from_int": g.n - 1, "central": 0}
+    assert counts == {"kernel": g.n - 1, "split": g.n - 1, "central": 0}
+    assert all("tiers" in vars(e.split) for e in t.edges)
     lambda_matrix(g)
     flows = g.n - 1 + g.n * (g.n - 1) // 2
-    assert counts == {"kernel": flows, "from_int": flows, "central": 0}
+    assert counts == {"kernel": flows, "split": flows, "central": 0}
+
+
+def test_a_widening_rerun_waits_for_verify_encoding(monkeypatch):
+    """WIDENING_EDGES with 3 and 5 swapped, marked perturbed so that the
+    build splits on it as given: the split's flow from 3 to 5 widens.  The
+    build runs the kernel once; verify_encoding's first read of the flow
+    reruns it, and the tree verifies."""
+    runs = []
+    kernel = ghkit.maxflow._int_max_flow
+
+    def counting(*args):
+        runs.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(ghkit.maxflow, "_int_max_flow", counting)
+    swap = {3: 5, 5: 3}
+    g = replace(capgraph(7, [(swap.get(u, u), swap.get(v, v), c) for u, v, c in WIDENING_EDGES]), perturbed=True)
+    t = build_gh_tree(g, (3, 5))
+    assert len(runs) == 1
+    assert all(c.ok for c in verify_encoding(g, t))
+    assert len(runs) == 2
+    assert t.edges[0].cap == brute_min_cut(g, 3, 5).capacity
 
 
 def test_verify_encoding_detects_tampered_capacity():

@@ -19,7 +19,7 @@ from ghkit.maxflow import (
 )
 from ghkit.suiteutil import random_connected_graph
 
-from conftest import ONE, unit_k23
+from conftest import ONE, WIDENING_EDGES, unit_k23
 
 
 def test_single_edge():
@@ -168,15 +168,6 @@ def test_min_cut_is_built_from_the_shore_on_first_read(inst, perturbed):
     assert is_central(g, r.shore) or not perturbed
 
 
-# s = 5, t = 3: the flows of the first int run leave the infinite units
-# unbalanced, so reading them doubles B once and runs the kernel again.
-WIDENING_EDGES = [
-    (4, 5, INF), (1, 3, INF), (5, 6, INF * 2), (2, 5, Cap(-1, 1)), (0, 3, Cap(2, 3)),
-    (1, 6, Cap(-2, 1)), (0, 5, Cap(-1, 3)), (2, 3, INF * 2), (0, 2, INF * 2),
-    (4, 6, INF), (0, 4, INF), (0, 1, INF), (1, 4, INF),
-]
-
-
 def test_flows_widen_only_when_read(monkeypatch):
     runs = []
     kernel = ghkit.maxflow._int_max_flow
@@ -187,7 +178,7 @@ def test_flows_widen_only_when_read(monkeypatch):
 
     monkeypatch.setattr(ghkit.maxflow, "_int_max_flow", counting)
     g = capgraph(7, WIDENING_EDGES)
-    denom, bits, caps = g.scaled_capacities
+    _, bits, caps = g.scaled_capacities
     r = max_flow(g, 5, 3)
     value, shore = r.value, r.shore
     assert runs == [caps]
@@ -195,7 +186,7 @@ def test_flows_widen_only_when_read(monkeypatch):
     assert_valid_flow(g, 5, 3, r)
     # One rerun, on twice the bits; it reaches the same shore, and value
     # and shore were not touched.
-    assert runs[1:] == [tuple(e.cap.to_int(denom, 2 * bits) for e in g.edges)]
+    assert runs[1:] == [tuple((inf << 2 * bits) + fin for inf, fin in g.tier_capacities)]
     assert kernel(g, 5, 3, runs[1])[1] == shore
     assert r.value == value and r.shore == shore
     r.tiers

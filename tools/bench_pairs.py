@@ -173,13 +173,13 @@ def main(argv=None):
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
 
-    repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).decode().strip())
-    spec = json.loads((repo / "BENCHMARK.json").read_text())
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     try:
         counts = parse_pairs(args.pairs, [w["name"] for w in spec["workloads"]])
     except ValueError as e:
         p.error(f"--pairs: {e}")
+    repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).decode().strip())
     base_rev = git("rev-parse", args.base, cwd=repo).decode().strip()
 
     report = {
