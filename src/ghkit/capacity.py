@@ -74,12 +74,6 @@ class Cap:
     def is_finite(self) -> bool:
         return self.inf == 0
 
-    @staticmethod
-    def of(value) -> "Cap":
-        if isinstance(value, Cap):
-            return value
-        return Cap(Fraction(value))
-
     def __add__(self, other):
         if type(other) is not Cap:
             other = _as_cap(other)

@@ -27,7 +27,7 @@ from .graph import GraphError
 from .maxflow import BoundExceeded
 from .minors import DEFAULT_MINOR_BOUND, PATTERNS, cycle, detect_terminal_minor, k23
 from .multiflow import DEFAULT_CUT_BOUND, MultiflowInstance, cut_condition, max_concurrent_flow
-from .suite import SuiteConfig, run_suite
+from .suite import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -159,9 +159,8 @@ def cmd_flowcheck(args):
 
 
 def cmd_suite(args):
-    suites = tuple(args.suites.split(",")) if args.suites else SuiteConfig().suites
-    cfg = SuiteConfig(seed=args.seed, trials=args.trials, suites=suites)
-    results = run_suite(cfg)
+    suites = tuple(args.suites.split(",")) if args.suites else tuple(SUITES)
+    results = run_suite(args.seed, args.trials, suites)
     bad = False
     for r in results:
         status = "pass" if r.ok else "FAIL"

@@ -183,10 +183,7 @@ def gen_zweb(spec: ZWebSpec, seed: int) -> ZWebInstance:
         if i <= len(poly) - 3:
             triangulate(poly[i:])
 
-    if k == 3:
-        faces.append((0, 1, 2))
-    else:
-        triangulate(list(range(k)))
+    triangulate(list(range(k)))
 
     n = k
     for _ in range(spec.interior_vertices):

@@ -83,6 +83,10 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
     f keeps t and e.t (or s and e.s) on one side, so its fundamental
     cut separates s from t or e.s from e.t; at e's value or less it
     would be the unique minimum cut between that pair, which is e's.
+
+    Each tree node is named by its lowest terminal throughout.  Splitting
+    node s at its two lowest terminals s, t keeps s lowest on the shore
+    side and makes t lowest on the other, so the new node is t.
     """
     if z is None:
         z = g.terminals if g.terminals else tuple(range(g.n))
@@ -96,51 +100,38 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
     need_deperturb = not g.perturbed
     gp = perturb(g) if need_deperturb else g
 
-    # Tree nodes hold vertex sets; adjacency via explicit edge records.
-    nodes = [set(range(g.n))]
-    node_terms = [sorted(z)]
-    tree = []  # (a, b, split FlowResult), a and b node indices, a on the split's shore
+    nodes = {min(z): set(range(g.n))}
+    node_terms = {min(z): sorted(z)}
+    tree = []  # (a, b, split FlowResult), a on the split's shore
 
     while True:
-        target = None
-        for i, terms in enumerate(node_terms):
-            if len(terms) >= 2:
-                target = i
-                break
-        if target is None:
+        s = next((a for a, terms in node_terms.items() if len(terms) >= 2), None)
+        if s is None:
             break
-        s, t = node_terms[target][0], node_terms[target][1]
+        t = node_terms[s][1]
 
         # The unique minimum s-t cut of gp crosses no neighbouring subtree.
         res = max_flow(gp, s, t)
         shore = res.shore
-        side_a = nodes[target] & shore  # contains s
-        side_b = nodes[target] - shore
-
-        new_idx = len(nodes)
-        nodes.append(side_b)
-        node_terms.append([x for x in node_terms[target] if x in side_b])
-        nodes[target] = side_a
-        node_terms[target] = [x for x in node_terms[target] if x in side_a]
+        nodes[t] = nodes[s] - shore
+        node_terms[t] = [x for x in node_terms[s] if x in nodes[t]]
+        nodes[s] &= shore
+        node_terms[s] = [x for x in node_terms[s] if x in nodes[s]]
 
         # Reattach each neighbour subtree to the side its vertices fell on.
         for k, (a, b, split) in enumerate(tree):
-            if target not in (a, b):
+            if s not in (a, b):
                 continue
-            via = b if a == target else a
-            keep = target if next(iter(nodes[via])) in shore else new_idx
-            tree[k] = (keep, b, split) if a == target else (a, keep, split)
-        tree.append((target, new_idx, res))
+            via = b if a == s else a
+            keep = s if next(iter(nodes[via])) in shore else t
+            tree[k] = (keep, b, split) if a == s else (a, keep, split)
+        tree.append((s, t, res))
 
-    term_of_node = {}
-    for i, terms in enumerate(node_terms):
-        assert len(terms) == 1
-        term_of_node[i] = terms[0]
-    bags = {term_of_node[i]: frozenset(nodes[i]) for i in range(len(nodes))}
+    bags = {a: frozenset(vs) for a, vs in nodes.items()}
     edges = []
     for a, b, split in tree:
         cap = deperturb_value(gp, split.value) if need_deperturb else split.value
-        edges.append(GHEdge(term_of_node[a], term_of_node[b], cap, split))
+        edges.append(GHEdge(a, b, cap, split))
     return GHTree(z, bags, tuple(edges), tuple(split.shore for *_, split in tree))
 
 

@@ -185,9 +185,7 @@ def capgraph(n, edges, terminals=()) -> CapGraph:
     order = []
     for item in edges:
         u, v, cap = item
-        cap = Cap.of(cap)
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
+        cap = cap if type(cap) is Cap else Cap(cap)
         key = (min(u, v), max(u, v))
         if key in merged:
             merged[key] = merged[key] + cap

@@ -26,7 +26,7 @@ from .ghtree import build_gh_tree, tree_lambda
 from .graph import perturb
 from .io import format_instance
 from .maxflow import brute_min_cut, lambda_matrix
-from .minors import detect_terminal_minor, k23
+from .minors import detect_terminal_minor, implied_minor_checks, k23, slow_detect_terminal_minor
 from .multiflow import MultiflowInstance, cut_condition, max_concurrent_flow
 from .suiteutil import random_connected_graph
 
@@ -47,13 +47,6 @@ class SuiteResult:
             self.passed += 1
         else:
             self.failures.append((description, format_instance(g, demands)))
-
-
-@dataclass
-class SuiteConfig:
-    seed: int = 1
-    trials: int = 20
-    suites: tuple = ("gh-oracle", "gh-subtrees", "bag-minors", "minors", "reduction", "flows")
 
 
 def suite_gh_oracle(seed: int, trials: int) -> SuiteResult:
@@ -151,8 +144,6 @@ def suite_bag_minors(seed: int, trials: int) -> SuiteResult:
 def suite_minors(seed: int, trials: int) -> SuiteResult:
     """Fast minor search agrees with the independent slow enumerator, and
     the structural implications hold on Z-webs."""
-    from .minors import slow_detect_terminal_minor, implied_minor_checks
-
     res = SuiteResult("minors", trials * 2, 0)
     for i in range(trials):
         g = random_connected_graph(split_seed(seed, i), max_n=7, min_n=5)
@@ -243,12 +234,12 @@ SUITES = {
 }
 
 
-def run_suite(cfg: SuiteConfig):
-    if cfg.trials < 1:
-        raise ValueError(f"trials must be at least 1, got {cfg.trials}")
+def run_suite(seed: int, trials: int, suites):
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     results = []
-    for name in cfg.suites:
+    for name in suites:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        results.append(SUITES[name](cfg.seed, cfg.trials))
+        results.append(SUITES[name](seed, trials))
     return results

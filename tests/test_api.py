@@ -35,6 +35,41 @@ def _stdlib_modules(tree):
     }
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _local_names(scope):
+    """The names a function, lambda or comprehension binds: its parameters
+    and each name stored in its own body, nested scopes aside.  Imports
+    are left out, so a name imported in a function still counts as read."""
+    args = getattr(scope, "args", None)
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] if args else []
+    names = {p.arg for p in params if p}
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _free_reads(node, bound=frozenset()):
+    """The ids of the Name reads under node that no enclosing function,
+    lambda or comprehension binds."""
+    if isinstance(node, _SCOPES):
+        bound = bound | _local_names(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _free_reads(child, bound)
+
+
 def _is_public(name):
     return not name.startswith(("_", "cmd_"))
 
@@ -48,17 +83,18 @@ def test_every_public_definition_has_a_caller():
     package, and each public method and property of its public classes,
     is read, as a Name or an Attribute, in a caller tree
     (``_caller_trees``), or is named by a per-layer metric of
-    BENCHMARK.json.  An attribute of a stdlib module imported in the same
-    file, such as ``json.dump``, is no reference.  ``cmd_*`` are looked
-    up by the CLI through ``globals()``."""
+    BENCHMARK.json.  A Name read counts only where no enclosing function,
+    lambda or comprehension binds that name: a local variable that shares
+    a public name is no reference to it.  Nor is an attribute of a stdlib
+    module imported in the same file, such as ``json.dump``.  ``cmd_*``
+    are looked up by the CLI through ``globals()``."""
     used = set()
     defined = []
     for path, tree in _caller_trees():
         stdlib = _stdlib_modules(tree)
+        used.update(_free_reads(tree))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) not in stdlib:
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) not in stdlib:
                 used.add(node.attr)
         if path.parent != PACKAGE:
             continue

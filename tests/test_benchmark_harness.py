@@ -6,7 +6,9 @@ can wrap: a public function defined at module level in ``ghkit.<module>``.
 A rename that breaks that stops the traced benchmark run.
 """
 
+import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -43,3 +45,27 @@ def test_per_layer_metric_names_resolve_to_public_functions():
         ):
             missing.append(span)
     assert not missing
+
+
+def test_tracer_counters_read_parameters_that_exist():
+    """Each ``a["<name>"]`` that a tracer counter reads is a parameter of
+    the function it counts; a rename would stop only the traced run."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    counters = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "COUNTERS"
+    )
+    read = {
+        (span.value, sub.slice.value)
+        for span, value in zip(counters.keys, counters.values)
+        for sub in ast.walk(value)
+        if isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None) == "a"
+    }
+    assert read  # the counters still read arguments by name
+    missing = []
+    for span, arg in sorted(read):
+        module, function = span.split(".")
+        fn = getattr(importlib.import_module(f"ghkit.{module}"), function)
+        if arg not in inspect.signature(fn).parameters:
+            missing.append(f"{span}({arg})")
+    assert not missing, missing

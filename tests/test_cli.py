@@ -199,6 +199,20 @@ def test_suite_command(capsys):
     assert "gh-oracle: pass (2/2)" in out
 
 
+def test_suite_defaults_run_every_suite_on_seed_1(capsys):
+    """Without --suites and --seed, every suite of ``SUITES`` runs, in
+    order, on seed 1."""
+    assert main(["suite", "--trials", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "gh-oracle: pass (1/1)\n"
+        "gh-subtrees: pass (2/2)\n"
+        "bag-minors: pass (2/2)\n"
+        "minors: pass (2/2)\n"
+        "reduction: pass (1/1)\n"
+        "flows: pass (1/1)\n"
+    )
+
+
 def test_suite_rejects_nonpositive_trials(capsys):
     assert main(["suite", "--suites", "gh-oracle", "--trials", "-1"]) == 3
     assert main(["suite", "--suites", "gh-oracle", "--trials", "0"]) == 3

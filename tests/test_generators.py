@@ -62,6 +62,39 @@ def test_zweb_shape_and_k23_freeness():
             assert not (set(tset.attachment) & tset.interior)
 
 
+# gen_zweb(spec, seed) for k = 3, where the k-gon triangulation is the
+# outer triangle itself and draws nothing from the RNG: edges (with
+# capacities), vertex count, faces and 3-separated sets (attachment,
+# interior).  No other test or suite builds a 3-terminal Z-web.
+ZWEB_K3 = {
+    ((3, 2, (2,)), 0): (
+        "0 1 9/8, 0 2 13/5, 0 3 8/3, 0 5 19/4, 0 6 17/3, 1 2 10/3, 1 3 4/5, 1 4 6, "
+        "1 5 5, 1 6 12, 2 3 11/3, 2 4 8, 3 4 12/7, 3 5 11/4, 3 6 9/4, 5 6 3",
+        7,
+        ((0, 1, 3), (0, 2, 3), (1, 2, 4), (2, 3, 4), (1, 3, 4)),
+        [((0, 1, 3), {5, 6})],
+    ),
+    ((3, 2, (2,)), 7): (
+        "0 1 21, 0 2 3/2, 0 3 12, 0 4 17/4, 1 2 1, 1 3 2, 1 4 3/4, 1 5 3/7, "
+        "1 6 1, 2 3 8, 3 4 19/7, 3 5 1/2, 3 6 2/3, 4 5 10/7, 4 6 5/2, 5 6 19/5",
+        7,
+        ((1, 2, 3), (0, 2, 3), (0, 1, 4), (1, 3, 4), (0, 3, 4)),
+        [((1, 3, 4), {5, 6})],
+    ),
+    ((3, 0, ()), 0): ("0 1 13/7, 0 2 2/5, 1 2 17/8", 3, ((0, 1, 2),), []),
+    ((3, 0, ()), 7): ("0 1 11/3, 0 2 13, 1 2 3/2", 3, ((0, 1, 2),), []),
+}
+
+
+@pytest.mark.parametrize("spec, seed", list(ZWEB_K3))
+def test_zweb_on_three_terminals_is_pinned(spec, seed):
+    edges, n, faces, tsets = ZWEB_K3[(spec, seed)]
+    web = gen_zweb(ZWebSpec(*spec), seed)
+    assert ", ".join(f"{e.u} {e.v} {e.cap}" for e in web.graph.edges) == edges
+    assert (web.graph.n, web.graph.terminals, web.faces) == (n, (0, 1, 2), faces)
+    assert [(t.attachment, t.interior) for t in web.tsets] == tsets
+
+
 def test_zweb_spec_validation():
     with pytest.raises(GraphError):
         gen_zweb(ZWebSpec(2, 0, ()), 1)
