@@ -10,7 +10,8 @@ from fractions import Fraction
 from .capacity import Cap, INF
 from .graph import CapGraph, GraphError, capgraph, model_connectors
 from .maxflow import max_flow
-from .minors import MinorEmbedding
+from .minors import MinorEmbedding, k23, k4
+from .multiflow import MultiflowInstance
 
 
 def split_seed(seed: int, index: int) -> int:
@@ -69,7 +70,7 @@ def gen_onesum(block_specs, seed: int) -> CapGraph:
     edges = []
     for idx, spec in enumerate(block_specs):
         if spec[0] == "k4":
-            block = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+            block = k4().edges
             bn = 4
         elif spec[0] == "outerplanar":
             sub = gen_outerplanar(spec[1], split_seed(seed, idx))
@@ -300,8 +301,6 @@ def gen_adversarial_from_minor(g: CapGraph, emb: MinorEmbedding):
 
     Returns (graph, MultiflowInstance of the graph and those demands).
     """
-    from .multiflow import MultiflowInstance
-
     if emb.pattern.name != "k23":
         raise GraphError("adversarial construction expects a K2,3 embedding")
     sets = emb.branch_sets
@@ -345,10 +344,9 @@ def gen_k23_subdivision(seed: int, max_subdiv: int = 2) -> CapGraph:
     """K2,3 with each edge randomly subdivided; all vertices terminals.
     Always contains a K2,3 subdivision, hence a terminal-K2,3 minor."""
     rng = random.Random(seed)
-    base = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
     n = 5
     edges = []
-    for u, v in base:
+    for u, v in k23().edges:
         path = [u]
         for _ in range(rng.randint(0, max_subdiv)):
             path.append(n)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import le
 
 from .capacity import Cap
-from .graph import CapGraph, GraphError, check_terminals, deperturb_value, perturb
+from .graph import CapGraph, GraphError, check_terminals, deperturb_value, perturb, shore_cuts
 from .maxflow import FlowResult, max_flow
 
 
@@ -184,8 +184,7 @@ def verify_encoding(g: CapGraph, t: GHTree):
     Returns one EdgeCheck per tree edge e, in edge order.  Let gp be g if
     g is perturbed and ``perturb(g)`` otherwise, recomputed here (perturb
     is deterministic), and v_e the cut value of e's certificate in gp,
-    summed as the exact int pair (inf, fin * D) of
-    ``CapGraph.tier_capacities``.
+    summed by ``shore_cuts`` as the exact int pair (inf, fin * D).
 
     - ``cut_ok``: e is a bridge of the tree, its certificate is exactly
       the union of the bags on e.s's side, and e.cap is v_e (rounded by
@@ -286,12 +285,8 @@ def verify_encoding(g: CapGraph, t: GHTree):
                 if j != i and y not in side:
                     side.add(y)
                     queue.append(y)
-        inside = [x in cert for x in range(gp.n)]
-        inf = fin = 0
-        for (u, v), (a, b) in zip(ends, caps):
-            if inside[u] != inside[v]:
-                inf += a
-                fin += b
+        mask = sum(1 << x for x in range(gp.n) if x in cert)  # vertices outside V fail cert == shore
+        _, (inf, fin) = next(shore_cuts(gp, mask, ()))
         cap = Cap(Fraction(fin, gp.fin_denominator), inf)
         if not g.perturbed:
             cap = deperturb_value(gp, cap)

@@ -1,4 +1,4 @@
-"""Undirected capacitated multigraph core: cuts, centrality, perturbation.
+"""Undirected capacitated multigraph core: cuts, connectivity, perturbation.
 
 Vertices are dense integers 0..n-1.  Parallel input edges are merged by
 capacity summation; self-loops are rejected.  Graphs are immutable after
@@ -28,7 +28,7 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class Cut:
-    """A vertex shore together with its exact cut capacity."""
+    """A vertex shore with its exact cut capacity; no function here sets ``central``."""
 
     shore: frozenset
     capacity: Cap
@@ -145,9 +145,7 @@ class CapGraph:
         return (min(u, v), max(u, v)) in self.edge_index
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        return len(self.component_of(0)) == self.n
+        return self.induced_connected(range(self.n))
 
     def component_of(self, start, within=None):
         """Vertex set reachable from start, optionally restricted to `within`."""
@@ -266,15 +264,6 @@ def model_connectors(g: CapGraph, sets, pairs):
         seen |= s
     found = tuple(connector(g, sets[a], sets[b]) for a, b in pairs)
     return None if None in found else found
-
-
-def is_central(g: CapGraph, shore) -> bool:
-    """True iff both shores induce connected subgraphs (the cut is a bond)."""
-    s = set(shore)
-    if not s or len(s) >= g.n:
-        raise GraphError("shore must be a proper nonempty vertex subset")
-    rest = set(range(g.n)) - s
-    return g.induced_connected(s) and g.induced_connected(rest)
 
 
 def perturb(g: CapGraph) -> CapGraph:

@@ -7,7 +7,7 @@ from functools import cached_property
 from operator import sub
 
 from .capacity import Cap
-from .graph import CapGraph, Cut, GraphError, is_central
+from .graph import CapGraph, Cut, GraphError
 
 
 DEFAULT_ORACLE_BOUND = 16
@@ -191,7 +191,7 @@ def brute_min_cut(g: CapGraph, s: int, t: int, bound: int = DEFAULT_ORACLE_BOUND
     sums 2**(n-1) cuts once, about as many steps as three per-pair walks
     of 2**(n-2) shores, and keeps 2**(n-1) rows for as long as the graph
     lives.  Every later pair only scans it.  Among tied minimum cuts it
-    returns the first separating row, lowest key then lowest mask.
+    returns the first separating row, lowest key then lowest mask; ``central`` stays None.
 
     Independence.  The table sums each cut as the int pair
     (inf, fin * D) of ``shore_cuts``, two separate exact tiers, never as
@@ -210,7 +210,7 @@ def brute_min_cut(g: CapGraph, s: int, t: int, bound: int = DEFAULT_ORACLE_BOUND
     if not mask >> s & 1:
         mask ^= (1 << n) - 1
     shore = frozenset(v for v in range(n) if mask >> v & 1)
-    return Cut(shore, cap, is_central(g, shore))
+    return Cut(shore, cap)
 
 
 def lambda_matrix(g: CapGraph):

@@ -320,12 +320,10 @@ def feasible(inst: MultiflowInstance) -> FeasibilityCert:
     if unbounded or lam >= 1:
         split = _split_flows(inst, src, flows, lam)
         return FeasibilityCert(True, flows=split, concurrent_value=None if unbounded else lam)
-    try:
+    if inst.supply.n <= DEFAULT_CUT_BOUND:
         cc = cut_condition(inst)
-    except BoundExceeded:
-        cc = CutConditionResult(True)
-    if not cc.holds:
-        return FeasibilityCert(False, violated_cut=cc, concurrent_value=lam)
+        if not cc.holds:
+            return FeasibilityCert(False, violated_cut=cc, concurrent_value=lam)
     return FeasibilityCert(False, concurrent_value=lam)
 
 

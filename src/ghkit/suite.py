@@ -88,16 +88,21 @@ def suite_gh_subtrees(seed: int, trials: int) -> SuiteResult:
             sub = random_connected_subgraph(g, split_seed(seed, i * 100 + j))
             ok = ok and is_gh_subgraph(sub)[0]
         res.record(ok, f"1-sum lost GH subtree (seed {i})", g)
-    for i in range(negative_trials):
-        g = gen_k23_subdivision(split_seed(seed ^ 0xBEEF, i))
+    for i, adv in _adversarial_instances(res, seed ^ 0xBEEF, negative_trials, 2):
+        res.record(not is_gh_subgraph(adv)[0], f"adversarial caps failed to defeat subtree (seed {i})", adv)
+    return res
+
+
+def _adversarial_instances(res, seed, trials, max_subdiv):
+    """Yield (i, adv) for each trial i whose subdivided K2,3 yields a terminal-K2,3
+    minor, adv the adversarial instance built from it; record every other trial as failed."""
+    for i in range(trials):
+        g = gen_k23_subdivision(split_seed(seed, i), max_subdiv)
         emb = detect_terminal_minor(g, tuple(range(g.n)), k23())
         if emb is None:
             res.record(False, f"K2,3 subdivision not detected (seed {i})", g)
-            continue
-        adv, _ = gen_adversarial_from_minor(g, emb)
-        ok = not is_gh_subgraph(adv)[0]
-        res.record(ok, f"adversarial caps failed to defeat subtree (seed {i})", adv)
-    return res
+        else:
+            yield i, gen_adversarial_from_minor(g, emb)[0]
 
 
 def random_zweb(seed: int, k_range=(5, 7), max_n=16):
@@ -128,15 +133,8 @@ def suite_bag_minors(seed: int, trials: int) -> SuiteResult:
         tree = build_gh_tree(g)
         ok = emb is None and check_bag_minor(g, tree)[0]
         res.record(ok, f"Z-web property failed (seed {i})", g)
-    for i in range(negative_trials):
-        g = gen_k23_subdivision(split_seed(seed ^ 0xFACE, i), max_subdiv=1)
-        emb = detect_terminal_minor(g, tuple(range(g.n)), k23())
-        if emb is None:
-            res.record(False, f"K2,3 subdivision not detected (seed {i})", g)
-            continue
-        adv, _ = gen_adversarial_from_minor(g, emb)
-        tree = build_gh_tree(adv)
-        found, _, _ = check_weak_bag_minor(adv, tree)
+    for i, adv in _adversarial_instances(res, seed ^ 0xFACE, negative_trials, 1):
+        found = check_weak_bag_minor(adv, build_gh_tree(adv))[0]
         res.record(not found, f"adversarial instance still a weak bag minor (seed {i})", adv)
     return res
 
@@ -209,7 +207,6 @@ def suite_flows(seed: int, trials: int) -> SuiteResult:
     multiflow feasibility (exact LP both ways)."""
     res = SuiteResult("flows", trials, 0)
     for i in range(trials):
-        rng = random.Random(split_seed(seed, i))
         web = random_zweb(split_seed(seed, i) ^ 3, k_range=(4, 6), max_n=10)
         g = web.graph
         demands = random_demands(g, split_seed(seed, i) ^ 7)

@@ -33,6 +33,14 @@ def is_star(t):
     return k >= 3 and any(ends.count(z) == k - 1 for z in t.terminals)
 
 
+def is_central(g, shore):
+    """Whether both sides of the proper cut delta(shore) induce connected
+    subgraphs of g, so that the cut is a bond."""
+    s = set(shore)
+    assert s and len(s) < g.n, "shore must be a proper nonempty vertex subset"
+    return g.induced_connected(s) and g.induced_connected(set(range(g.n)) - s)
+
+
 def unit_k33(terminals=(0, 1, 2, 3, 4, 5)):
     edges = [(u, v, ONE) for u in (0, 1, 2) for v in (3, 4, 5)]
     return capgraph(6, edges, terminals)

@@ -175,3 +175,44 @@ def test_no_module_level_import_is_unused():
                 continue
             unused += [f"{path.relative_to(ROOT)}: {name}" for name in bound if name not in used]
     assert not unused, unused
+
+
+def _stored_names(fn):
+    """The names fn's own body binds (assignments, loop and ``with``
+    targets, ``except ... as``, nested defs and classes), nested scopes
+    and names declared ``global`` or ``nonlocal`` aside; parameters are
+    not included."""
+    names, declared = set(), set()
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def test_no_local_is_assigned_and_never_read():
+    """Every name a function of the package, the tests or tools binds in
+    its own body is read somewhere in that function, a read in a nested
+    function, lambda or comprehension included.  Names starting with
+    ``_`` are exempt, so ``_`` marks a value that is thrown away."""
+    unread = []
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")]:
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            reads = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [
+                f"{path.stem}.{fn.name}: {name}"
+                for name in sorted(_stored_names(fn) - reads)
+                if not name.startswith("_")
+            ]
+    assert not unread, unread

@@ -11,8 +11,9 @@ from ghkit import capgraph
 from ghkit.cli import main
 from ghkit.dot import tree_dot
 from ghkit.ghtree import build_gh_tree
-from ghkit.io import format_instance
-from ghkit.multiflow import MultiflowInstance, feasible
+from ghkit.graph import GraphError
+from ghkit.io import format_instance, parse_instance
+from ghkit.multiflow import MultiflowInstance, feasible, flow_cut_gap, max_concurrent_flow
 
 from conftest import unit_k23
 
@@ -331,3 +332,55 @@ def test_flowcheck_with_demands_joined_by_infinite_edges(tmp_path):
         "cut_condition: holds", "max_concurrent_flow: inf", "feasible: yes",
     ]
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, message",
+    [
+        ("4 2 0\n\n0 1 1\n2 3 1\n", ["ghtree", "{f}"], 3, "error: graph must be connected"),
+        ("3 2 0\n\n0 1 1\n1 5 1\n", ["ghtree", "{f}"], 3, "error: edge 1-5 out of range"),
+        ("3 2 0\n\n0 1 1\n1 2 0\n", ["ghtree", "{f}"], 3, "error: non-positive capacity on edge 1-2"),
+        ("", ["gen", "outerplanar", "--n", "2"], 3, "error: need n >= 3"),
+        ("", ["gen", "zweb", "--attach", "5"], 3, "error: attachment clique sizes must be in 1..4"),
+        ("", ["gen", "zweb", "--k", "3", "--attach", "1,1"], 3, "error: more attachments than inner faces"),
+        ("", ["suite", "--suites", "bogus", "--trials", "1"], 3, "error: unknown suite 'bogus'"),
+        ("4 3 0\n\n0 1 1\n1 2 1\n2 3 1\n", ["gen", "adversarial", "--input", "{f}"], 1,
+         "no terminal-K2,3 minor; nothing to build"),
+    ],
+    ids=["disconnected", "edge-out-of-range", "zero-capacity", "outerplanar-n-2", "clique-of-5",
+         "more-cliques-than-faces", "unknown-suite", "adversarial-without-k23"],
+)
+def test_bad_inputs_exit_with_one_message_and_no_output(tmp_path, capsys, text, argv, code, message):
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    assert main([a.format(f=f) for a in argv]) == code
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+# every demand pair joined by infinite edges: lambda* is infinite
+INFINITE_PATH = "3 2 3\n0 1 2\n0 1 inf\n1 2 inf\nD 0 2 1\n"
+# a demand between two components: lambda* is 0
+TWO_COMPONENTS = "4 2 4\n0 1 2 3\n0 1 1\n2 3 1\nD 0 2 1\n"
+
+
+def test_an_infinite_concurrent_flow_is_reported_and_raised(tmp_path, capsys):
+    f = tmp_path / "inf.txt"
+    f.write_text(INFINITE_PATH)
+    assert main(["flowcheck", str(f)]) == 0
+    assert capsys.readouterr() == ("cut_condition: holds\nmax_concurrent_flow: inf\nfeasible: yes\n", "")
+    parsed = parse_instance(INFINITE_PATH)
+    inst = MultiflowInstance(parsed.graph, parsed.demands)
+    for fn in (max_concurrent_flow, flow_cut_gap):
+        with pytest.raises(GraphError, match="unbounded"):
+            fn(inst)
+
+
+def test_a_zero_concurrent_flow_is_reported_and_raised(tmp_path, capsys):
+    f = tmp_path / "zero.txt"
+    f.write_text(TWO_COMPONENTS)
+    assert main(["flowcheck", str(f)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["cut_condition: violated", "max_concurrent_flow: 0", "feasible: no", "violated_shore: 0 1"]
+    parsed = parse_instance(TWO_COMPONENTS)
+    with pytest.raises(GraphError, match="zero concurrent flow"):
+        flow_cut_gap(MultiflowInstance(parsed.graph, parsed.demands))

@@ -106,10 +106,10 @@ def test_verify_encoding_passes_on_built_trees():
 
 def test_building_and_checking_decode_no_flows_and_test_no_centrality(monkeypatch):
     """GH building decodes no flow: one kernel run and one split of the
-    packed value (maxflow._split) per split, no tiers read, and no
-    is_central call.  Checking the tree decodes the splits' kept flows,
-    which on finite capacities adds none of the three."""
-    counts = {"kernel": 0, "split": 0, "central": 0}
+    packed value (maxflow._split) per split, and no tiers read.  Checking
+    the tree decodes the splits' kept flows, which on finite capacities
+    adds no kernel run and no split."""
+    counts = {"kernel": 0, "split": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -119,17 +119,16 @@ def test_building_and_checking_decode_no_flows_and_test_no_centrality(monkeypatc
 
     monkeypatch.setattr(ghkit.maxflow, "_int_max_flow", counting("kernel", ghkit.maxflow._int_max_flow))
     monkeypatch.setattr(ghkit.maxflow, "_split", counting("split", ghkit.maxflow._split))
-    monkeypatch.setattr(ghkit.maxflow, "is_central", counting("central", ghkit.maxflow.is_central))
     g = perturb(random_connected_graph(split_seed(47, 3), max_n=8, min_n=6))
     t = build_gh_tree(g)
-    assert counts == {"kernel": g.n - 1, "split": g.n - 1, "central": 0}
+    assert counts == {"kernel": g.n - 1, "split": g.n - 1}
     assert not any("tiers" in vars(e.split) for e in t.edges)
     assert all(c.ok for c in verify_encoding(g, t))
-    assert counts == {"kernel": g.n - 1, "split": g.n - 1, "central": 0}
+    assert counts == {"kernel": g.n - 1, "split": g.n - 1}
     assert all("tiers" in vars(e.split) for e in t.edges)
     lambda_matrix(g)
     flows = g.n - 1 + g.n * (g.n - 1) // 2
-    assert counts == {"kernel": flows, "split": flows, "central": 0}
+    assert counts == {"kernel": flows, "split": flows}
 
 
 def test_a_widening_rerun_waits_for_verify_encoding(monkeypatch):
@@ -368,6 +367,16 @@ def test_tree_queries_reject_bad_arguments():
     stray = (replace(t.edges[0], t=3), *t.edges[1:])  # 3 is not a terminal
     with pytest.raises(GraphError, match="does not join two terminals"):
         verify_encoding(g, GHTree(t.terminals, t.bags, stray, t.certificates))
+
+
+def test_verify_encoding_rejects_a_certificate_holding_a_vertex_outside_the_graph():
+    g = perturb(unit_k23())
+    t = build_gh_tree(g)
+    for stray in (-1, g.n):
+        certs = (t.certificates[0] | {stray}, *t.certificates[1:])
+        checks = verify_encoding(g, GHTree(t.terminals, t.bags, t.edges, certs))
+        assert not checks[0].cut_ok and checks[0].flow_ok
+        assert all(c.ok for c in checks[1:])
 
 
 def test_verify_encoding_rejects_a_certificate_on_the_wrong_side():

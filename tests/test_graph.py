@@ -12,7 +12,6 @@ from ghkit.graph import (
     blocks,
     connector,
     deperturb_value,
-    is_central,
     is_two_connected,
     model_connectors,
     perturb,
@@ -21,7 +20,7 @@ from ghkit.generators import split_seed
 from ghkit.maxflow import all_shore_capacities, brute_min_cut
 from ghkit.suiteutil import random_connected_graph
 
-from conftest import ONE, unit_k23
+from conftest import ONE, is_central, unit_k23
 
 
 def test_parallel_edges_merge():

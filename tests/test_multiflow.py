@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from ghkit import capgraph, simplex
 from ghkit.capacity import INF, Cap
 from ghkit.generators import ZWebSpec, gen_zweb, split_seed
-from ghkit.graph import GraphError, cut_capacity, is_central, shore_cuts
+from ghkit.graph import GraphError, cut_capacity, shore_cuts
 from ghkit.maxflow import BoundExceeded
 from ghkit.simplex import OPTIMAL, UNBOUNDED, solve_lp
 from ghkit.suite import random_demands, random_zweb
 from ghkit.multiflow import (
+    DEFAULT_CUT_BOUND,
     FeasibilityCert,
     MultiflowInstance,
     _centralize_violation,
@@ -25,7 +26,7 @@ from ghkit.multiflow import (
     max_concurrent_flow,
 )
 
-from conftest import ONE, unit_k23
+from conftest import ONE, is_central, unit_k23
 
 F = Fraction
 
@@ -164,6 +165,16 @@ def test_single_edge_feasibility():
     assert not cert.feasible
     assert cert.violated_cut is not None
     assert cut_condition(too_much).ratio == F(3, 4)
+
+
+def test_feasible_above_the_cut_bound_returns_no_violated_cut():
+    """Above DEFAULT_CUT_BOUND vertices no shore is enumerated: the
+    infeasible answer carries lambda* alone."""
+    n = DEFAULT_CUT_BOUND + 1
+    g = capgraph(n, [(i, i + 1, ONE) for i in range(n - 1)], (0, n - 1))
+    cert = feasible(MultiflowInstance(g, ((0, n - 1, F(2)),)))
+    assert not cert.feasible
+    assert cert.violated_cut is None and cert.concurrent_value == F(1, 2)
 
 
 def test_demand_endpoints_must_be_terminals():
