@@ -250,9 +250,10 @@ def verify_encoding(g: CapGraph, t: GHTree):
         adj[e.s].append((e.t, i))
         adj[e.t].append((e.s, i))
     gp = g if g.perturbed else perturb(g)
-    ends = [(u, v) for u, v, _ in gp.edges]
-    caps = gp.tier_capacities
+    n, tails, caps = gp.n, gp.arc_tails, gp.tier_capacities
     lows = [(-a, -b) for a, b in caps]
+    finite = [i for i, (inf, _) in enumerate(caps) if not inf]  # edges with no infinite tier
+    bounds = [caps[i][1] for i in finite]
 
     def split_ok(split, value):
         """Whether split is a flow in gp between two distinct terminals,
@@ -260,17 +261,23 @@ def verify_encoding(g: CapGraph, t: GHTree):
         if split is None or split.s == split.t or split.s not in adj or split.t not in adj:
             return False
         infs, fins = split.tiers
-        if not len(infs) == len(fins) == len(ends):
+        if not len(infs) == len(fins) == len(caps):
             return False
-        if not (all(map(le, lows, zip(infs, fins))) and all(map(le, zip(infs, fins), caps))):
+        if any(infs):
+            if not (all(map(le, lows, zip(infs, fins))) and all(map(le, zip(infs, fins), caps))):
+                return False
+        # A finite flow fits every edge with an infinite tier: |f| <= fin on the rest.
+        elif not all(map(le, map(abs, map(fins.__getitem__, finite)), bounds)):
             return False
         out = []  # the flow's value, tier by tier
         for tier in (infs, fins):
-            net = [0] * gp.n
+            net = [0] * n
             if any(tier):
-                for (u, v), f in zip(ends, tier):
-                    net[u] -= f
-                    net[v] += f
+                ends = iter(tails)
+                for u, v, f in zip(ends, ends, tier):
+                    if f:
+                        net[u] -= f
+                        net[v] += f
             out.append(-net[split.s])
             net[split.s] = net[split.t] = 0
             if any(net):
@@ -285,7 +292,7 @@ def verify_encoding(g: CapGraph, t: GHTree):
                 if j != i and y not in side:
                     side.add(y)
                     queue.append(y)
-        mask = sum(1 << x for x in range(gp.n) if x in cert)  # vertices outside V fail cert == shore
+        mask = sum(1 << x for x in cert if 0 <= x < n)  # vertices outside V fail cert == shore
         _, (inf, fin) = next(shore_cuts(gp, mask, ()))
         cap = Cap(Fraction(fin, gp.fin_denominator), inf)
         if not g.perturbed:

@@ -92,6 +92,12 @@ class CapGraph:
         return a
 
     @cached_property
+    def arc_tails(self) -> tuple:
+        """arc_tails[a] = the vertex arc a leaves: edge i's u at 2i and its
+        v at 2i+1, as plain ints."""
+        return tuple(x for u, v, _ in self.edges for x in (u, v))
+
+    @cached_property
     def fin_denominator(self) -> int:
         """The common denominator D of the edges' finite capacity parts (1 if
         there are no edges): every cut's finite part is a multiple of 1/D."""
@@ -221,7 +227,8 @@ def shore_cuts(g: CapGraph, base: int, free):
     """
     pairs = g.tier_capacities
     inf = fin = 0
-    for (u, v, _), (a, b) in zip(g.edges, pairs):
+    ends = iter(g.arc_tails)
+    for u, v, (a, b) in zip(ends, ends, pairs):
         if (base >> u ^ base >> v) & 1:
             inf += a
             fin += b
@@ -274,6 +281,10 @@ def perturb(g: CapGraph) -> CapGraph:
     pairwise distinct and every minimum cut is unique (hence central).
     The total added over any subset is below 1/L, so original cut values
     are recovered by rounding down to the 1/L grid.
+
+    L is ``g.fin_denominator``, so edge i's pair (inf, fin * L) of
+    ``g.tier_capacities`` gives its perturbed capacity as one Cap, with
+    finite part ``Fraction(fin * L * 2^(2m) + 2^i, 2^(2m) * L)``.
     """
     m = g.m
     if m == 0:
@@ -281,10 +292,10 @@ def perturb(g: CapGraph) -> CapGraph:
     if g.perturbed:
         return g
     base = g.fin_denominator
-    denom = (1 << (2 * m)) * base
+    scale = 1 << (2 * m)
     edges = tuple(
-        Edge(u, v, cap + Cap(Fraction(1 << i, denom)))
-        for i, (u, v, cap) in enumerate(g.edges)
+        Edge(u, v, Cap(Fraction(fin * scale + (1 << i), scale * base), inf))
+        for i, ((u, v, _), (inf, fin)) in enumerate(zip(g.edges, g.tier_capacities))
     )
     return CapGraph(g.n, edges, g.terminals, perturbed=True, grid=base)
 

@@ -104,6 +104,24 @@ def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
     finite part.  Edmonds-Karp needs O(nm) augmentations whatever the
     capacity values.
 
+    Paths.  Each search is a BFS from s that stops when it reaches t, at
+    distance d; the kernel then augments, in ``adj[t]`` order, along the
+    search tree's path to every in-neighbour of t at distance d - 1, plus
+    its arc into t, on the residuals the earlier paths left (a path whose
+    bottleneck is now 0 is skipped).  All these paths lie in the level
+    graph of the search, whose arcs go from level i to level i + 1.  An
+    augmentation saturates some of those arcs and opens only their
+    reverses, which point one level down, so no residual path from s to t
+    shorter than d appears, and each path taken, of length d, is still a
+    shortest augmenting path (Dinic 1970).  The run is therefore an
+    Edmonds-Karp run that takes several shortest paths per search, and
+    its O(nm) bound on augmentations holds.
+
+    Value and shore do not depend on the paths taken.  The max-flow value
+    is unique, and the set residual-reachable from s under any maximum
+    flow is the inclusion-minimal minimum st-cut, so any correct kernel
+    returns the same pair; only the per-edge flows may differ.
+
     Flows.  The value and the shore never need a wider B.  Since the ints
     order cuts exactly as the Caps do for every B with 2**B > 2S, the
     minimum cuts are the same for every such B; the residual-reachable
@@ -128,15 +146,21 @@ def max_flow(g: CapGraph, s: int, t: int) -> FlowResult:
 
 
 def _int_max_flow(g, s, t, caps):
-    """Edmonds-Karp on the int capacities: (value, residual-reachable
-    shore of s, residual capacity of each arc)."""
-    n, edges, adj = g.n, g.edges, g.adj
+    """Shortest augmenting paths on the int capacities: (value,
+    residual-reachable shore of s, residual capacity of each arc).
+
+    Each breadth-first search stops when it reaches t, at distance d.
+    Then, for every in-neighbour u of t at distance d - 1, in ``adj[t]``
+    order, it augments along the search tree's path s...u and the arc
+    u->t, each on the residuals the previous paths left, and searches
+    again; see ``max_flow``."""
+    n, adj, tails = g.n, g.adj, g.arc_tails
     r = [0] * (2 * len(caps))  # residual capacity of each arc
     r[0::2] = caps
     r[1::2] = caps
     value = 0
     while True:
-        # BFS for a shortest augmenting path; pred[y] is the arc into y.
+        # BFS for the shortest augmenting paths; pred[y] is the arc into y.
         pred = [None] * n
         pred[s] = -1
         queue = [s]
@@ -148,24 +172,40 @@ def _int_max_flow(g, s, t, caps):
             if pred[t] is not None:
                 break
         else:
-            break
-        # Bottleneck, then augment: arc a loses it, its reverse gains it.
-        y, bott = t, None
+            # The last search reached exactly the residual-reachable set from s.
+            return value, frozenset(queue), r
+        depth = 0  # d - 1, the distance of t's tree parent
+        y = tails[pred[t]]
         while y != s:
-            a = pred[y]
-            if bott is None or r[a] < bott:
-                bott = r[a]
-            y = edges[a >> 1][a & 1]
-        y = t
-        while y != s:
-            a = pred[y]
+            y = tails[pred[y]]
+            depth += 1
+        for u, a in adj[t]:
+            a ^= 1  # the arc u->t
+            bott = r[a]
+            if not bott or pred[u] is None:
+                continue
+            # Bottleneck of the tree path s...u plus u->t.  u may lie at
+            # distance d, reached by the last scan: only a path of d - 1
+            # tree arcs is taken.
+            y, k = u, 0
+            while y != s:
+                b = pred[y]
+                if r[b] < bott:
+                    bott = r[b]
+                y = tails[b]
+                k += 1
+            if k != depth or not bott:
+                continue
+            # Augment: each arc loses the bottleneck, its reverse gains it.
             r[a] -= bott
             r[a ^ 1] += bott
-            y = edges[a >> 1][a & 1]
-        value += bott
-
-    # The last search reached exactly the residual-reachable set from s.
-    return value, frozenset(v for v in range(n) if pred[v] is not None), r
+            y = u
+            while y != s:
+                b = pred[y]
+                r[b] -= bott
+                r[b ^ 1] += bott
+                y = tails[b]
+            value += bott
 
 
 def all_shore_capacities(g: CapGraph):
@@ -196,9 +236,11 @@ def brute_min_cut(g: CapGraph, s: int, t: int, bound: int = DEFAULT_ORACLE_BOUND
     Independence.  The table sums each cut as the int pair
     (inf, fin * D) of ``shore_cuts``, two separate exact tiers, never as
     the kernel's packed ``inf * 2**B + fin * D`` of ``scaled_capacities``,
-    and it never calls max_flow; so a wrong bit budget or a wrong
-    augmentation in the kernel cannot agree with it, and this stays an
-    independent oracle for the int kernel.
+    and it never calls max_flow.  It shares with the kernel only the
+    edge-end array ``CapGraph.arc_tails``, which both read and neither
+    computes with; so a wrong bit budget or a wrong augmentation in the
+    kernel cannot agree with it, and this stays an independent oracle for
+    the int kernel.
     """
     _check_pair(g, s, t)
     n = g.n

@@ -10,9 +10,9 @@ ONE = Cap(Fraction(1))
 # s = 5, t = 3: the flows of the first int run leave the infinite units
 # unbalanced, so reading them doubles B once and runs the kernel again.
 WIDENING_EDGES = [
-    (4, 5, INF), (1, 3, INF), (5, 6, INF * 2), (2, 5, Cap(-1, 1)), (0, 3, Cap(2, 3)),
-    (1, 6, Cap(-2, 1)), (0, 5, Cap(-1, 3)), (2, 3, INF * 2), (0, 2, INF * 2),
-    (4, 6, INF), (0, 4, INF), (0, 1, INF), (1, 4, INF),
+    (0, 2, INF * 2), (1, 6, Cap(-2, 1)), (0, 1, INF), (0, 3, Cap(2, 3)), (0, 4, INF),
+    (1, 4, INF), (0, 5, Cap(-1, 3)), (2, 5, Cap(-1, 1)), (4, 5, INF), (2, 3, INF * 2),
+    (1, 3, INF), (4, 6, INF), (5, 6, INF * 2),
 ]
 
 

@@ -188,6 +188,34 @@ def _moved_unit(split, gp):
     return _with_tiers(split, infs, fins)
 
 
+def _over_capacity(split, gp, tier):
+    """split plus a circulation in one tier (0 infinite, 1 finite) around
+    a cycle through a finite edge i, large enough that edge i carries more
+    than its capacity: the value stays and every vertex is conserved, but
+    the flow does not fit."""
+    tiers = [list(x) for x in split.tiers]
+    caps = gp.tier_capacities
+    for i, (u, v, _) in enumerate(gp.edges):
+        # a path from v to u that avoids edge i closes a cycle with it
+        pred, queue = {v: None}, [v]
+        for x in queue:
+            for y, a in gp.adj[x]:
+                if a >> 1 != i and y not in pred:
+                    pred[y] = a
+                    queue.append(y)
+        if not caps[i][0] and u in pred:
+            break
+    flows = tiers[tier]
+    extra = 1 if tier == 0 else caps[i][1] + 1 - flows[i]
+    flows[i] += extra  # from u to v, the stored direction
+    y = u
+    while y != v:
+        a = pred[y]
+        flows[a >> 1] += extra if a % 2 == 0 else -extra
+        y = gp.edges[a >> 1][a & 1]
+    return _with_tiers(split, *tiers)
+
+
 def _swapped(split):
     bad = copy.copy(split)
     bad.s, bad.t = split.t, split.s
@@ -200,6 +228,10 @@ def _mutate(name, gp, t):
     edges, certs, bags = list(t.edges), list(t.certificates), dict(t.bags)
     if name == "flow-unit-moved":
         edges[0] = replace(edges[0], split=_moved_unit(edges[0].split, gp))
+    elif name == "flow-over-capacity":
+        edges[0] = replace(edges[0], split=_over_capacity(edges[0].split, gp, 1))
+    elif name == "infinite-flow-over-capacity":
+        edges[0] = replace(edges[0], split=_over_capacity(edges[0].split, gp, 0))
     elif name == "flow-zeroed":
         # conserved and within capacity, but of the wrong value
         m = len(edges[0].split.tiers[0])
@@ -229,8 +261,9 @@ def _mutate(name, gp, t):
 
 
 MUTATIONS = [
-    "flow-unit-moved", "flow-zeroed", "split-pair-swapped", "capacity-raised", "edge-end-moved",
-    "edge-duplicated", "vertex-moved-between-bags",
+    "flow-unit-moved", "flow-over-capacity", "infinite-flow-over-capacity", "flow-zeroed",
+    "split-pair-swapped", "capacity-raised", "edge-end-moved", "edge-duplicated",
+    "vertex-moved-between-bags",
 ]
 
 

@@ -280,6 +280,46 @@ def test_shore_table_rows_decode_to_their_cuts_in_cap_order(g):
     assert all(a <= b for a, b in zip(caps, caps[1:]))
 
 
+def one_path_per_search(g, s, t, caps):
+    """Edmonds-Karp that augments one shortest path per search, reading
+    arc tails from ``g.edges``: (value, residual-reachable shore of s)."""
+    n, edges, adj = g.n, g.edges, g.adj
+    r = [c for c in caps for _ in range(2)]
+    value = 0
+    while True:
+        pred = [None] * n
+        pred[s] = -1
+        queue = [s]
+        for x in queue:
+            for y, a in adj[x]:
+                if pred[y] is None and r[a] > 0:
+                    pred[y] = a
+                    queue.append(y)
+        if pred[t] is None:
+            return value, frozenset(queue)
+        path, y = [], t
+        while y != s:
+            path.append(pred[y])
+            y = edges[pred[y] >> 1][pred[y] & 1]
+        bott = min(r[a] for a in path)
+        for a in path:
+            r[a] -= bott
+            r[a ^ 1] += bott
+        value += bott
+
+
+@given(table_graphs())
+def test_kernel_matches_one_path_per_search(g):
+    for h in (g, perturb(g)) if g.m else (g,):
+        caps = h.scaled_capacities[2]
+        for s in range(h.n):
+            for t in range(h.n):
+                if s != t:
+                    value, shore, _ = ghkit.maxflow._int_max_flow(h, s, t, caps)
+                    assert (value, shore) == one_path_per_search(h, s, t, caps)
+                    assert_valid_flow(h, s, t, max_flow(h, s, t))
+
+
 # Few distinct values, so that many cuts tie.
 tie_caps = st.one_of(st.sampled_from([Cap(1), Cap(2), Cap(Fraction(1, 2))]), infinite_caps)
 
