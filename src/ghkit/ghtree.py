@@ -48,7 +48,7 @@ class GHTree:
     terminals: tuple  # ordered terminal ids, tree vertices
     bags: dict  # terminal -> frozenset of graph vertices, a partition of V
     edges: tuple  # tuple[GHEdge, ...]
-    certificates: tuple  # per edge: frozenset shore (side containing edge.s)
+    certificates: tuple  # per edge: its fundamental cut, the frozenset union of the bags on edge.s's side
 
 
 def build_gh_tree(g: CapGraph, z=None) -> GHTree:
@@ -143,7 +143,7 @@ def tree_lambda(t: GHTree, s, u) -> Cap:
     """
     if s == u:
         raise GraphError("identical terminals")
-    if s not in t.bags or u not in t.bags:
+    if s not in t.terminals or u not in t.terminals:
         raise GraphError(f"{s} and {u} must both be terminals")
     if len(t.certificates) != len(t.edges):
         raise GraphError("need one certificate per tree edge")
@@ -165,7 +165,10 @@ class EdgeCheck:
 
 
 def require_partition(g: CapGraph, t: GHTree):
-    """Raise GraphError unless the bags partition V, each holding its terminal."""
+    """Raise GraphError unless the bags, keyed by exactly the terminals,
+    partition V, each holding its terminal."""
+    if t.bags.keys() != set(t.terminals):
+        raise GraphError("bags must be keyed by exactly the terminals")
     covered = set()
     for z in t.terminals:
         bag = t.bags[z]
@@ -186,22 +189,23 @@ def verify_encoding(g: CapGraph, t: GHTree):
     is deterministic), and v_e the cut value of e's certificate in gp,
     summed by ``shore_cuts`` as the exact int pair (inf, fin * D).
 
-    - ``cut_ok``: e is a bridge of the tree, its certificate is exactly
-      the union of the bags on e.s's side, and e.cap is v_e (rounded by
+    - ``cut_ok``: e's certificate holds e.s and not e.t, no other tree
+      edge has exactly one end in it, it is the union of the bags of the
+      terminals it holds, and e.cap is v_e (rounded by
       ``deperturb_value`` if g is not perturbed).
     - ``flow_ok``: e.split is a flow in gp from s_e = e.split.s to
       t_e = e.split.t, two distinct terminals, of value v_e, and the
-      chain holds: every tree edge on the tree paths e.s...s_e and
-      t_e...e.t has a larger v.  The flow is read as its decoded tiers
-      (``FlowResult.tiers``), never as the kernel's packed ints, and is
-      checked against gp's edges, never against the graph the FlowResult
-      refers to: each net flow lies within +-capacity as a pair compared
-      lexicographically, and both tiers are conserved at every vertex
-      other than s_e and t_e.
+      chain holds: every tree edge whose certificate separates e.s from
+      s_e or t_e from e.t, e included, has a larger v.  The flow is read
+      as its decoded tiers (``FlowResult.tiers``), never as the kernel's
+      packed ints, and is checked against gp's edges, never against the
+      graph the FlowResult refers to: each net flow lies within
+      +-capacity as a pair compared lexicographically, and both tiers
+      are conserved at every vertex other than s_e and t_e.
 
-    Raises GraphError if the bags do not partition V, the tree does not
-    have k - 1 edges and certificates for its k terminals, or an edge end
-    is not a terminal.
+    Raises GraphError if the bags, keyed by the terminals, do not
+    partition V, the tree does not have k - 1 edges and certificates for
+    its k terminals, or an edge end is not a terminal.
 
     Why every edge passing makes t a GH tree (one failing edge voids the
     certificate of the lighter edges whose chains pass through it).
@@ -211,18 +215,21 @@ def verify_encoding(g: CapGraph, t: GHTree):
       a flow within its capacities that conserves both tiers has a value
       no larger than any cut between its ends: lam(s_e, t_e) >= v_e.  A
       finite flow on an infinite edge is within its capacity.
-    - Chain.  k - 1 bridges on k terminals form a spanning tree, and an
-      edge lies on the tree path between two terminals iff its side
-      separates them.  By induction on decreasing v, each edge f on
-      the paths e.s...s_e and t_e...e.t has v_f > v_e and so
-      lam(f.s, f.t) >= v_f > v_e.  A cut separating a from
-      c separates a from b or b from c, so lam(a, c) >= min(lam(a, b),
-      lam(b, c)); along the walk e.s...s_e, t_e...e.t this gives
-      lam(e.s, e.t) >= v_e.  The certificate separates e.s from e.t with
-      value v_e, so it is a minimum e.s-e.t cut.  The strict order keeps
-      e off its own paths, so s_e lies on e.s's side, and makes the
-      induction well founded.  A tree built by ``build_gh_tree`` meets
-      it (see there).
+    - Chain.  A cycle crosses every cut an even number of times, and
+      only e crosses its certificate, so e lies on no cycle: the k - 1
+      edges on k terminals are bridges and form a spanning tree.
+      Removing e leaves e.s's component inside its certificate and
+      e.t's outside, so the certificate's terminals are e.s's side, and
+      an edge lies on the tree path between two terminals iff its
+      certificate separates them.  By induction on decreasing v, each
+      edge f on the paths e.s...s_e and t_e...e.t has v_f > v_e and so
+      lam(f.s, f.t) >= v_f > v_e.  A cut separating a from c separates
+      a from b or b from c, so lam(a, c) >= min(lam(a, b), lam(b, c));
+      along the walk e.s...s_e, t_e...e.t this gives lam(e.s, e.t) >=
+      v_e.  The certificate separates e.s from e.t with value v_e, so it
+      is a minimum e.s-e.t cut.  The strict order keeps e off its own
+      paths, so s_e lies on e.s's side, and makes the induction well
+      founded.  A tree built by ``build_gh_tree`` meets it (see there).
     - GH.  Every edge on the tree path between terminals u and w has a
       fundamental cut separating them, so lam(u, w) is at most their
       least v, and the triangle inequality along the path gives at
@@ -238,17 +245,14 @@ def verify_encoding(g: CapGraph, t: GHTree):
       t is a GH tree of g.
     """
     require_partition(g, t)
-    edges, certs = t.edges, t.certificates
+    edges, certs, terminals = t.edges, t.certificates, set(t.terminals)
     if len(certs) != len(edges):
         raise GraphError("need one certificate per tree edge")
     if len(edges) != len(t.terminals) - 1:
         raise GraphError("a tree on k terminals needs k - 1 edges")
-    adj = {z: [] for z in t.terminals}
-    for i, e in enumerate(edges):
-        if e.s not in adj or e.t not in adj:
+    for e in edges:
+        if e.s not in terminals or e.t not in terminals:
             raise GraphError(f"tree edge {e.s}-{e.t} does not join two terminals")
-        adj[e.s].append((e.t, i))
-        adj[e.t].append((e.s, i))
     gp = g if g.perturbed else perturb(g)
     n, tails, caps = gp.n, gp.arc_tails, gp.tier_capacities
     lows = [(-a, -b) for a, b in caps]
@@ -258,7 +262,7 @@ def verify_encoding(g: CapGraph, t: GHTree):
     def split_ok(split, value):
         """Whether split is a flow in gp between two distinct terminals,
         of the int-pair value, within capacity and conserved in each tier."""
-        if split is None or split.s == split.t or split.s not in adj or split.t not in adj:
+        if split is None or split.s == split.t or split.s not in terminals or split.t not in terminals:
             return False
         infs, fins = split.tiers
         if not len(infs) == len(fins) == len(caps):
@@ -284,30 +288,21 @@ def verify_encoding(g: CapGraph, t: GHTree):
                 return False
         return tuple(out) == value
 
-    sides, values, cut_ok, flow_ok = [], [], [], []
-    for i, (e, cert) in enumerate(zip(edges, certs)):
-        side, queue = {e.s}, [e.s]  # the terminals on e.s's side of edge i
-        for x in queue:
-            for y, j in adj[x]:
-                if j != i and y not in side:
-                    side.add(y)
-                    queue.append(y)
-        mask = sum(1 << x for x in cert if 0 <= x < n)  # vertices outside V fail cert == shore
-        _, (inf, fin) = next(shore_cuts(gp, mask, ()))
+    # vertices outside V drop out of the mask and fail cert == shore
+    values = [next(shore_cuts(gp, sum(1 << x for x in cert if 0 <= x < n), ()))[1] for cert in certs]
+    checks = []
+    for e, cert, value in zip(edges, certs, values):
+        inf, fin = value
         cap = Cap(Fraction(fin, gp.fin_denominator), inf)
         if not g.perturbed:
             cap = deperturb_value(gp, cap)
-        shore = frozenset().union(*(t.bags[z] for z in side))
-        sides.append(side)
-        values.append((inf, fin))
-        cut_ok.append(e.t not in side and cert == shore and e.cap == cap)
-        flow_ok.append(split_ok(e.split, (inf, fin)))
-
-    for i, e in enumerate(edges):
-        flow_ok[i] = flow_ok[i] and all(
-            values[j] > values[i]
-            for j, side in enumerate(sides)
-            if (e.s in side) != (e.split.s in side) or (e.split.t in side) != (e.t in side)
+        shore = frozenset().union(*(t.bags[z] for z in t.terminals if z in cert))
+        crossing = sum((f.s in cert) != (f.t in cert) for f in edges)  # 1: e alone, if e.t is outside
+        cut_ok = e.s in cert and e.t not in cert and crossing == 1 and cert == shore and e.cap == cap
+        flow_ok = split_ok(e.split, value) and all(
+            v > value for c, v in zip(certs, values)
+            if (e.s in c) != (e.split.s in c) or (e.split.t in c) != (e.t in c)
         )
-    return [EdgeCheck(*checks) for checks in zip(edges, cut_ok, flow_ok)]
+        checks.append(EdgeCheck(e, cut_ok, flow_ok))
+    return checks
 

@@ -203,6 +203,9 @@ def capgraph(n, edges, terminals=()) -> CapGraph:
 def cut_capacity(g: CapGraph, shore) -> Cap:
     """Exact capacity of delta(shore)."""
     s = set(shore)
+    for v in s:
+        if not 0 <= v < g.n:
+            raise GraphError(f"shore vertex {v} out of range (n={g.n})")
     if not s or len(s) >= g.n:
         raise GraphError("shore must be a proper nonempty vertex subset")
     total = Cap(0)

@@ -10,15 +10,17 @@ from ghkit import capgraph
 from ghkit.capacity import INF, Cap
 from ghkit.generators import split_seed
 from ghkit.ghtree import (
+    EdgeCheck,
     GHEdge,
     GHTree,
     build_gh_tree,
+    require_partition,
     tree_lambda,
     verify_encoding,
 )
 import ghkit.ghtree
 import ghkit.maxflow
-from ghkit.graph import GraphError, cut_capacity, deperturb_value, perturb
+from ghkit.graph import GraphError, cut_capacity, deperturb_value, perturb, shore_cuts
 from ghkit.maxflow import brute_min_cut, lambda_matrix, max_flow
 from ghkit.suiteutil import random_connected_graph
 
@@ -518,3 +520,166 @@ def test_certificates_are_the_unique_minimum_cuts(inst):
         assert shore == cut.shore
         assert e.cap == cut.capacity
     assert all(c.ok for c in verify_encoding(gp, t))
+
+
+def test_bags_must_be_keyed_by_exactly_the_terminals():
+    """A bag under a key that is not a terminal, or no bag for a terminal:
+    the tree does not name its terminals by its bags."""
+    g = capgraph(3, [(0, 1, ONE), (1, 2, ONE)])
+    t = build_gh_tree(g)
+    extra = GHTree(t.terminals, {**t.bags, 7: frozenset()}, t.edges, t.certificates)
+    missing = GHTree(t.terminals, {z: b for z, b in t.bags.items() if z != 2}, t.edges, t.certificates)
+    for bad in (extra, missing):
+        with pytest.raises(GraphError, match="keyed by exactly the terminals"):
+            verify_encoding(g, bad)
+    with pytest.raises(GraphError, match="must both be terminals"):
+        tree_lambda(extra, 0, 7)
+
+
+def _bfs_verify_encoding(g, t):
+    """The reference for verify_encoding: the same checks, but with each
+    edge's side found by a search over the tree without that edge, and
+    the chain read from those sides."""
+    require_partition(g, t)
+    edges, certs = t.edges, t.certificates
+    if len(certs) != len(edges):
+        raise GraphError("need one certificate per tree edge")
+    if len(edges) != len(t.terminals) - 1:
+        raise GraphError("a tree on k terminals needs k - 1 edges")
+    adj = {z: [] for z in t.terminals}
+    for i, e in enumerate(edges):
+        if e.s not in adj or e.t not in adj:
+            raise GraphError(f"tree edge {e.s}-{e.t} does not join two terminals")
+        adj[e.s].append((e.t, i))
+        adj[e.t].append((e.s, i))
+    gp = g if g.perturbed else perturb(g)
+    n, tails, caps = gp.n, gp.arc_tails, gp.tier_capacities
+
+    def split_ok(split, value):
+        if split is None or split.s == split.t or split.s not in adj or split.t not in adj:
+            return False
+        infs, fins = split.tiers
+        if not len(infs) == len(fins) == len(caps):
+            return False
+        if not all((-a, -b) <= f <= (a, b) for (a, b), f in zip(caps, zip(infs, fins))):
+            return False
+        out = []
+        for tier in (infs, fins):
+            net = [0] * n
+            ends = iter(tails)
+            for u, v, f in zip(ends, ends, tier):
+                net[u] -= f
+                net[v] += f
+            out.append(-net[split.s])
+            net[split.s] = net[split.t] = 0
+            if any(net):
+                return False
+        return tuple(out) == value
+
+    sides, values, cut_ok, flow_ok = [], [], [], []
+    for i, (e, cert) in enumerate(zip(edges, certs)):
+        side, queue = {e.s}, [e.s]  # the terminals on e.s's side of edge i
+        for x in queue:
+            for y, j in adj[x]:
+                if j != i and y not in side:
+                    side.add(y)
+                    queue.append(y)
+        _, (inf, fin) = next(shore_cuts(gp, sum(1 << x for x in cert if 0 <= x < n), ()))
+        cap = Cap(Fraction(fin, gp.fin_denominator), inf)
+        if not g.perturbed:
+            cap = deperturb_value(gp, cap)
+        sides.append(side)
+        values.append((inf, fin))
+        cut_ok.append(e.t not in side and cert == frozenset().union(*(t.bags[z] for z in side)) and e.cap == cap)
+        flow_ok.append(split_ok(e.split, (inf, fin)))
+    for i, e in enumerate(edges):
+        flow_ok[i] = flow_ok[i] and all(
+            values[j] > values[i]
+            for j, side in enumerate(sides)
+            if (e.s in side) != (e.split.s in side) or (e.split.t in side) != (e.t in side)
+        )
+    return [EdgeCheck(*checks) for checks in zip(edges, cut_ok, flow_ok)]
+
+
+def _spans(t):
+    """Whether t's edges join all its terminals."""
+    reached = {t.terminals[0]}
+    for _ in t.terminals:
+        reached |= {x for e in t.edges if {e.s, e.t} & reached for x in (e.s, e.t)}
+    return reached == set(t.terminals)
+
+
+DIFFERENTIAL_MUTATIONS = [
+    "certificate-vertex-flipped", "bag-vertex-moved", "edges-reordered", "edge-end-moved",
+    "edge-duplicated", "certificate-complemented", "capacity-raised", "three-cycle",
+]
+
+
+@st.composite
+def checked_trees(draw):
+    """A GH tree built on a connected graph (n 3..9, about one edge in
+    seven carrying an infinite tier, perturbed or not), with up to two
+    mutations, and the graph."""
+    n = draw(st.integers(min_value=3, max_value=9))
+    fin = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4)
+    cap = st.tuples(fin, st.integers(min_value=0, max_value=6)).map(lambda c: Cap(c[0], int(c[1] == 0)))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    present = {(draw(st.integers(min_value=0, max_value=v - 1)), v): draw(cap) for v in range(1, n)}
+    for u, v, c in draw(st.lists(st.tuples(vertex, vertex, cap), max_size=n)):
+        if u != v:
+            present[min(u, v), max(u, v)] = c
+    g = capgraph(n, [(u, v, c) for (u, v), c in present.items()])
+    if draw(st.booleans()):
+        g = perturb(g)
+    t = build_gh_tree(g, draw(st.lists(vertex, min_size=2, max_size=n, unique=True)))
+    edges, certs, bags, terms = list(t.edges), list(t.certificates), dict(t.bags), t.terminals
+    index = st.integers(min_value=0, max_value=len(edges) - 1)
+    for name in draw(st.lists(st.sampled_from(DIFFERENTIAL_MUTATIONS), max_size=2)):
+        i = draw(index)
+        if name == "certificate-vertex-flipped":
+            certs[i] ^= {draw(st.integers(min_value=-1, max_value=n))}
+        elif name == "bag-vertex-moved" and len(terms) < n:
+            v, b = draw(vertex.filter(lambda v: v not in terms)), draw(st.sampled_from(terms))
+            bags = {z: bag - {v} for z, bag in bags.items()}
+            bags[b] |= {v}
+        elif name == "edges-reordered":
+            order = draw(st.permutations(range(len(edges))))
+            edges, certs = [edges[j] for j in order], [certs[j] for j in order]
+        elif name == "edge-end-moved":
+            edges[i] = replace(edges[i], **{draw(st.sampled_from("st")): draw(st.sampled_from(terms))})
+        elif name == "edge-duplicated" and len(edges) > 1:
+            j = draw(index.filter(lambda j: j != i))
+            edges[j], certs[j] = edges[i], certs[i]
+        elif name == "certificate-complemented":
+            certs[i] = frozenset(range(n)) - certs[i]
+        elif name == "capacity-raised":
+            edges[i] = replace(edges[i], cap=edges[i].cap + Cap(Fraction(1, 2**40)))
+        elif name == "three-cycle" and len(terms) == 4:  # k - 1 edges, one terminal on none of them
+            a, b, c = draw(st.permutations(terms))[:3]
+            edges = [replace(e, s=s, t=u) for e, (s, u) in zip(edges, ((a, b), (b, c), (c, a)))]
+    return g, GHTree(terms, bags, tuple(edges), tuple(certs))
+
+
+def _checked(check, g, t):
+    try:
+        return check(g, t)
+    except GraphError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(checked_trees())
+def test_verify_encoding_matches_the_tree_search_reference(inst):
+    """The same verdict on every tree; the same cut_ok on every edge when
+    the edges span the terminals; the same flow_ok on every edge when
+    every cut_ok holds."""
+    g, t = inst
+    got, want = _checked(verify_encoding, g, t), _checked(_bfs_verify_encoding, g, t)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert all(c.ok for c in got) == all(c.ok for c in want)
+    if _spans(t):
+        assert [c.cut_ok for c in got] == [c.cut_ok for c in want]
+    if all(c.cut_ok for c in got):
+        assert [c.flow_ok for c in got] == [c.flow_ok for c in want]

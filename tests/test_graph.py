@@ -34,6 +34,14 @@ def test_self_loop_rejected():
         capgraph(2, [(0, 0, ONE)])
 
 
+@pytest.mark.parametrize("shore", [{0, 99}, {0, -1}, {0, 1, 99}])
+def test_cut_capacity_rejects_a_vertex_outside_the_graph(shore):
+    g = capgraph(3, [(0, 1, ONE), (1, 2, ONE)])
+    (stray,) = shore - {0, 1, 2}
+    with pytest.raises(GraphError, match=f"shore vertex {stray} out of range"):
+        cut_capacity(g, shore)
+
+
 def test_cut_submodular_identity():
     # c(X u Y) = c(X) + c(Y) - 2 d(X, Y) for disjoint X, Y.
     for i in range(30):
