@@ -2,7 +2,7 @@
 instance generators, and multiflow cut-sufficiency checks."""
 
 from .capacity import Cap
-from .graph import CapGraph, Cut, Edge, GraphError, capgraph, cut_capacity, shore_cuts
+from .graph import CapGraph, Cut, Edge, GraphError, capgraph, shore_cuts
 from .maxflow import BoundExceeded, FlowResult, all_shore_capacities, brute_min_cut, lambda_matrix, max_flow
 from .ghtree import GHEdge, GHTree, build_gh_tree, tree_lambda, verify_encoding
 from .embedding import check_bag_minor, check_weak_bag_minor, is_gh_subgraph
@@ -48,7 +48,6 @@ __all__ = [
     "Edge",
     "GraphError",
     "capgraph",
-    "cut_capacity",
     "shore_cuts",
     "BoundExceeded",
     "FlowResult",

@@ -167,15 +167,6 @@ class CapGraph:
                 stack.append(y)
         return seen
 
-    def components(self, within):
-        within = set(within)
-        out = []
-        while within:
-            c = self.component_of(next(iter(within)), within)
-            out.append(c)
-            within -= c
-        return out
-
     def induced_connected(self, vertices) -> bool:
         vs = set(vertices)
         if not vs:
@@ -198,21 +189,6 @@ def capgraph(n, edges, terminals=()) -> CapGraph:
             order.append(key)
     out = tuple(Edge(u, v, merged[(u, v)]) for u, v in order)
     return CapGraph(n, out, tuple(terminals))
-
-
-def cut_capacity(g: CapGraph, shore) -> Cap:
-    """Exact capacity of delta(shore)."""
-    s = set(shore)
-    for v in s:
-        if not 0 <= v < g.n:
-            raise GraphError(f"shore vertex {v} out of range (n={g.n})")
-    if not s or len(s) >= g.n:
-        raise GraphError("shore must be a proper nonempty vertex subset")
-    total = Cap(0)
-    for u, v, cap in g.edges:
-        if (u in s) != (v in s):
-            total = total + cap
-    return total
 
 
 def shore_cuts(g: CapGraph, base: int, free):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacity import Cap
-from .graph import CapGraph, GraphError, cut_capacity, shore_cuts
+from .graph import CapGraph, GraphError, shore_cuts
 from .maxflow import BoundExceeded
 from .simplex import INFEASIBLE, solve_lp
 
@@ -30,6 +30,8 @@ class MultiflowInstance:
         for s, t, d in self.demands:
             if s not in zset or t not in zset:
                 raise GraphError(f"demand endpoint {s}-{t} is not a terminal")
+            if s == t:
+                raise GraphError(f"demand {s}-{t} has both ends at one vertex")
             if d <= 0:
                 raise GraphError("demand values must be positive")
 
@@ -43,10 +45,6 @@ class CutConditionResult:
     ratio: Fraction | None = None  # min cap / separated demand over finite cuts
 
 
-def _separated_demand(inst, shore):
-    return sum((d for s, t, d in inst.demands if (s in shore) != (t in shore)), Fraction(0))
-
-
 def cut_condition(inst: MultiflowInstance, bound: int = DEFAULT_CUT_BOUND):
     """Check c(delta(S)) >= separated demand for every shore, in one pass
     that also finds the cut ratio.
@@ -54,15 +52,28 @@ def cut_condition(inst: MultiflowInstance, bound: int = DEFAULT_CUT_BOUND):
     ``ratio`` is the minimum of capacity / separated demand over the
     finite demand-separating shores (None if there is none).  The
     condition is violated exactly when it is below 1; the result then
-    carries the minimising shore, made central when the supply is
-    connected (see _centralize_violation), with that shore's own
+    carries the least shore in the order (ratio, finite capacity, number
+    of vertices), the first in walk order on a full tie, with its own
     capacity and demand.
+
+    That shore's side is connected, and on a connected supply so is the
+    other side: the cut is central.  If a side X of a finite minimising
+    cut induces components C1..Cr with r > 1, no edge joins two of them,
+    so delta(X) is the disjoint union of the delta(Ci), while each
+    demand separated by X is separated by the one Ci holding its end in
+    X.  So some Ci with positive demand has ratio at most X's, hence
+    equal to it, and no more capacity than X.  When X is the walk's
+    shore, Ci is one too (it leaves out vertex n-1) and has fewer
+    vertices.  When X is the far side on a connected supply, every other
+    component has an edge across the cut, so Ci has strictly less
+    capacity, and Ci or its complement is a shore of the walk with Ci's
+    cut.  Either way the walk's shore was not the least.
 
     The pass stays on ints: ``shore_cuts`` gives each cut as
     (inf, fin * D), shores with inf > 0 are skipped, and demands are
     summed as multiples of 1/L, L their common denominator.  Ratios are
-    compared by cross-multiplication, keeping the first strict minimiser
-    in walk order, and the one Fraction ratio is built at the end.
+    compared by cross-multiplication, and the one Fraction ratio is built
+    at the end.
     """
     g = inst.supply
     n = g.n
@@ -75,47 +86,24 @@ def cut_condition(inst: MultiflowInstance, bound: int = DEFAULT_CUT_BOUND):
         if inf:
             continue
         dem = sum(d for s, t, d in demands if (mask >> s ^ mask >> t) & 1)
-        # fin / dem < best_fin / best_dem, both demands positive
-        if dem and (best_mask is None or fin * best_dem < best_fin * dem):
-            best_fin, best_dem, best_mask = fin, dem, mask
+        if not dem:
+            continue
+        if best_mask is not None:
+            # fin / dem against best_fin / best_dem, both demands positive
+            lhs, rhs = fin * best_dem, best_fin * dem
+            if lhs > rhs or lhs == rhs and (fin, mask.bit_count()) >= (best_fin, best_mask.bit_count()):
+                continue
+        best_fin, best_dem, best_mask = fin, dem, mask
     best = None if best_mask is None else Fraction(best_fin * lcd, best_dem * g.fin_denominator)
     if best is None or best >= 1:
         return CutConditionResult(True, ratio=best)
-    shore = _centralize_violation(inst, frozenset(v for v in range(n) if best_mask >> v & 1))
     return CutConditionResult(
-        False, shore, cut_capacity(g, shore), _separated_demand(inst, shore), best
+        False,
+        frozenset(v for v in range(n) if best_mask >> v & 1),
+        Cap(Fraction(best_fin, g.fin_denominator)),
+        Fraction(best_dem, lcd),
+        best,
     )
-
-
-def _centralize_violation(inst, shore):
-    """Replace a violated shore by a violated central one.
-
-    If a side X of the cut induces components C1..Cr with r > 1, no edge
-    joins two of them, so delta(X) is the disjoint union of the
-    delta(Ci), while each demand separated by X is separated by the one
-    Ci holding its end in X.  Summing c(delta(Ci)) >= dem(Ci) would give
-    c(delta(X)) >= dem(X); so some Ci is violated and becomes the shore,
-    the shore's own components first, else the complement's.
-
-    Termination: at most two steps are taken, and each leaves a
-    connected shore.  On a connected supply, a step from a connected S
-    to a component D of V - S ends central: every other component of
-    V - S has an edge to S, so V - D is connected.  A supply with three
-    or more components has no central cut, and further steps could
-    cycle (shore A, then B, then A, for components A, B, C); there the
-    result is a connected violated shore.
-    """
-    g = inst.supply
-    for _ in range(2):
-        comps = g.components(shore)
-        if len(comps) == 1:
-            comps = g.components(set(range(g.n)) - shore)
-            if len(comps) == 1:
-                break
-        shore = next(
-            frozenset(c) for c in comps if cut_capacity(g, c) < Cap(_separated_demand(inst, c))
-        )
-    return shore
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,18 @@ def is_central(g, shore):
     return g.induced_connected(s) and g.induced_connected(set(range(g.n)) - s)
 
 
+def cut_capacity(g, shore):
+    """The capacity of the proper cut delta(shore), summed edge by edge
+    as Caps."""
+    s = set(shore)
+    assert s and len(s) < g.n and s <= set(range(g.n)), "shore must be a proper nonempty vertex subset"
+    total = Cap(0)
+    for u, v, cap in g.edges:
+        if (u in s) != (v in s):
+            total = total + cap
+    return total
+
+
 def unit_k33(terminals=(0, 1, 2, 3, 4, 5)):
     edges = [(u, v, ONE) for u in (0, 1, 2) for v in (3, 4, 5)]
     return capgraph(6, edges, terminals)

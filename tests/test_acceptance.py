@@ -14,7 +14,7 @@ from ghkit.capacity import Cap
 from ghkit.embedding import is_gh_subgraph
 from ghkit.generators import split_seed
 from ghkit.ghtree import build_gh_tree, tree_lambda
-from ghkit.graph import cut_capacity, deperturb_value, perturb
+from ghkit.graph import deperturb_value, perturb
 from ghkit.maxflow import all_shore_capacities, max_flow
 from ghkit.multiflow import MultiflowInstance, cut_condition, feasible, flow_cut_gap, max_concurrent_flow
 from ghkit.suite import (
@@ -26,7 +26,7 @@ from ghkit.suite import (
 )
 from ghkit.suiteutil import random_connected_graph
 
-from conftest import is_star, unit_k23, unit_k33
+from conftest import cut_capacity, is_star, unit_k23, unit_k33
 
 SEED = 20260826
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -123,3 +124,48 @@ def test_bad_pairs_stop_before_any_run(monkeypatch, capsys, tmp_path):
     assert e.value.code == 2
     assert "unknown workload 'minor-serch'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_traced_medians_take_each_metric_median():
+    per_layer = [
+        {"name": "maxflow.max_flow.calls", "unit": "count", "better": "lower"},
+        {"name": "maxflow.self_s", "unit": "s", "better": "lower"},
+    ]
+    runs = [
+        {"maxflow.max_flow.calls": 920, "maxflow.self_s": 0.10, "trace.overhead_ratio": 2.0},
+        {"maxflow.max_flow.calls": 920, "maxflow.self_s": 0.07, "trace.overhead_ratio": 2.4},
+        {"maxflow.max_flow.calls": 920, "maxflow.self_s": 0.09, "trace.overhead_ratio": 1.9},
+    ]
+    assert bench_pairs.traced_medians(runs, per_layer, "base") == {
+        "maxflow.max_flow.calls": 920, "maxflow.self_s": 0.09, "trace.overhead_ratio": 2.0,
+    }
+    runs[2]["maxflow.max_flow.calls"] = 921
+    with pytest.raises(SystemExit, match="change: work count maxflow.max_flow.calls differs"):
+        bench_pairs.traced_medians(runs, per_layer, "change")
+
+
+def test_traced_passes_alternate_and_record_medians(monkeypatch, tmp_path):
+    calls = []
+    self_s = iter([0.3, 0.1, 0.2, 0.6, 0.4, 0.5])  # in run order
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        side = tree.name
+        metrics = {"instances_per_s": 100.0, "maxflow.max_flow.calls": 7}
+        if trace:
+            calls.append(side)
+            metrics["maxflow.self_s"] = next(self_s)
+        metrics.update({m: 1.0 for m in ("instance_ms_p50", "instance_ms_tail", "setup_s", "peak_rss_mb")})
+        detail = {"environment": {"source_sha256": side}}
+        return detail, {"metrics": {k: {"value": v} for k, v in metrics.items()}, "attempted": 1}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    monkeypatch.setattr(bench_pairs, "export_revision", lambda *args: None)
+    monkeypatch.setattr(bench_pairs, "export_working_tree", lambda *args: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, cwd: str(tmp_path).encode())
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--pairs", "flowcheck=1", "--out", str(out)]) == 0
+    assert calls == ["base", "change", "change", "base", "base", "change"]
+    report = json.loads(out.read_text())["workloads"]["flowcheck"]
+    assert report["traced_passes"] == 3 and report["counts_changed"] == {}
+    assert report["traced"]["base"]["maxflow.self_s"] == 0.4  # of 0.3, 0.6, 0.4
+    assert report["traced"]["change"]["maxflow.self_s"] == 0.2  # of 0.1, 0.2, 0.5

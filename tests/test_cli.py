@@ -288,8 +288,9 @@ TRIANGLE_WITH_APEX = "4 6 3\n0 1 2\n0 1 1\n1 2 1\n0 2 1\n0 3 1\n1 3 1\n2 3 1\n"
         ("2 1 1\n0\n0 1 1\nD 0 1 1\n", "demand endpoint 0-1 is not a terminal"),
         (TRIANGLE_WITH_APEX + "D 0 3 1\nF: 0 1 2 : 3\n", "demand endpoint 0-3 is not a terminal"),
         (TRIANGLE_WITH_APEX + "D 0 9 1\nF: 0 1 2 : 3\n", "demand endpoint 0-9 is not a terminal"),
+        ("2 1 2\n0 1\n0 1 1\nD 0 0 5\n", "demand 0-0 has both ends at one vertex"),
     ],
-    ids=["negative", "zero", "non-terminal", "interior-endpoint", "out-of-range-endpoint"],
+    ids=["negative", "zero", "non-terminal", "interior-endpoint", "out-of-range-endpoint", "one-vertex"],
 )
 def test_reduce_rejects_the_demands_flowcheck_rejects(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.txt"

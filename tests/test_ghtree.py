@@ -20,11 +20,11 @@ from ghkit.ghtree import (
 )
 import ghkit.ghtree
 import ghkit.maxflow
-from ghkit.graph import GraphError, cut_capacity, deperturb_value, perturb, shore_cuts
+from ghkit.graph import GraphError, deperturb_value, perturb, shore_cuts
 from ghkit.maxflow import brute_min_cut, lambda_matrix, max_flow
 from ghkit.suiteutil import random_connected_graph
 
-from conftest import ONE, WIDENING_EDGES, is_star, unit_k23, unit_k33
+from conftest import ONE, WIDENING_EDGES, cut_capacity, is_star, unit_k23, unit_k33
 
 
 def test_k23_pairwise_cut_values(k23_graph):

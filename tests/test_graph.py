@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghkit import capgraph, cut_capacity
+from ghkit import capgraph
 from ghkit.capacity import Cap
 from ghkit.graph import (
     GraphError,
@@ -20,7 +20,7 @@ from ghkit.generators import split_seed
 from ghkit.maxflow import all_shore_capacities, brute_min_cut
 from ghkit.suiteutil import random_connected_graph
 
-from conftest import ONE, is_central, unit_k23
+from conftest import ONE, cut_capacity, is_central, unit_k23
 
 
 def test_parallel_edges_merge():
@@ -32,14 +32,6 @@ def test_parallel_edges_merge():
 def test_self_loop_rejected():
     with pytest.raises(GraphError):
         capgraph(2, [(0, 0, ONE)])
-
-
-@pytest.mark.parametrize("shore", [{0, 99}, {0, -1}, {0, 1, 99}])
-def test_cut_capacity_rejects_a_vertex_outside_the_graph(shore):
-    g = capgraph(3, [(0, 1, ONE), (1, 2, ONE)])
-    (stray,) = shore - {0, 1, 2}
-    with pytest.raises(GraphError, match=f"shore vertex {stray} out of range"):
-        cut_capacity(g, shore)
 
 
 def test_cut_submodular_identity():
@@ -221,7 +213,7 @@ def test_model_connectors_matches_brute_check(g, data):
     assert model_connectors(g, sets, pairs) == _brute_model_connectors(g, sets, pairs)
 
 
-def test_components_and_induced_connected():
+def test_is_connected_and_induced_connected():
     g = capgraph(4, [(0, 1, ONE), (2, 3, ONE)])
     assert not g.is_connected()
     assert g.induced_connected({0, 1})

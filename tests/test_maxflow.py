@@ -9,7 +9,7 @@ from ghkit.capacity import INF, ZERO, Cap
 from ghkit.generators import split_seed
 import ghkit.graph
 import ghkit.maxflow
-from ghkit.graph import GraphError, cut_capacity, perturb, shore_cuts
+from ghkit.graph import GraphError, perturb, shore_cuts
 from ghkit.maxflow import (
     BoundExceeded,
     all_shore_capacities,
@@ -19,7 +19,7 @@ from ghkit.maxflow import (
 )
 from ghkit.suiteutil import random_connected_graph
 
-from conftest import ONE, WIDENING_EDGES, is_central, unit_k23
+from conftest import ONE, WIDENING_EDGES, cut_capacity, is_central, unit_k23
 
 
 def test_single_edge():

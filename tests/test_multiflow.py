@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ghkit import capgraph, simplex
 from ghkit.capacity import INF, Cap
 from ghkit.generators import ZWebSpec, gen_zweb, split_seed
-from ghkit.graph import GraphError, cut_capacity, shore_cuts
+from ghkit.graph import GraphError, shore_cuts
 from ghkit.maxflow import BoundExceeded
 from ghkit.simplex import OPTIMAL, UNBOUNDED, solve_lp
 from ghkit.suite import random_demands, random_zweb
@@ -16,7 +16,6 @@ from ghkit.multiflow import (
     DEFAULT_CUT_BOUND,
     FeasibilityCert,
     MultiflowInstance,
-    _centralize_violation,
     _concurrent_lp,
     _cover_sources,
     _split_flows,
@@ -26,7 +25,7 @@ from ghkit.multiflow import (
     max_concurrent_flow,
 )
 
-from conftest import ONE, is_central, unit_k23
+from conftest import ONE, cut_capacity, is_central, unit_k23
 
 F = Fraction
 
@@ -183,6 +182,8 @@ def test_demand_endpoints_must_be_terminals():
         MultiflowInstance(g, ((0, 1, F(1)),))
     with pytest.raises(GraphError):
         MultiflowInstance(g, ((0, 2, F(0)),))
+    with pytest.raises(GraphError, match="demand 2-2 has both ends at one vertex"):
+        MultiflowInstance(g, ((0, 2, F(1)), (2, 2, F(1))))
 
 
 def test_violated_cut_is_central_and_correct():
@@ -280,7 +281,9 @@ def test_cut_condition_matches_naive_enumeration(inst):
     if not cc.holds:
         assert cut_capacity(g, cc.shore) == cc.capacity
         assert _separated(inst, cc.shore) == cc.demand
+        assert cc.capacity.fin / cc.demand == cc.ratio
         assert cc.capacity < Cap(cc.demand)
+        assert g.induced_connected(cc.shore)
         if g.is_connected():
             assert is_central(g, cc.shore)
 
@@ -313,8 +316,8 @@ def coprime_demand_instances(draw):
 
 @given(coprime_demand_instances())
 def test_cut_condition_picks_the_first_fraction_minimiser(inst):
-    # Reference on Fractions: caps from cut_capacity, the first strict
-    # minimiser of cap.fin / demand in shore_cuts order, then centralised.
+    # Reference on Fractions: caps from cut_capacity, the first least
+    # (cap.fin / demand, cap.fin, size) in shore_cuts order.
     g = inst.supply
     best = best_shore = None
     for mask, _ in shore_cuts(g, 0, range(g.n - 1)):
@@ -323,13 +326,14 @@ def test_cut_condition_picks_the_first_fraction_minimiser(inst):
         if not dem:
             continue
         cap = cut_capacity(g, shore)
-        if cap.is_finite and (best is None or cap.fin / dem < best):
-            best, best_shore = cap.fin / dem, shore
+        key = (cap.fin / dem, cap.fin, len(shore))
+        if cap.is_finite and (best is None or key < best):
+            best, best_shore = key, shore
     cc = cut_condition(inst)
-    assert cc.ratio == best
-    assert cc.holds == (best is None or best >= 1)
+    assert cc.ratio == (None if best is None else best[0])
+    assert cc.holds == (best is None or best[0] >= 1)
     if not cc.holds:
-        assert cc.shore == _centralize_violation(inst, best_shore)
+        assert cc.shore == best_shore
         assert cc.capacity == cut_capacity(g, cc.shore)
         assert cc.demand == _separated(inst, cc.shore)
 

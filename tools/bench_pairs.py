@@ -12,9 +12,12 @@ exactly as it would in a fresh checkout.
 For every workload, pair i runs ``perfbench/run.py --seed <seed + i>`` on
 both sides, base first in even pairs and change first in odd ones, so
 that drift in machine speed falls on both sides alike.  After the pairs,
-one ``--trace 1`` run per side keeps the per-layer metrics, work counts
-included, and ``counts_changed`` lists the work counts (per-layer
-metrics of unit ``count``) whose traced values differ between the sides.
+three ``--trace 1`` passes per side, alternating in the same way, give
+the per-layer metrics: ``traced`` holds each metric's median over a
+side's passes, and the script stops if a work count (a per-layer metric
+of unit ``count``) differs between one side's passes.
+``counts_changed`` lists the work counts whose traced values differ
+between the sides.
 The output file holds the environment, every pair, and per
 end-to-end metric the median and interquartile range of each side, the
 ratio of the medians (change / base), the number of pairs the change
@@ -40,6 +43,7 @@ import time
 from pathlib import Path
 
 TRACE_SEED = 11  # a traced pass is the same work for every seed
+TRACE_PASSES = 3
 
 
 def git(*args, cwd):
@@ -135,6 +139,21 @@ def summarise(pairs, end_to_end):
     return out
 
 
+def order(i):
+    """The sides in the order pair (or traced pass) i runs them."""
+    return ("base", "change") if i % 2 == 0 else ("change", "base")
+
+
+def traced_medians(runs, per_layer, side):
+    """{name: median} over one side's traced runs, for every metric of the
+    first run; SystemExit if a work count differs between the runs."""
+    for m in per_layer:
+        values = [r.get(m["name"]) for r in runs]
+        if m["unit"] == "count" and len(set(values)) > 1:
+            raise SystemExit(f"{side}: work count {m['name']} differs between traced passes: {values}")
+    return {name: statistics.median(r[name] for r in runs) for name in runs[0]}
+
+
 def counts_changed(traced, per_layer):
     """{name: {"base": value, "change": value}} for each per-layer metric
     of unit "count" whose traced value differs between the two sides (a
@@ -207,24 +226,26 @@ def main(argv=None):
             pairs = []
             for i in range(count):
                 seed = args.seed + i
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
+                pair = {"seed": seed, "first": order(i)[0]}
+                for side in order(i):
                     detail, result = run_bench(trees[side], workload, seed, seconds)
                     pair[side] = {k: v["value"] for k, v in result["metrics"].items()}
                     pair[side]["attempted"] = result["attempted"]
                     pair[side + "_source_sha256"] = detail["environment"]["source_sha256"]
                 print(f"{workload} pair {i}: " + ", ".join(
-                    f"{s} {pair[s]['instances_per_s']:.1f}/s" for s in order), file=sys.stderr)
+                    f"{s} {pair[s]['instances_per_s']:.1f}/s" for s in order(i)), file=sys.stderr)
                 pairs.append(pair)
-            traced = {}
-            for side in ("base", "change"):
-                _, result = run_bench(trees[side], workload, TRACE_SEED, 1, trace=1)
-                traced[side] = {k: v["value"] for k, v in result["metrics"].items()}
+            runs = {"base": [], "change": []}
+            for i in range(TRACE_PASSES):
+                for side in order(i):
+                    _, result = run_bench(trees[side], workload, TRACE_SEED, 1, trace=1)
+                    runs[side].append({k: v["value"] for k, v in result["metrics"].items()})
+            traced = {side: traced_medians(r, spec["per_layer"], side) for side, r in runs.items()}
             report["workloads"][workload] = {
                 "summary": summarise(pairs, spec["end_to_end"]),
                 "pairs": pairs,
                 "traced_seed": TRACE_SEED,
+                "traced_passes": TRACE_PASSES,
                 "counts_changed": counts_changed(traced, spec["per_layer"]),
                 "traced": traced,
             }
