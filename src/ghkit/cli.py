@@ -121,9 +121,6 @@ def cmd_gen(args):
 def cmd_reduce(args):
     inst = gio.load(args.input)
     MultiflowInstance(inst.graph, inst.demands)  # the demand check flowcheck makes
-    if not inst.tsets:
-        _write(args.out, gio.format_instance(inst.graph, demands=inst.demands))
-        return EXIT_OK
     reduced, vmap = reduce_all(ZWebInstance(inst.graph, inst.tsets, ()))
     # demand endpoints are terminals, and no interior holds a terminal
     demands = tuple((vmap[s], vmap[t], d) for s, t, d in inst.demands)

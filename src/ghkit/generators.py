@@ -307,25 +307,10 @@ def gen_adversarial_from_minor(g: CapGraph, emb: MinorEmbedding):
     connectors = model_connectors(g, sets, emb.pattern.edges)
     if connectors is None:
         raise GraphError("invalid embedding: the branch sets are not a minor model of K2,3")
-    keep_edges = []
-    # spanning tree of each branch set
-    for s in sets:
-        root = next(iter(s))
-        seen = {root}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, _ in g.adj[u]:
-                if v in s and v not in seen:
-                    seen.add(v)
-                    keep_edges.append((u, v, INF))
-                    stack.append(v)
-    # one unit connector per pattern edge
-    keep_edges += [(u, v, Cap(1)) for u, v in connectors]
-    used = set()
-    for s in sets:
-        used |= s
-    verts = sorted(used)
+    trees = [g.component_of(next(iter(s)), s) for s in sets]  # spanning each branch set
+    keep_edges = [(u, v, INF) for tree in trees for v, u in tree.items() if u is not None]
+    keep_edges += [(u, v, Cap(1)) for u, v in connectors]  # one unit connector per pattern edge
+    verts = sorted(set().union(*sets))
     vmap = {v: i for i, v in enumerate(verts)}
     terminals = tuple(vmap[t] for t in emb.seeds)
     edges = [(vmap[u], vmap[v], cap) for u, v, cap in keep_edges]

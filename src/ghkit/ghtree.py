@@ -114,16 +114,16 @@ def build_gh_tree(g: CapGraph, z=None) -> GHTree:
         res = max_flow(gp, s, t)
         shore = res.shore
         nodes[t] = nodes[s] - shore
-        node_terms[t] = [x for x in node_terms[s] if x in nodes[t]]
         nodes[s] &= shore
-        node_terms[s] = [x for x in node_terms[s] if x in nodes[s]]
+        node_terms[t] = [x for x in node_terms[s] if x not in shore]
+        node_terms[s] = [x for x in node_terms[s] if x in shore]
 
         # Reattach each neighbour subtree to the side its vertices fell on.
         for k, (a, b, split) in enumerate(tree):
             if s not in (a, b):
                 continue
             via = b if a == s else a
-            keep = s if next(iter(nodes[via])) in shore else t
+            keep = s if via in shore else t  # via names the subtree by its own terminal
             tree[k] = (keep, b, split) if a == s else (a, keep, split)
         tree.append((s, t, res))
 
@@ -184,10 +184,11 @@ def verify_encoding(g: CapGraph, t: GHTree):
     max-flow is run but the widening rerun of ``FlowResult.tiers``, which
     only infinite edges can need.
 
-    Returns one EdgeCheck per tree edge e, in edge order.  Let gp be g if
-    g is perturbed and ``perturb(g)`` otherwise, recomputed here (perturb
-    is deterministic), and v_e the cut value of e's certificate in gp,
-    summed by ``shore_cuts`` as the exact int pair (inf, fin * D).
+    Returns one EdgeCheck per tree edge e, in edge order.  Let gp be
+    ``perturb(g)``, recomputed here (perturb is deterministic, and
+    returns a perturbed g itself), and v_e the cut value of e's
+    certificate in gp, summed by ``shore_cuts`` as the exact int pair
+    (inf, fin * D).
 
     - ``cut_ok``: e's certificate holds e.s and not e.t, no other tree
       edge has exactly one end in it, it is the union of the bags of the
@@ -253,7 +254,7 @@ def verify_encoding(g: CapGraph, t: GHTree):
     for e in edges:
         if e.s not in terminals or e.t not in terminals:
             raise GraphError(f"tree edge {e.s}-{e.t} does not join two terminals")
-    gp = g if g.perturbed else perturb(g)
+    gp = perturb(g)  # g itself if g is perturbed
     n, tails, caps = gp.n, gp.arc_tails, gp.tier_capacities
     lows = [(-a, -b) for a, b in caps]
     finite = [i for i, (inf, _) in enumerate(caps) if not inf]  # edges with no infinite tier

@@ -153,25 +153,26 @@ class CapGraph:
     def is_connected(self) -> bool:
         return self.induced_connected(range(self.n))
 
-    def component_of(self, start, within=None):
-        """Vertex set reachable from start, optionally restricted to `within`."""
-        allowed = None if within is None else set(within)
-        seen = {start}
+    def component_of(self, start, within):
+        """Search tree of start's component in the subgraph induced by the
+        vertex container `within` (a stack search, marking on push):
+        {vertex: the vertex it was reached from}, in reach order, with
+        start mapped to None."""
+        tree = {start: None}
         stack = [start]
         while stack:
             x = stack.pop()
             for y, _ in self.adj[x]:
-                if y in seen or (allowed is not None and y not in allowed):
-                    continue
-                seen.add(y)
-                stack.append(y)
-        return seen
+                if y in within and y not in tree:
+                    tree[y] = x
+                    stack.append(y)
+        return tree
 
     def induced_connected(self, vertices) -> bool:
         vs = set(vertices)
         if not vs:
             return False
-        return self.component_of(next(iter(vs)), vs) == vs
+        return self.component_of(next(iter(vs)), vs).keys() == vs
 
 
 def capgraph(n, edges, terminals=()) -> CapGraph:
@@ -288,53 +289,42 @@ def deperturb_value(g: CapGraph, value: Cap) -> Cap:
 
 def blocks(g: CapGraph):
     """Biconnected components, each as a set of vertices; an isolated
-    vertex is a block of its own.  The one lowpoint DFS of the package."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
+    vertex is a block of its own.  The one lowpoint DFS of the package.
+    When child v of p finishes with low[v] >= disc[p], the vertices from v
+    up on ``pending`` (visited, in no block yet) and p form one block."""
+    disc = [-1] * g.n
+    low = [0] * g.n
     timer = 0
     out = []
-    edge_stack = []
-    for root in range(n):
+    for root in range(g.n):
         if disc[root] != -1:
             continue
+        disc[root] = low[root] = timer = timer + 1
         if not g.adj[root]:
-            disc[root] = timer
-            timer += 1
             out.append({root})
             continue
+        pending = [root]
         stack = [(root, -1, iter(g.adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
         while stack:
             v, pv, it = stack[-1]
-            advanced = False
             for w, _ in it:
                 if disc[w] == -1:
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
+                    disc[w] = low[w] = timer = timer + 1
+                    pending.append(w)
                     stack.append((w, v, iter(g.adj[w])))
-                    advanced = True
                     break
-                elif w != pv and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
+                if w != pv:
                     low[v] = min(low[v], disc[w])
-            if not advanced:
+            else:
                 stack.pop()
                 if stack:
                     p = stack[-1][0]
                     low[p] = min(low[p], low[v])
                     if low[v] >= disc[p]:
-                        comp = set()
-                        while edge_stack:
-                            a, b = edge_stack.pop()
-                            comp.add(a)
-                            comp.add(b)
-                            if (a, b) == (p, v):
-                                break
-                        if comp:
-                            out.append(comp)
+                        block = {p}
+                        while v not in block:
+                            block.add(pending.pop())
+                        out.append(block)
     return out
 
 

@@ -16,7 +16,11 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+UNIVERSE = {"gh-trees": 40, "cut-oracles": 210, "flowcheck": 36, "minor-search": 480}
 
 
 def test_benchmark_self_tests_pass():
@@ -26,6 +30,21 @@ def test_benchmark_self_tests_pass():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_one_benchmark_pass_matches_every_recorded_answer(workload):
+    """One whole untraced pass of the workload: every instance's answer
+    passes its check and matches its recorded digest."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.01"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failed"] == 0, proc.stdout.splitlines()[-2][-2000:]
+    assert result["attempted"] == UNIVERSE[workload]
 
 
 def test_per_layer_metric_names_resolve_to_public_functions():

@@ -9,11 +9,14 @@ import pytest
 import ghkit
 from ghkit import capgraph
 from ghkit.cli import main
-from ghkit.dot import tree_dot
+from ghkit.dot import embedding_dot, tree_dot
+from ghkit.generators import gen_onesum, gen_outerplanar
 from ghkit.ghtree import build_gh_tree
 from ghkit.graph import GraphError
 from ghkit.io import format_instance, parse_instance
+from ghkit.minors import detect_terminal_minor, k23
 from ghkit.multiflow import MultiflowInstance, feasible, flow_cut_gap, max_concurrent_flow
+from ghkit.suite import SuiteResult
 
 from conftest import unit_k23
 
@@ -385,3 +388,77 @@ def test_a_zero_concurrent_flow_is_reported_and_raised(tmp_path, capsys):
     parsed = parse_instance(TWO_COMPONENTS)
     with pytest.raises(GraphError, match="zero concurrent flow"):
         flow_cut_gap(MultiflowInstance(parsed.graph, parsed.demands))
+
+
+@pytest.mark.parametrize(
+    "argv, graph",
+    [
+        (["gen", "outerplanar", "--n", "7", "--seed", "4"], lambda: gen_outerplanar(7, 4)),
+        (["gen", "onesum", "--blocks", "5,k4", "--seed", "4"],
+         lambda: gen_onesum([("outerplanar", 5), ("k4",)], 4)),
+    ],
+    ids=lambda x: " ".join(x[:2]) if isinstance(x, list) else "",
+)
+def test_gen_writes_the_generated_graph(tmp_path, argv, graph):
+    out = tmp_path / "g.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == format_instance(graph())
+
+
+def test_detect_minor_dot_draws_the_found_model(k23_file, capsys):
+    assert main(["detect-minor", k23_file, "--pattern", "k23", "--format", "dot"]) == 0
+    emb = detect_terminal_minor(unit_k23(), tuple(range(5)), k23())
+    out = capsys.readouterr().out
+    assert out == embedding_dot(unit_k23(), emb.branch_sets)
+    assert out.count("subgraph cluster_b") == 5
+
+
+def test_ghtree_dot_lists_the_non_terminals_of_each_bag(tmp_path, capsys):
+    g = unit_k23(terminals=(0, 1, 2, 3))
+    path = tmp_path / "g.txt"
+    path.write_text(format_instance(g))
+    assert main(["ghtree", str(path), "--format", "dot"]) == 0
+    out = capsys.readouterr().out
+    assert out == tree_dot(build_gh_tree(g))
+    assert "    4;" in out.splitlines()  # the one non-terminal, inside a cluster
+
+
+def test_verify_embed_weak_prints_the_deleted_vertices(tmp_path, capsys):
+    # The GH tree over 4, 1, 2, 0 is a star whose centre's bag {2, 5} is
+    # disconnected; deleting 5 leaves a bag minor.
+    caps = {(0, 1): "2/3", (0, 2): "3/4", (0, 3): "9/2", (0, 5): "11/8", (1, 2): "8",
+            (1, 5): "11/4", (2, 4): "15/2", (3, 4): "1/3", (4, 5): "17/7"}
+    g = capgraph(6, [(u, v, Fraction(c)) for (u, v), c in caps.items()], (4, 1, 2, 0))
+    path = tmp_path / "g.txt"
+    path.write_text(format_instance(g))
+    assert main(["verify-embed", str(path), "--mode", "bag"]) == 1
+    assert main(["verify-embed", str(path), "--mode", "weak"]) == 0
+    assert capsys.readouterr().out == "no\ndeleted: 5\nyes\n"
+
+
+def test_flowcheck_without_demands_is_a_usage_error(k23_file, capsys):
+    assert main(["flowcheck", k23_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "no demands in input\n"
+
+
+def test_suite_prints_each_counterexample(monkeypatch, capsys):
+    def planted(seed, trials):
+        res = SuiteResult("gh-oracle", trials, 0)
+        res.record(False, f"planted failure (seed {seed})", unit_k23())
+        return res
+
+    monkeypatch.setitem(ghkit.suite.SUITES, "gh-oracle", planted)
+    assert main(["suite", "--suites", "gh-oracle", "--trials", "1", "--seed", "3"]) == 1
+    instance = "".join(f"    {ln}\n" for ln in format_instance(unit_k23()).splitlines())
+    assert capsys.readouterr().out == (
+        "gh-oracle: FAIL (0/1)\n  counterexample: planted failure (seed 3)\n" + instance
+    )
+
+
+def test_reduce_without_declared_sets_echoes_its_input(tmp_path, capsys):
+    text = format_instance(unit_k23(), demands=((0, 1, Fraction(1)), (2, 3, Fraction(1, 2))))
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["reduce", str(path)]) == 0
+    assert capsys.readouterr().out == text

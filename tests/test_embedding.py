@@ -87,9 +87,8 @@ def test_onesum_trees_are_subgraphs():
         ok, witness = is_gh_subgraph(g)
         assert ok
         # the witness realizes every tree edge by an actual graph edge
-        for (s, t), eid in witness.items():
-            u, v, _ = g.edges[eid]
-            assert {u, v} == {s, t}
+        for (s, t), (u, v) in witness["connectors"].items():
+            assert {u, v} == {s, t} and g.has_edge(u, v)
 
 
 def test_subgraph_implies_bag_minor():
@@ -187,3 +186,29 @@ def test_weak_bag_minor_rejects_overlapping_bags():
     )
     with pytest.raises(GraphError):
         check_weak_bag_minor(g, t)
+
+
+# The path 0-2-1 with terminals 0 and 1: bags {0, 2} and {1} joined by 0-1.
+PATH_0_2_1 = capgraph(3, [(0, 2, ONE), (2, 1, ONE)], (0, 1))
+PATH_BAGS = {0: frozenset({0, 2}), 1: frozenset({1})}
+MALFORMED_TREES = {
+    "no edges": (PATH_BAGS, ()),
+    "a loop": (PATH_BAGS, (GHEdge(0, 0, ONE),)),
+    "an edge given twice": (PATH_BAGS, (GHEdge(0, 1, ONE),) * 2),
+    "an edge end that is not a terminal": (PATH_BAGS, (GHEdge(0, 2, ONE),)),
+    "a terminal with no bag": ({0: frozenset({0, 2})}, (GHEdge(0, 1, ONE),)),
+    "a bag of a non-terminal": ({**PATH_BAGS, 2: frozenset()}, (GHEdge(0, 1, ONE),)),
+}
+
+
+@pytest.mark.parametrize(
+    "check, case",
+    [(check_bag_minor, case) for case in MALFORMED_TREES]
+    # check_weak_bag_minor already rejects bags that do not partition V
+    + [(check_weak_bag_minor, case) for case in list(MALFORMED_TREES)[:4]],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_bag_minor_checks_reject_trees_that_are_not_trees(check, case):
+    bags, edges = MALFORMED_TREES[case]
+    with pytest.raises(GraphError):
+        check(PATH_0_2_1, GHTree((0, 1), bags, edges, ()))

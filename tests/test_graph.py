@@ -163,6 +163,41 @@ def test_block_cut_vertices_match_deletion_oracle(g):
 
 
 @settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_blocks_are_the_maximal_two_connected_sets(g):
+    """``blocks(g)`` as sets: the maximal vertex sets that induce a
+    2-connected graph or a single edge, plus the isolated vertices, each
+    once.  Checked over all vertex subsets as bitmasks."""
+    nbr = [0] * g.n
+    for u, v, _ in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+
+    def connected(mask):
+        comp, grown = 0, mask & -mask
+        while grown != comp:
+            comp = grown
+            for v in range(g.n):
+                if comp >> v & 1:
+                    grown |= nbr[v] & mask
+        return grown == mask
+
+    members = [[v for v in range(g.n) if mask >> v & 1] for mask in range(1 << g.n)]
+    # two ends of an edge, or at least three vertices that no one vertex disconnects
+    good = [
+        mask for mask in range(1 << g.n)
+        if len(members[mask]) >= 2 and connected(mask)
+        and all(connected(mask & ~(1 << v)) for v in members[mask])
+    ]
+    maximal = []
+    for mask in sorted(good, key=lambda m: -len(members[m])):
+        if all(mask & other != mask for other in maximal):
+            maximal.append(mask)
+    expected = sorted(members[m] for m in maximal) + [[v] for v in range(g.n) if not nbr[v]]
+    assert sorted(sorted(b) for b in blocks(g)) == sorted(expected)
+
+
+@settings(max_examples=300, deadline=None)
 @given(small_graphs(), st.data())
 def test_connector_is_the_first_joining_edge(g, data):
     side = data.draw(st.lists(st.sampled_from("abx"), min_size=g.n, max_size=g.n))

@@ -10,6 +10,7 @@ from ghkit.generators import gen_k23_subdivision, split_seed
 from ghkit.graph import GraphError
 from ghkit.minors import (
     MinorEmbedding,
+    MinorPattern,
     _automorphisms,
     cycle,
     detect_terminal_minor,
@@ -114,6 +115,11 @@ def test_verify_embedding_rejects_faults(k23_graph):
     seeds[0] = next(iter(sets[1]))
     assert not verify_embedding(
         k23_graph, z, k23(), MinorEmbedding(good.pattern, good.branch_sets, tuple(seeds))
+    )
+    # distinct terminal seeds, but seed 1 lies outside branch set 0
+    seeds = (1, 0, 2, 3, 4)
+    assert not verify_embedding(
+        k23_graph, z, k23(), MinorEmbedding(good.pattern, good.branch_sets, seeds)
     )
     # a disconnected branch set: 5 hangs off 2, not off 0
     pendant = capgraph(6, [(u, v, ONE) for u, v, _ in k23_graph.edges] + [(2, 5, ONE)], z)
@@ -325,3 +331,14 @@ def test_terminal_prune_keeps_a_spare_terminal_inside_a_branch_set():
     for emb in (detect_terminal_minor(g, z, k23()), slow_detect_terminal_minor(g, z, k23())):
         assert emb is not None and verify_embedding(g, z, k23(), emb)
         assert any(s - {seed} for seed, s in zip(emb.seeds, emb.branch_sets))
+
+
+def test_one_vertex_pattern_takes_the_first_terminal(k23_graph):
+    """A one-vertex pattern has only the identity automorphism: its seed
+    assignments are the terminals in order, and the first is a minor."""
+    single = MinorPattern("k1", 1, ())
+    for detect in (detect_terminal_minor, slow_detect_terminal_minor):
+        emb = detect(k23_graph, (3, 1), single)
+        assert emb == MinorEmbedding(single, (frozenset({3}),), (3,))
+        assert verify_embedding(k23_graph, (3, 1), single, emb)
+        assert detect(k23_graph, (), single) is None
