@@ -50,6 +50,28 @@ class GHTree:
     edges: tuple  # tuple[GHEdge, ...]
     certificates: tuple  # per edge: its fundamental cut, the frozenset union of the bags on edge.s's side
 
+    def __post_init__(self):
+        """The one shape check of a tree: bags keyed by exactly the
+        terminals, each holding its own; k - 1 edges on k terminals, each
+        merging the sides of two different terminals, so they form a
+        spanning tree; and one certificate per edge, or none on a tree
+        built by hand."""
+        if self.bags.keys() != set(self.terminals):
+            raise GraphError("bags must be keyed by exactly the terminals")
+        if not all(z in bag for z, bag in self.bags.items()):
+            raise GraphError("every bag must hold its terminal")
+        if len(self.edges) != len(self.terminals) - 1:
+            raise GraphError("a tree on k terminals needs k - 1 edges")
+        side = {z: {z} for z in self.terminals}
+        for e in self.edges:
+            a, b = side.get(e.s), side.get(e.t)
+            if a is None or b is None or a is b:
+                raise GraphError(f"tree edge {e.s}-{e.t} does not join two sides of the tree")
+            a |= b
+            side.update(dict.fromkeys(b, a))
+        if self.certificates and len(self.certificates) != len(self.edges):
+            raise GraphError("need one certificate per tree edge")
+
 
 def build_gh_tree(g: CapGraph, z=None) -> GHTree:
     """Build the GH tree over terminals z (all vertices if omitted).
@@ -145,7 +167,7 @@ def tree_lambda(t: GHTree, s, u) -> Cap:
         raise GraphError("identical terminals")
     if s not in t.terminals or u not in t.terminals:
         raise GraphError(f"{s} and {u} must both be terminals")
-    if len(t.certificates) != len(t.edges):
+    if not t.certificates:
         raise GraphError("need one certificate per tree edge")
     cap = min((e.cap for e, c in zip(t.edges, t.certificates) if (s in c) != (u in c)), default=None)
     if cap is None:
@@ -165,17 +187,10 @@ class EdgeCheck:
 
 
 def require_partition(g: CapGraph, t: GHTree):
-    """Raise GraphError unless the bags, keyed by exactly the terminals,
-    partition V, each holding its terminal."""
-    if t.bags.keys() != set(t.terminals):
-        raise GraphError("bags must be keyed by exactly the terminals")
-    covered = set()
-    for z in t.terminals:
-        bag = t.bags[z]
-        if z not in bag or covered & bag:
-            raise GraphError("bags do not partition V")
-        covered |= bag
-    if covered != set(range(g.n)):
+    """Raise GraphError unless the bags partition V: they cover 0..n-1,
+    and their sizes add up to n."""
+    bags = t.bags.values()
+    if sum(map(len, bags)) != g.n or set().union(*bags) != set(range(g.n)):
         raise GraphError("bags do not partition V")
 
 
@@ -204,9 +219,9 @@ def verify_encoding(g: CapGraph, t: GHTree):
       +-capacity as a pair compared lexicographically, and both tiers
       are conserved at every vertex other than s_e and t_e.
 
-    Raises GraphError if the bags, keyed by the terminals, do not
-    partition V, the tree does not have k - 1 edges and certificates for
-    its k terminals, or an edge end is not a terminal.
+    Raises GraphError if the bags do not partition V or the tree has no
+    certificates; ``GHTree`` itself ensures that its edges form a
+    spanning tree on the terminals.
 
     Why every edge passing makes t a GH tree (one failing edge voids the
     certificate of the lighter edges whose chains pass through it).
@@ -216,11 +231,9 @@ def verify_encoding(g: CapGraph, t: GHTree):
       a flow within its capacities that conserves both tiers has a value
       no larger than any cut between its ends: lam(s_e, t_e) >= v_e.  A
       finite flow on an infinite edge is within its capacity.
-    - Chain.  A cycle crosses every cut an even number of times, and
-      only e crosses its certificate, so e lies on no cycle: the k - 1
-      edges on k terminals are bridges and form a spanning tree.
-      Removing e leaves e.s's component inside its certificate and
-      e.t's outside, so the certificate's terminals are e.s's side, and
+    - Chain.  Only e crosses its certificate, so removing e from the
+      tree leaves e.s's component inside its certificate and e.t's
+      outside, so the certificate's terminals are e.s's side, and
       an edge lies on the tree path between two terminals iff its
       certificate separates them.  By induction on decreasing v, each
       edge f on the paths e.s...s_e and t_e...e.t has v_f > v_e and so
@@ -247,13 +260,8 @@ def verify_encoding(g: CapGraph, t: GHTree):
     """
     require_partition(g, t)
     edges, certs, terminals = t.edges, t.certificates, set(t.terminals)
-    if len(certs) != len(edges):
+    if edges and not certs:
         raise GraphError("need one certificate per tree edge")
-    if len(edges) != len(t.terminals) - 1:
-        raise GraphError("a tree on k terminals needs k - 1 edges")
-    for e in edges:
-        if e.s not in terminals or e.t not in terminals:
-            raise GraphError(f"tree edge {e.s}-{e.t} does not join two terminals")
     gp = perturb(g)  # g itself if g is perturbed
     n, tails, caps = gp.n, gp.arc_tails, gp.tier_capacities
     lows = [(-a, -b) for a, b in caps]

@@ -242,13 +242,16 @@ def connector(g: CapGraph, a, b):
 def model_connectors(g: CapGraph, sets, pairs):
     """The one minor-model check: ``connector(g, sets[a], sets[b])`` for
     each (a, b) in pairs, in order, as a tuple; None unless the sets are
-    non-empty, pairwise disjoint and each connected in g, and every pair
-    is joined by an edge of g."""
+    non-empty, pairwise disjoint sets of vertices 0..n-1 and each
+    connected in g, and every pair is joined by an edge of g."""
     seen = set()
     for s in sets:
-        if not seen.isdisjoint(s) or not g.induced_connected(s):  # False if empty
+        if not seen.isdisjoint(s):
             return None
         seen |= s
+    # the range test comes before any read of g.adj, where -1 is n-1
+    if not seen.issubset(range(g.n)) or not all(map(g.induced_connected, sets)):  # False if empty
+        return None
     found = tuple(connector(g, sets[a], sets[b]) for a, b in pairs)
     return None if None in found else found
 

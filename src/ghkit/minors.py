@@ -112,16 +112,23 @@ class MinorEmbedding:
     branch_sets: tuple  # tuple of frozensets, indexed by pattern vertex
     seeds: tuple  # terminal assigned to each pattern vertex
 
+    def __post_init__(self):
+        """The one shape check of an embedding: one branch set and one
+        seed per pattern vertex, the seeds distinct, each in its own set."""
+        k = self.pattern.k
+        if len(self.branch_sets) != k or len(self.seeds) != k or len(set(self.seeds)) != k:
+            raise GraphError("need one branch set and one distinct seed per pattern vertex")
+        if not all(seed in s for seed, s in zip(self.seeds, self.branch_sets)):
+            raise GraphError("every seed must lie in its own branch set")
+
 
 def verify_embedding(g: CapGraph, z, pattern: MinorPattern, emb: MinorEmbedding) -> bool:
-    """Re-check the embedding against g: one distinct seed per pattern
-    vertex, taken from z and lying in its branch set, and the branch sets
-    a minor model of the pattern (``graph.model_connectors``)."""
+    """Re-check the embedding against g and z: one branch set per vertex
+    of `pattern`, seeds taken from z, and the branch sets a minor model
+    of the pattern (``graph.model_connectors``).  ``MinorEmbedding`` has
+    checked the seeds against the branch sets."""
     sets = emb.branch_sets
-    if len(sets) != pattern.k or len(set(emb.seeds)) != pattern.k:
-        return False
-    zset = set(z)
-    if not all(seed in s and seed in zset for seed, s in zip(emb.seeds, sets)):
+    if len(sets) != pattern.k or not set(emb.seeds).issubset(z):
         return False
     return model_connectors(g, sets, pattern.edges) is not None
 

@@ -4,6 +4,7 @@ import pytest
 
 from ghkit import capgraph
 from ghkit.capacity import INF, Cap
+from ghkit.ghtree import GHEdge
 
 ONE = Cap(Fraction(1))
 
@@ -14,6 +15,24 @@ WIDENING_EDGES = [
     (1, 4, INF), (0, 5, Cap(-1, 3)), (2, 5, Cap(-1, 1)), (4, 5, INF), (2, 3, INF * 2),
     (1, 3, INF), (4, 6, INF), (5, 6, INF * 2),
 ]
+
+# The fields of a GHTree of the wrong shape, by what is wrong with it, on
+# the vertices of the path 0-2-1.
+PATH_BAGS = {0: frozenset({0, 2}), 1: frozenset({1})}
+MALFORMED_TREES = {
+    "no edges": ((0, 1), PATH_BAGS, (), ()),
+    "a loop": ((0, 1), PATH_BAGS, (GHEdge(0, 0, ONE),), ()),
+    "an edge given twice": ((0, 1), PATH_BAGS, (GHEdge(0, 1, ONE),) * 2, ()),
+    "an edge end that is not a terminal": ((0, 1), PATH_BAGS, (GHEdge(0, 2, ONE),), ()),
+    "a terminal with no bag": ((0, 1), {0: frozenset({0, 2})}, (GHEdge(0, 1, ONE),), ()),
+    "a bag of a non-terminal": ((0, 1), {**PATH_BAGS, 2: frozenset()}, (GHEdge(0, 1, ONE),), ()),
+    "a bag missing its terminal": ((0, 1), {0: frozenset({0}), 1: frozenset({2})}, (GHEdge(0, 1, ONE),), ()),
+    "a wrong certificate count": ((0, 1), PATH_BAGS, (GHEdge(0, 1, ONE),), (frozenset({0, 2}),) * 2),
+    # k - 1 edges, each copy with a side holding both its ends: 2 is on none
+    "a doubled edge": (
+        (0, 1, 2), {z: frozenset({z}) for z in range(3)}, (GHEdge(0, 1, ONE),) * 2, (frozenset({0, 1}),) * 2,
+    ),
+}
 
 
 def unit_k23(terminals=(0, 1, 2, 3, 4)):

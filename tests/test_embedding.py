@@ -14,12 +14,13 @@ from ghkit.embedding import (
     check_weak_bag_minor,
     is_gh_subgraph,
 )
-from ghkit.generators import gen_onesum, split_seed
+from ghkit.generators import gen_adversarial_from_minor, gen_onesum, split_seed
 from ghkit.ghtree import GHEdge, GHTree, build_gh_tree
 from ghkit.graph import GraphError
+from ghkit.minors import MinorEmbedding, MinorPattern, cycle, k4, k23, verify_embedding
 from ghkit.suiteutil import random_connected_graph
 
-from conftest import ONE, is_star, unit_k23
+from conftest import MALFORMED_TREES, ONE, is_star, unit_k23
 
 
 def test_k23_has_no_gh_subtree(k23_graph):
@@ -174,6 +175,17 @@ def test_bag_minor_rejects_overlapping_bags():
     assert check_bag_minor(g, t) == (False, None)
 
 
+def test_bag_minor_rejects_vertices_outside_the_graph():
+    """A bag holding -1, which g.adj would read as vertex n-1 (here
+    joined to 7), is no bag, nor is one holding a vertex past n-1."""
+    nine = capgraph(9, [(v, v + 1, ONE) for v in range(8)] + [(0, 7, ONE)], (0, 7))
+    t = GHTree((0, 7), {0: frozenset({0}), 7: frozenset({7, -1})}, (GHEdge(0, 7, ONE),), ())
+    assert check_bag_minor(nine, t) == (False, None)
+    path = capgraph(3, [(0, 1, ONE), (1, 2, ONE)], (0, 2))
+    t = GHTree((0, 2), {0: frozenset({0, 1}), 2: frozenset({2, 9})}, (GHEdge(0, 2, ONE),), ())
+    assert check_bag_minor(path, t) == (False, None)
+
+
 def test_weak_bag_minor_rejects_overlapping_bags():
     # Deleting {2, 3} would leave a bag minor, but 3 lies in both bags:
     # pruning it from the bag of 1 breaks the bag of 0.
@@ -188,27 +200,58 @@ def test_weak_bag_minor_rejects_overlapping_bags():
         check_weak_bag_minor(g, t)
 
 
-# The path 0-2-1 with terminals 0 and 1: bags {0, 2} and {1} joined by 0-1.
+# The path 0-2-1 with terminals 0 and 1.
 PATH_0_2_1 = capgraph(3, [(0, 2, ONE), (2, 1, ONE)], (0, 1))
-PATH_BAGS = {0: frozenset({0, 2}), 1: frozenset({1})}
-MALFORMED_TREES = {
-    "no edges": (PATH_BAGS, ()),
-    "a loop": (PATH_BAGS, (GHEdge(0, 0, ONE),)),
-    "an edge given twice": (PATH_BAGS, (GHEdge(0, 1, ONE),) * 2),
-    "an edge end that is not a terminal": (PATH_BAGS, (GHEdge(0, 2, ONE),)),
-    "a terminal with no bag": ({0: frozenset({0, 2})}, (GHEdge(0, 1, ONE),)),
-    "a bag of a non-terminal": ({**PATH_BAGS, 2: frozenset()}, (GHEdge(0, 1, ONE),)),
-}
 
 
 @pytest.mark.parametrize(
     "check, case",
-    [(check_bag_minor, case) for case in MALFORMED_TREES]
-    # check_weak_bag_minor already rejects bags that do not partition V
-    + [(check_weak_bag_minor, case) for case in list(MALFORMED_TREES)[:4]],
+    [(check, case) for check in (check_bag_minor, check_weak_bag_minor) for case in MALFORMED_TREES],
     ids=lambda x: getattr(x, "__name__", x),
 )
 def test_bag_minor_checks_reject_trees_that_are_not_trees(check, case):
-    bags, edges = MALFORMED_TREES[case]
     with pytest.raises(GraphError):
-        check(PATH_0_2_1, GHTree((0, 1), bags, edges, ()))
+        check(PATH_0_2_1, GHTree(*MALFORMED_TREES[case]))
+
+
+@st.composite
+def stray_vertex_sets(draw):
+    """A graph on 2..7 vertices; the fields of a GH tree, and a pattern
+    with branch sets and seeds, all drawing their vertices from -2..n+1;
+    and terminals holding the seeds."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    g = capgraph(n, [(u, v, ONE) for u, v in pairs if u != v])
+    stray = st.integers(min_value=-2, max_value=n + 1)
+    sets = st.frozensets(stray, max_size=4)
+    z = draw(st.lists(stray, min_size=1, max_size=5, unique=True))
+    bags = {x: draw(sets) | {x} for x in z}
+    edges = tuple(GHEdge(draw(st.sampled_from(z[:i])), z[i], ONE) for i in range(1, len(z)))
+    pattern = draw(st.sampled_from([k23(), k4(), cycle(3), MinorPattern("k2", 2, ((0, 1),))]))
+    seeds = tuple(draw(st.lists(stray, min_size=pattern.k, max_size=pattern.k, unique=True)))
+    branch_sets = tuple(draw(sets) | {seed} for seed in seeds)
+    terminals = seeds + tuple(draw(st.lists(stray, max_size=2)))
+    return g, (tuple(z), bags, edges, ()), (pattern, branch_sets, seeds), terminals
+
+
+@settings(max_examples=200, deadline=None)
+@given(stray_vertex_sets())
+def test_certificate_checks_answer_or_raise_graph_error_on_any_vertex_sets(inst):
+    """Each check answers, or raises GraphError, on vertex sets that may
+    hold vertices outside 0..n-1; never IndexError, KeyError or
+    AssertionError.  The tree and the embedding are built inside each
+    call."""
+    g, tree, embedding, terminals = inst
+    pattern = embedding[0]
+    calls = (
+        lambda: check_bag_minor(g, GHTree(*tree)),
+        lambda: check_weak_bag_minor(g, GHTree(*tree)),
+        lambda: verify_embedding(g, terminals, pattern, MinorEmbedding(*embedding)),
+        lambda: gen_adversarial_from_minor(g, MinorEmbedding(*embedding)),
+    )
+    for call in calls:
+        try:
+            call()
+        except GraphError:
+            pass

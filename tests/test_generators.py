@@ -286,6 +286,16 @@ def test_adversarial_capacities_and_demands():
     assert all(d == 1 for _, _, d in inst.demands)
 
 
+def test_adversarial_rejects_seeds_outside_their_branch_sets():
+    """Seeds 0 and 2 swapped: the degree-3 demand would join a degree-2
+    branch set to the other degree-3 one."""
+    g = gen_k23_subdivision(3, 1)
+    emb = detect_terminal_minor(g, tuple(range(g.n)), k23())
+    a1, a2, b1, b2, b3 = emb.seeds
+    with pytest.raises(GraphError, match="own branch set"):
+        gen_adversarial_from_minor(g, MinorEmbedding(k23(), emb.branch_sets, (b1, a2, a1, b2, b3)))
+
+
 def test_adversarial_rejects_a_branch_family_that_is_not_a_minor_model():
     g = unit_k23()
     z = (0, 1, 2, 3, 4)

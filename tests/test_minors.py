@@ -109,18 +109,13 @@ def test_verify_embedding_rejects_faults(k23_graph):
     assert not verify_embedding(
         k23_graph, z, k23(), MinorEmbedding(good.pattern, tuple(sets), good.seeds)
     )
-    # a branch set missing its terminal seed
-    sets = list(good.branch_sets)
+    # a branch set missing its terminal seed, and distinct terminal
+    # seeds with seed 1 outside branch set 0: neither is an embedding
     seeds = list(good.seeds)
-    seeds[0] = next(iter(sets[1]))
-    assert not verify_embedding(
-        k23_graph, z, k23(), MinorEmbedding(good.pattern, good.branch_sets, tuple(seeds))
-    )
-    # distinct terminal seeds, but seed 1 lies outside branch set 0
-    seeds = (1, 0, 2, 3, 4)
-    assert not verify_embedding(
-        k23_graph, z, k23(), MinorEmbedding(good.pattern, good.branch_sets, seeds)
-    )
+    seeds[0] = next(iter(good.branch_sets[1]))
+    for bad in (tuple(seeds), (1, 0, 2, 3, 4)):
+        with pytest.raises(GraphError):
+            verify_embedding(k23_graph, z, k23(), MinorEmbedding(good.pattern, good.branch_sets, bad))
     # a disconnected branch set: 5 hangs off 2, not off 0
     pendant = capgraph(6, [(u, v, ONE) for u, v, _ in k23_graph.edges] + [(2, 5, ONE)], z)
     singletons = tuple(frozenset({v}) for v in z)
@@ -132,6 +127,20 @@ def test_verify_embedding_rejects_faults(k23_graph):
     swapped = (0, 2, 1, 3, 4)
     sets = tuple(frozenset({v}) for v in swapped)
     assert not verify_embedding(k23_graph, z, k23(), MinorEmbedding(k23(), sets, swapped))
+
+
+EDGE_PATTERN = MinorPattern("k2", 2, ((0, 1),))
+
+
+def test_verify_embedding_rejects_vertices_outside_the_graph():
+    """A branch set holding -1, which g.adj would read as vertex n-1, is
+    no minor model, nor is one holding a vertex past n-1."""
+    nine = capgraph(9, [(v, v + 1, ONE) for v in range(8)] + [(0, 7, ONE)])
+    emb = MinorEmbedding(EDGE_PATTERN, (frozenset({0}), frozenset({7, -1})), (0, 7))
+    assert not verify_embedding(nine, (0, 7), EDGE_PATTERN, emb)
+    path = capgraph(3, [(0, 1, ONE), (1, 2, ONE)])
+    emb = MinorEmbedding(EDGE_PATTERN, (frozenset({0, 1}), frozenset({2, 9})), (0, 2))
+    assert not verify_embedding(path, (0, 2), EDGE_PATTERN, emb)
 
 
 def test_implied_minor_checks_on_k23_free_graph():
