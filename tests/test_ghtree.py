@@ -252,6 +252,8 @@ def _mutate(name, gp, t):
             and tree_lambda(t, getattr(e, end), c) < e.cap
         )
         edges[i] = replace(edges[i], **{end: c})
+    elif name == "edge-duplicated":
+        edges[-1], certs[-1] = edges[0], certs[0]
     elif name == "vertex-moved-between-bags":
         a = next(z for z in t.terminals if len(bags[z]) > 1)
         b = next(z for z in t.terminals if z != a)
@@ -262,8 +264,12 @@ def _mutate(name, gp, t):
 
 MUTATIONS = [
     "flow-unit-moved", "flow-over-capacity", "infinite-flow-over-capacity", "flow-zeroed",
-    "split-pair-swapped", "capacity-raised", "edge-end-moved", "vertex-moved-between-bags",
+    "split-pair-swapped", "capacity-raised", "edge-end-moved", "edge-duplicated",
+    "vertex-moved-between-bags",
 ]
+
+# mutations that leave no tree: GHTree rejects them before verify_encoding runs
+NO_TREE_MUTATIONS = {"edge-duplicated": "does not join two sides of the tree"}
 
 
 @pytest.mark.parametrize("name", MUTATIONS)
@@ -274,7 +280,26 @@ def test_verify_encoding_rejects_every_mutation(name):
         for gg in (g, perturb(g)):
             t = build_gh_tree(gg, z)
             assert all(c.ok for c in verify_encoding(gg, t))
+            if name in NO_TREE_MUTATIONS:
+                with pytest.raises(GraphError, match=NO_TREE_MUTATIONS[name]):
+                    _mutate(name, perturb(gg), t)
+                continue
             assert not all(c.ok for c in verify_encoding(gg, _mutate(name, perturb(gg), t))), (key, gg.perturbed)
+
+
+def test_verify_encoding_rejects_a_doubled_edge_holding_both_ends():
+    """Edge 0-1 twice, each copy certified by the cut around terminal 2
+    and a flow from 0 to 1 of that cut's value.  Each copy's side then
+    holds both its ends, so neither is a bridge: 2 is not in the tree,
+    and the tree is refused before verify_encoding can see it."""
+    g = perturb(capgraph(3, [(0, 1, Cap(10)), (1, 2, ONE)]))
+    t = build_gh_tree(g, (0, 1, 2))
+    _, fin = g.tier_capacities[1]  # the cut around 2 is edge 1-2
+    split = _with_tiers(t.edges[0].split, (0, 0), (fin, 0))
+    split.s, split.t = 0, 1
+    e = GHEdge(0, 1, g.edges[1].cap, split)
+    with pytest.raises(GraphError, match="tree edge 0-1 does not join two sides of the tree"):
+        verify_encoding(g, GHTree(t.terminals, t.bags, (e, e), (frozenset({0, 1}),) * 2))
 
 
 @pytest.mark.parametrize("case", MALFORMED_TREES)
