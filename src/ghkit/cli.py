@@ -1,5 +1,11 @@
 """Command-line entry point.
 
+Each ``cmd_*`` returns its answer as one pair, (exit code, text), and
+writes nothing; ``main`` alone writes the text, to ``--out`` where the
+subcommand declares it and it is set (no file when the text is empty),
+else to stdout, and alone maps exceptions to exit codes.  The one other
+write is ``gen adversarial``'s note on stderr when there is no minor.
+
 Exit codes: 0 pass/yes, 1 property violation/no, 2 inconclusive (a
 bounded search exceeded its bound), 3 usage or parse error.
 """
@@ -35,27 +41,25 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 
-def _write(out_path, text):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _ids(vertices):
+    return " ".join(str(v) for v in sorted(vertices))
+
+
+def _lines(lines):
+    return "".join(f"{ln}\n" for ln in lines)
 
 
 def cmd_ghtree(args):
     tree = build_gh_tree(gio.load(args.input).graph)  # over all vertices if none is a terminal
     if args.format == "dot":
-        _write(args.out, tree_dot(tree))
-        return EXIT_OK
-    lines = [f"{e.s} {e.t} {e.cap}" for e in tree.edges]
-    lines += [f"{t}: " + " ".join(str(v) for v in sorted(tree.bags[t])) for t in tree.terminals]
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+        return EXIT_OK, tree_dot(tree)
+    edges = [f"{e.s} {e.t} {e.cap}" for e in tree.edges]
+    return EXIT_OK, _lines(edges + [f"{t}: {_ids(tree.bags[t])}" for t in tree.terminals])
 
 
 def cmd_verify_embed(args):
     g = gio.load(args.input).graph
+    lines = []
     if args.mode == "subgraph":
         ok, _ = is_gh_subgraph(g)  # builds the all-vertex tree
     elif args.mode == "bag":
@@ -63,59 +67,41 @@ def cmd_verify_embed(args):
     else:
         ok, deleted, _ = check_weak_bag_minor(g, build_gh_tree(g))
         if ok:
-            print(f"deleted: {' '.join(str(v) for v in sorted(deleted))}")
-    print("yes" if ok else "no")
-    return EXIT_OK if ok else EXIT_VIOLATION
+            lines.append(f"deleted: {_ids(deleted)}")
+    lines.append("yes" if ok else "no")
+    return (EXIT_OK if ok else EXIT_VIOLATION), _lines(lines)
 
 
 def cmd_detect_minor(args):
-    inst = gio.load(args.input)
-    g = inst.graph
-    z = g.terminals if g.terminals else tuple(range(g.n))
-    if isinstance(args.pattern, int):  # cycle:<k>
-        if args.pattern > max(len(z), 2):
-            # A valid cycle (k >= 3) with more vertices than terminals: no
-            # terminal minor, and the k-edge pattern is never built.
-            print("none")
-            return EXIT_VIOLATION
-        pattern = cycle(args.pattern)
-    else:
-        pattern = PATTERNS[args.pattern]()
-    emb = detect_terminal_minor(g, z, pattern, args.bound_n)
-    if emb is None:
-        print("none")
-        return EXIT_VIOLATION
-    lines = []
-    for i, s in enumerate(emb.branch_sets):
-        lines.append(f"{i}: " + " ".join(str(v) for v in sorted(s)))
-    text = "\n".join(lines) + "\n"
+    g = gio.load(args.input).graph
+    z = g.terminals or tuple(range(g.n))
+    k = args.pattern
+    # A valid cycle (k >= 3) with more vertices than terminals has no
+    # terminal minor, and its k-edge pattern is never built.
+    pattern = PATTERNS[k]() if k in PATTERNS else cycle(k) if k <= max(len(z), 2) else None
+    emb = pattern and detect_terminal_minor(g, z, pattern, args.bound_n)
+    if not emb:
+        return EXIT_VIOLATION, "none\n"
     if args.format == "dot":
-        text = embedding_dot(g, emb.branch_sets)
-    _write(args.out, text)
-    return EXIT_OK
+        return EXIT_OK, embedding_dot(g, emb.branch_sets)
+    return EXIT_OK, _lines(f"{i}: {_ids(s)}" for i, s in enumerate(emb.branch_sets))
 
 
 def cmd_gen(args):
     if args.family == "outerplanar":
-        g = gen_outerplanar(args.n, args.seed)
-        _write(args.out, gio.format_instance(g))
-    elif args.family == "onesum":
-        g = gen_onesum(args.blocks, args.seed)
-        _write(args.out, gio.format_instance(g))
-    elif args.family == "zweb":
+        return EXIT_OK, gio.format_instance(gen_outerplanar(args.n, args.seed))
+    if args.family == "onesum":
+        return EXIT_OK, gio.format_instance(gen_onesum(args.blocks, args.seed))
+    if args.family == "zweb":
         web = gen_zweb(ZWebSpec(args.k, args.interior, args.attach), args.seed)
-        _write(args.out, gio.format_instance(web.graph, tsets=web.tsets))
-    else:  # adversarial
-        inst = gio.load(args.input)
-        g = inst.graph
-        z = g.terminals if g.terminals else tuple(range(g.n))
-        emb = detect_terminal_minor(g, z, k23(), args.bound_n)
-        if emb is None:
-            print("no terminal-K2,3 minor; nothing to build", file=sys.stderr)
-            return EXIT_VIOLATION
-        adv, mf = gen_adversarial_from_minor(g, emb)
-        _write(args.out, gio.format_instance(adv, demands=mf.demands))
-    return EXIT_OK
+        return EXIT_OK, gio.format_instance(web.graph, tsets=web.tsets)
+    g = gio.load(args.input).graph  # adversarial
+    emb = detect_terminal_minor(g, g.terminals or tuple(range(g.n)), k23(), args.bound_n)
+    if emb is None:
+        print("no terminal-K2,3 minor; nothing to build", file=sys.stderr)
+        return EXIT_VIOLATION, ""
+    adv, mf = gen_adversarial_from_minor(g, emb)
+    return EXIT_OK, gio.format_instance(adv, demands=mf.demands)
 
 
 def cmd_reduce(args):
@@ -124,22 +110,19 @@ def cmd_reduce(args):
     reduced, vmap = reduce_all(ZWebInstance(inst.graph, inst.tsets, ()))
     # demand endpoints are terminals, and no interior holds a terminal
     demands = tuple((vmap[s], vmap[t], d) for s, t, d in inst.demands)
-    _write(args.out, gio.format_instance(reduced, demands=demands))
-    return EXIT_OK
+    return EXIT_OK, gio.format_instance(reduced, demands=demands)
 
 
 def cmd_flowcheck(args):
     inst = gio.load(args.input)
     if not inst.demands:
-        print("no demands in input", file=sys.stderr)
-        return EXIT_USAGE
+        raise GraphError("no demands in input")
     mf = MultiflowInstance(inst.graph, inst.demands)
     cc = cut_condition(mf, args.bound_n)
     if cc.ratio is None:
         # No finite cut separates a demand pair: every pair is joined by
         # infinite edges, so the demands route at any scale.
-        _write(args.out, "cut_condition: holds\nmax_concurrent_flow: inf\nfeasible: yes\n")
-        return EXIT_OK
+        return EXIT_OK, "cut_condition: holds\nmax_concurrent_flow: inf\nfeasible: yes\n"
     lam = max_concurrent_flow(mf)  # the one LP solve: feasible iff lambda* >= 1
     lines = [
         f"cut_condition: {'holds' if cc.holds else 'violated'}",
@@ -147,32 +130,27 @@ def cmd_flowcheck(args):
         f"feasible: {'yes' if lam >= 1 else 'no'}",
     ]
     if not cc.holds:
-        lines.append("violated_shore: " + " ".join(str(v) for v in sorted(cc.shore)))
+        lines.append(f"violated_shore: {_ids(cc.shore)}")
     else:
         # the cut condition holds, so every demand pair is connected and lambda* > 0
         lines.append(f"flow_cut_gap: {cc.ratio / lam}")
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK, _lines(lines)
 
 
 def cmd_suite(args):
     suites = tuple(args.suites.split(",")) if args.suites else tuple(SUITES)
     results = run_suite(args.seed, args.trials, suites)
-    bad = False
+    lines = []
     for r in results:
-        status = "pass" if r.ok else "FAIL"
-        print(f"{r.name}: {status} ({r.passed}/{r.trials})")
+        lines.append(f"{r.name}: {'pass' if r.ok else 'FAIL'} ({r.passed}/{r.trials})")
         for desc, instance in r.failures:
-            bad = True
-            print(f"  counterexample: {desc}")
-            for ln in instance.splitlines():
-                print(f"    {ln}")
-    return EXIT_VIOLATION if bad else EXIT_OK
+            lines.append(f"  counterexample: {desc}")
+            lines += (f"    {ln}" for ln in instance.splitlines())
+    return (EXIT_OK if all(r.ok for r in results) else EXIT_VIOLATION), _lines(lines)
 
 
 def cmd_dot(args):
-    _write(args.out, graph_dot(gio.load(args.input).graph))
-    return EXIT_OK
+    return EXIT_OK, graph_dot(gio.load(args.input).graph)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,7 +207,8 @@ def _pattern(text):
 
 def build_parser():
     """Each subcommand declares exactly the flags its ``cmd_*`` reads;
-    each ``gen`` family is a subcommand of its own."""
+    each ``gen`` family is a subcommand of its own.  ``--out`` is
+    declared in one place, last, on the commands that take it."""
     p = _Parser(
         prog="ghkit",
         description="Gomory-Hu trees, terminal minors, and cut-sufficiency, exactly.",
@@ -239,7 +218,6 @@ def build_parser():
     s = sub.add_parser("ghtree", help="build the GH tree of a graph file")
     s.add_argument("input")
     s.add_argument("--format", choices=["text", "dot"], default="text")
-    s.add_argument("--out")
 
     s = sub.add_parser("verify-embed", help="check a GH tree embedding mode")
     s.add_argument("input")
@@ -250,7 +228,6 @@ def build_parser():
     s.add_argument("--pattern", type=_pattern, required=True, help="k23|k4|k4plus|cycle:<k>")
     s.add_argument("--bound-n", type=_bound, default=DEFAULT_MINOR_BOUND)
     s.add_argument("--format", choices=["text", "dot"], default="text")
-    s.add_argument("--out")
 
     s = sub.add_parser("gen", help="generate a certified instance family")
     fam = s.add_subparsers(dest="family", required=True)
@@ -267,17 +244,13 @@ def build_parser():
     f = fam.add_parser("adversarial", help="adversarial capacities from a terminal K2,3")
     f.add_argument("--input", required=True)
     f.add_argument("--bound-n", type=_bound, default=DEFAULT_MINOR_BOUND)
-    for f in fam.choices.values():
-        f.add_argument("--out")
 
     s = sub.add_parser("reduce", help="star-reduce declared 3-separated sets")
     s.add_argument("input")
-    s.add_argument("--out")
 
     s = sub.add_parser("flowcheck", help="cut condition, feasibility, gap")
     s.add_argument("input")
     s.add_argument("--bound-n", type=_bound, default=DEFAULT_CUT_BOUND)
-    s.add_argument("--out")
 
     s = sub.add_parser("suite", help="run the property suites")
     s.add_argument("--suites", default="")
@@ -286,7 +259,10 @@ def build_parser():
 
     s = sub.add_parser("dot", help="emit DOT for a graph")
     s.add_argument("input")
-    s.add_argument("--out")
+
+    writers = ("ghtree", "detect-minor", "reduce", "flowcheck", "dot")
+    for s in (*map(sub.choices.get, writers), *fam.choices.values()):
+        s.add_argument("--out")
     return p
 
 
@@ -303,7 +279,13 @@ def main(argv=None) -> int:
     # looked up per call, so that a wrapper set on the module is reached
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        code, text = command(args)
+        if text and getattr(args, "out", None):
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)  # looked up per call: a caller may redirect it
+        return code
     except BoundExceeded as e:
         print(f"inconclusive: {e}")
         return EXIT_INCONCLUSIVE

@@ -301,10 +301,11 @@ def gen_adversarial_from_minor(g: CapGraph, emb: MinorEmbedding):
 
     Returns (graph, MultiflowInstance of the graph and those demands).
     """
-    if emb.pattern.name != "k23":
+    pattern = k23()  # its edges, not its name: the demands rely on this labelling
+    if (emb.pattern.k, emb.pattern.edges) != (pattern.k, pattern.edges):
         raise GraphError("adversarial construction expects a K2,3 embedding")
     sets = emb.branch_sets
-    connectors = model_connectors(g, sets, emb.pattern.edges)
+    connectors = model_connectors(g, sets, pattern.edges)
     if connectors is None:
         raise GraphError("invalid embedding: the branch sets are not a minor model of K2,3")
     trees = [g.component_of(next(iter(s)), s) for s in sets]  # spanning each branch set

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ghkit
-from ghkit import capgraph
+from ghkit import capgraph, cli
 from ghkit.cli import main
 from ghkit.dot import embedding_dot, tree_dot
 from ghkit.generators import gen_onesum, gen_outerplanar
@@ -318,7 +319,7 @@ def test_consecutive_calls_keep_no_options(k23_file, tmp_path, monkeypatch, caps
     assert main(["ghtree", k23_file]) == 0
     assert capsys.readouterr().out == out.read_text()
     # the command is looked up at call time, so a wrapper on the module is reached
-    monkeypatch.setattr("ghkit.cli.cmd_ghtree", lambda args: 7)
+    monkeypatch.setattr("ghkit.cli.cmd_ghtree", lambda args: (7, ""))
     assert main(["ghtree", k23_file]) == 7
 
 
@@ -350,9 +351,10 @@ def test_flowcheck_with_demands_joined_by_infinite_edges(tmp_path):
         ("", ["suite", "--suites", "bogus", "--trials", "1"], 3, "error: unknown suite 'bogus'"),
         ("4 3 0\n\n0 1 1\n1 2 1\n2 3 1\n", ["gen", "adversarial", "--input", "{f}"], 1,
          "no terminal-K2,3 minor; nothing to build"),
+        ("2 1 2\n0 1\n0 1 1\n", ["flowcheck", "{f}"], 3, "error: no demands in input"),
     ],
     ids=["disconnected", "edge-out-of-range", "zero-capacity", "outerplanar-n-2", "clique-of-5",
-         "more-cliques-than-faces", "unknown-suite", "adversarial-without-k23"],
+         "more-cliques-than-faces", "unknown-suite", "adversarial-without-k23", "flowcheck-without-demands"],
 )
 def test_bad_inputs_exit_with_one_message_and_no_output(tmp_path, capsys, text, argv, code, message):
     f = tmp_path / "in.txt"
@@ -436,12 +438,6 @@ def test_verify_embed_weak_prints_the_deleted_vertices(tmp_path, capsys):
     assert capsys.readouterr().out == "no\ndeleted: 5\nyes\n"
 
 
-def test_flowcheck_without_demands_is_a_usage_error(k23_file, capsys):
-    assert main(["flowcheck", k23_file]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "no demands in input\n"
-
-
 def test_suite_prints_each_counterexample(monkeypatch, capsys):
     def planted(seed, trials):
         res = SuiteResult("gh-oracle", trials, 0)
@@ -462,3 +458,68 @@ def test_reduce_without_declared_sets_echoes_its_input(tmp_path, capsys):
     path.write_text(text)
     assert main(["reduce", str(path)]) == 0
     assert capsys.readouterr().out == text
+
+
+STAR_DEMANDS = "4 3 4\n0 1 2 3\n0 1 9\n0 2 9\n0 3 9\nD 0 1 10\nD 0 2 10\nD 0 3 10\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ghtree", "{k23}"], 0),
+        (["ghtree", "{k23}", "--format", "dot"], 0),
+        (["detect-minor", "{k23}", "--pattern", "k23"], 0),
+        (["detect-minor", "{k23}", "--pattern", "k23", "--format", "dot"], 0),
+        (["detect-minor", "{k23}", "--pattern", "k4"], 1),
+        (["gen", "outerplanar", "--n", "6"], 0),
+        (["gen", "onesum", "--blocks", "4,k4"], 0),
+        (["gen", "zweb", "--k", "5", "--interior", "1", "--attach", "2"], 0),
+        (["gen", "adversarial", "--input", "{k23}"], 0),
+        (["reduce", "{star}"], 0),
+        (["flowcheck", "{star}"], 0),
+        (["dot", "{k23}"], 0),
+    ],
+    ids=lambda x: " ".join(a for a in x if not a.startswith("{")) if isinstance(x, list) else "",
+)
+def test_out_gets_exactly_what_stdout_would_get(k23_file, tmp_path, capsys, argv, code):
+    star = tmp_path / "star.txt"
+    star.write_text(STAR_DEMANDS)
+    argv = [a.format(k23=k23_file, star=star) for a in argv]
+    assert main(argv) == code
+    stdout = capsys.readouterr().out
+    assert stdout
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, stdout, stderr",
+    [
+        ("4 3 0\n\n0 1 1\n1 2 1\n2 3 1\n", ["gen", "adversarial", "--input", "{f}", "--out", "{o}"], 1,
+         "", "no terminal-K2,3 minor; nothing to build\n"),
+        (None, ["gen", "adversarial", "--input", "{f}", "--bound-n", "2", "--out", "{o}"], 2,
+         "inconclusive: ", ""),
+        (None, ["ghtree", "{f}", "--out", "{o}/tree.txt"], 3, "", "error: "),
+    ],
+    ids=["no-minor", "inconclusive", "missing-directory"],
+)
+def test_no_file_is_written_without_an_answer(tmp_path, capsys, text, argv, code, stdout, stderr):
+    f = tmp_path / "in.txt"
+    f.write_text(format_instance(unit_k23()) if text is None else text)
+    out = tmp_path / "missing"
+    assert main([a.format(f=f, o=out) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith(stdout) and captured.out.count("\n") == (stdout != "")
+    assert captured.err.startswith(stderr) and captured.err.count("\n") == (stderr != "")
+    assert not out.exists()
+
+
+def test_every_subcommand_has_one_cmd_function():
+    """``main`` looks up ``cmd_<subcommand>``: a subcommand without one
+    would escape as a KeyError."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {"cmd_" + name.replace("-", "_") for name in sub.choices}
+    assert commands == {name for name in vars(cli) if name.startswith("cmd_")}

@@ -20,7 +20,7 @@ from ghkit.generators import (
 )
 from ghkit.graph import GraphError, blocks, is_two_connected
 from ghkit.maxflow import brute_min_cut, lambda_matrix, max_flow
-from ghkit.minors import MinorEmbedding, detect_terminal_minor, k23, verify_embedding
+from ghkit.minors import MinorEmbedding, MinorPattern, cycle, detect_terminal_minor, k23, verify_embedding
 
 from conftest import ONE, unit_k23
 
@@ -294,6 +294,16 @@ def test_adversarial_rejects_seeds_outside_their_branch_sets():
     a1, a2, b1, b2, b3 = emb.seeds
     with pytest.raises(GraphError, match="own branch set"):
         gen_adversarial_from_minor(g, MinorEmbedding(k23(), emb.branch_sets, (b1, a2, a1, b2, b3)))
+
+
+def test_adversarial_reads_the_pattern_edges_not_its_name():
+    """A 5-cycle named "k23" is a valid model on the unit 5-cycle, but
+    not of K2,3, whose labelling the demand set relies on."""
+    g = capgraph(5, [(i, (i + 1) % 5, ONE) for i in range(5)], tuple(range(5)))
+    impostor = MinorPattern("k23", 5, cycle(5).edges)
+    emb = MinorEmbedding(impostor, tuple(frozenset({v}) for v in range(5)), tuple(range(5)))
+    with pytest.raises(GraphError, match="expects a K2,3 embedding"):
+        gen_adversarial_from_minor(g, emb)
 
 
 def test_adversarial_rejects_a_branch_family_that_is_not_a_minor_model():
