@@ -11,9 +11,10 @@ and only on a tie the finite parts, by cross-multiplication
 positive, so the products order as the fractions do).  ``+`` and ``-``
 combine the same int pairs and normalise once, in ``Fraction(num, den)``.
 A Cap operand is used as it is; an int, Fraction or float operand is
-converted to a Cap first; anything else gives NotImplemented.  Every
-Cap, results of arithmetic included, is built through ``Cap.__init__``,
-so that patching it counts every allocation.
+converted to a Cap first, and a factor of ``*`` to a Fraction; anything
+else gives NotImplemented.  Every Cap, results of arithmetic included, is
+built through ``Cap.__init__``, so that patching it counts every
+allocation.
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ class Cap:
         return Cap(-self.fin, -self.inf)
 
     def __mul__(self, k):
-        if type(k) is Cap:
-            raise TypeError("cannot multiply two Caps")
+        if not isinstance(k, (int, Fraction, float)):
+            return NotImplemented  # Cap * Cap included
+        k = Fraction(k)
         return Cap(self.fin * k, self.inf * k)
 
     __rmul__ = __mul__

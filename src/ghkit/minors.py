@@ -382,12 +382,7 @@ class ImpliedMinorReport:
     k23_found: bool
     cycle_found: bool
     two_connected: bool
-    k4_implies_k23_ok: bool
-    spanning_cycle_ok: bool
-
-    @property
-    def ok(self):
-        return self.k4_implies_k23_ok and self.spanning_cycle_ok
+    ok: bool  # both implications hold
 
 
 def implied_minor_checks(g: CapGraph, z):
@@ -403,17 +398,12 @@ def implied_minor_checks(g: CapGraph, z):
     cyc_emb = None
     if len(z) >= 3 and two_conn:
         cyc_emb = detect_terminal_minor(g, z, cycle(len(z)))
-    a_ok = True
-    if len(z) >= 5 and k4_emb is not None:
-        a_ok = k23_emb is not None
-    b_ok = True
-    if two_conn and len(z) >= 5 and k23_emb is None:
-        b_ok = cyc_emb is not None
+    # with |Z| >= 5 and no K2,3, (a) needs no K4 and (b) a cycle if 2-connected
+    ok = len(z) < 5 or k23_emb is not None or (k4_emb is None and (not two_conn or cyc_emb is not None))
     return ImpliedMinorReport(
         k4_found=k4_emb is not None,
         k23_found=k23_emb is not None,
         cycle_found=cyc_emb is not None,
         two_connected=two_conn,
-        k4_implies_k23_ok=a_ok,
-        spanning_cycle_ok=b_ok,
+        ok=ok,
     )

@@ -1,8 +1,9 @@
 """Cut-condition checking and exact multicommodity-flow feasibility.
 
 Feasibility and the maximum concurrent flow are decided by one exact LP
-(edge-flow formulation, one commodity per source vertex); the cut
-condition and the gap numerator come from one pass of shore enumeration.
+(arc-flow formulation: one commodity per source vertex, one flow column
+per arc of ``CapGraph.adj``); the cut condition and the gap numerator
+come from one pass of shore enumeration.
 """
 
 from __future__ import annotations
@@ -137,18 +138,20 @@ def _cover_sources(demands):
 
 
 def _concurrent_lp(inst: MultiflowInstance):
-    """Build and solve the concurrent-flow LP; returns (lambda, src,
-    flows, unbounded).
+    """Build and solve the concurrent-flow LP; returns (lambda, src, x,
+    unbounded), x the LP's solution vector.
 
     One commodity per source vertex: demand i is routed from src[i]
     (_cover_sources) to its other end, so the demands sharing a source
-    form one single-source flow.  Variables: lambda, then per source and
-    edge two directed flows.  For each source s and each vertex v != s,
-    out(v) - in(v) + lambda * D_v = 0, where D_v is the total demand of
-    s's group at v; s itself then emits lambda times the group's total.
-    Capacity rows couple all sources; infinite edges get no capacity row.
-    Flow decomposition (_split_flows) turns a group's flow back into one
-    flow per demand, so lambda* is the per-demand LP's optimum.
+    form one single-source flow.  Variables: lambda, then per source one
+    flow per arc of ``g.adj`` (source number gi's flow on arc a is
+    column 1 + 2m * gi + a), then one slack per finite edge.  For each
+    source s and each vertex v != s, out(v) - in(v) + lambda * D_v = 0,
+    where D_v is the total demand of s's group at v; s itself then emits
+    lambda times the group's total.  Capacity rows couple all sources;
+    infinite edges get no capacity row.  Flow decomposition
+    (_split_flows) turns a group's flow back into one flow per demand, so
+    lambda* is the per-demand LP's optimum.
 
     The LP needs no phase-1 pivot: lambda = 0 with zero flow is feasible.
     Each capacity row's slack is a unit column, so solve_lp starts it
@@ -160,9 +163,8 @@ def _concurrent_lp(inst: MultiflowInstance):
     column (the D_v); b, the capacities, is scaled by its own lcm.  The
     Bareiss denominators thus stay small integers.
 
-    ``flows`` maps (source, edge_id) to the nonzero (forward, reverse).
-    When lambda* is infinite the LP is unbounded, and lambda and flows
-    are read from solve_lp's improving ray instead.  The ray satisfies
+    When lambda* is infinite the LP is unbounded, and x is solve_lp's
+    improving ray instead, lambda its first entry.  The ray satisfies
     every row with right-hand side 0; on each finite edge its flows and
     slack are non-negative and sum to 0, so all of them are 0.  The ray
     thus routes its lambda times each source's demands on infinite edges
@@ -175,10 +177,6 @@ def _concurrent_lp(inst: MultiflowInstance):
     nv = 1 + 2 * m * len(sources)
     finite = [(eid, cap.fin) for eid, (_, _, cap) in enumerate(g.edges) if cap.is_finite]
     total_vars = nv + len(finite)
-    incident = [[] for _ in range(g.n)]  # (edge id, 1 if v is its tail else -1)
-    for eid, (a, b, _) in enumerate(g.edges):
-        incident[a].append((eid, 1))
-        incident[b].append((eid, -1))
 
     rows = []
     rhs = []
@@ -193,9 +191,9 @@ def _concurrent_lp(inst: MultiflowInstance):
             if v == s:
                 continue
             vec = [0] * total_vars
-            for eid, sign in incident[v]:
-                vec[base + 2 * eid] = sign
-                vec[base + 2 * eid + 1] = -sign
+            for _, arc in g.adj[v]:  # +1 leaving v, -1 entering it
+                vec[base + arc] = 1
+                vec[base + (arc ^ 1)] = -1
             vec[0] = demand_at[v]
             rows.append(vec)
             rhs.append(0)
@@ -212,70 +210,57 @@ def _concurrent_lp(inst: MultiflowInstance):
     res = solve_lp(c, rows, rhs, total_vars)
     assert res.status != INFEASIBLE  # lambda = 0, zero flow is always feasible
     x = res.x if res.ray is None else res.ray
-    flows = {}
-    for gi, s in enumerate(sources):
-        base = 1 + 2 * m * gi
-        for eid in range(m):
-            f, r = x[base + 2 * eid], x[base + 2 * eid + 1]
-            if f or r:
-                flows[(s, eid)] = (f, r)
-    return x[0], src, flows, res.ray is not None
+    return x[0], src, x, res.ray is not None
 
 
-def _split_flows(inst, src, flows, lam):
+def _split_flows(inst, src, x, lam):
     """One flow per demand, (demand index, edge_id) -> (forward, reverse),
-    each carrying exactly its demand d, out of the sources' flows from
-    _concurrent_lp divided by lam > 0 (flow decomposition: Ahuja,
-    Magnanti & Orlin 1993, section 3.5).
+    each carrying exactly its demand d, out of the sources' flows in
+    _concurrent_lp's vector x divided by lam > 0 (flow decomposition:
+    Ahuja, Magnanti & Orlin 1993, section 3.5).
 
-    Per source: opposite directions on each edge cancel; then, demand by
-    demand, s-t paths are stripped from the support by BFS, each pushing
-    the smaller of its bottleneck and what the demand still needs.  A
-    path always exists while a demand needs flow, because the remaining
-    flow leaves only s and still enters t.  The leftover circulation is
-    dropped, and a demand routed from its declared sink gets (f, r)
-    swapped.
+    Per source: each arc's flow less its reverse's is its net flow; then,
+    demand by demand, s-t paths over arcs of positive net flow are
+    stripped by BFS over ``g.adj``, each pushing the smaller of its
+    bottleneck and what the demand still needs.  A path always exists
+    while a demand needs flow, because the remaining flow leaves only s
+    and still enters t.  The leftover circulation is dropped, and a
+    demand routed from its declared sink gets (f, r) swapped.
     """
     g = inst.supply
     out = {}
-    for s in sorted(set(src)):
-        net = {}  # edge id -> flow from its tail to its head, both signs
-        adj = [[] for _ in range(g.n)]  # (edge id, other end, direction)
-        for eid, (a, b, _) in enumerate(g.edges):
-            f, r = flows.get((s, eid), (0, 0))
-            if f != r:
-                net[eid] = (f - r) / lam
-                adj[a].append((eid, b, 1))
-                adj[b].append((eid, a, -1))
+    for gi, s in enumerate(sorted(set(src))):
+        base = 1 + 2 * g.m * gi
+        net = [(x[base + arc] - x[base + (arc ^ 1)]) / lam for arc in range(2 * g.m)]
         for i, (a, b, d) in enumerate(inst.demands):
             if src[i] != s:
                 continue
             t = b if a == s else a
             need = d
-            per = {}
-            while need and t != s:
+            per = {}  # edge id -> flow from its u to its v, both signs
+            while need:
                 parent = {s: None}
                 queue = [s]
                 for u in queue:
-                    for eid, w, sign in adj[u]:
-                        if w not in parent and net[eid] * sign > 0:
-                            parent[w] = (u, eid, sign)
+                    for w, arc in g.adj[u]:
+                        if w not in parent and net[arc] > 0:
+                            parent[w] = (u, arc)
                             queue.append(w)
                     if t in parent:
                         break
                 path = []
                 v = t
                 while parent[v] is not None:
-                    u, eid, sign = parent[v]
-                    path.append((eid, sign))
-                    v = u
-                push = min(need, *(net[eid] * sign for eid, sign in path))
-                for eid, sign in path:
-                    net[eid] -= push * sign
-                    per[eid] = per.get(eid, 0) + push * sign
+                    v, arc = parent[v]
+                    path.append(arc)
+                push = min(need, *(net[arc] for arc in path))
+                for arc in path:
+                    net[arc] -= push
+                    net[arc ^ 1] += push
+                    per[arc >> 1] = per.get(arc >> 1, 0) + (-push if arc & 1 else push)
                 need -= push
-            for eid, x in per.items():
-                pair = (x, Fraction(0)) if x > 0 else (Fraction(0), -x)
+            for eid, f in per.items():
+                pair = (f, Fraction(0)) if f > 0 else (Fraction(0), -f)
                 out[(i, eid)] = pair if a == s else pair[::-1]
     return out
 
@@ -304,9 +289,9 @@ def feasible(inst: MultiflowInstance) -> FeasibilityCert:
     no shore is enumerated and none is returned), else the concurrent
     value lambda* < 1 as the LP certificate.
     """
-    lam, src, flows, unbounded = _concurrent_lp(inst)
+    lam, src, x, unbounded = _concurrent_lp(inst)
     if unbounded or lam >= 1:
-        split = _split_flows(inst, src, flows, lam)
+        split = _split_flows(inst, src, x, lam)
         return FeasibilityCert(True, flows=split, concurrent_value=None if unbounded else lam)
     if inst.supply.n <= DEFAULT_CUT_BOUND:
         cc = cut_condition(inst)

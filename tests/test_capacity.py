@@ -101,6 +101,13 @@ def test_scalar_multiplication(a, k):
         assert type(p) is Cap and (p.inf, p.fin) == (a.inf * k, a.fin * k)
 
 
+@given(st.builds(Cap, wide_fractions), numbers)
+def test_number_factors_convert_exactly(a, k):
+    # a float factor is converted by Fraction before it meets a.fin
+    for p in (a * k, k * a):
+        assert type(p) is Cap and p == Cap(a.fin * Fraction(k))
+
+
 @given(st.builds(Cap, fractions, st.integers(min_value=-3, max_value=5)))
 def test_capacity_text_round_trip(a):
     assert parse_capacity(str(a)) == a
@@ -112,6 +119,11 @@ def test_capacity_text_round_trip(a):
 )
 def test_capacity_text_form(cap, text):
     assert str(cap) == text and parse_capacity(text) == cap
+
+
+@pytest.mark.parametrize("cap, text", [(Cap(Fraction(1, 3)), "Cap(1/3)"), (Cap(Fraction(1, 3), 2), "Cap(1/3, inf=2)")])
+def test_cap_repr(cap, text):
+    assert repr(cap) == text
 
 
 def test_parse_capacity_forms():

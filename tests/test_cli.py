@@ -352,9 +352,11 @@ def test_flowcheck_with_demands_joined_by_infinite_edges(tmp_path):
         ("4 3 0\n\n0 1 1\n1 2 1\n2 3 1\n", ["gen", "adversarial", "--input", "{f}"], 1,
          "no terminal-K2,3 minor; nothing to build"),
         ("2 1 2\n0 1\n0 1 1\n", ["flowcheck", "{f}"], 3, "error: no demands in input"),
+        ("2 1 1\n0\n0 1 1\n", ["ghtree", "{f}"], 3, "error: need at least two terminals"),
     ],
     ids=["disconnected", "edge-out-of-range", "zero-capacity", "outerplanar-n-2", "clique-of-5",
-         "more-cliques-than-faces", "unknown-suite", "adversarial-without-k23", "flowcheck-without-demands"],
+         "more-cliques-than-faces", "unknown-suite", "adversarial-without-k23", "flowcheck-without-demands",
+         "ghtree-one-terminal"],
 )
 def test_bad_inputs_exit_with_one_message_and_no_output(tmp_path, capsys, text, argv, code, message):
     f = tmp_path / "in.txt"
@@ -413,6 +415,12 @@ def test_detect_minor_dot_draws_the_found_model(k23_file, capsys):
     out = capsys.readouterr().out
     assert out == embedding_dot(unit_k23(), emb.branch_sets)
     assert out.count("subgraph cluster_b") == 5
+
+
+def test_embedding_dot_draws_vertices_in_no_branch_set_dotted():
+    out = embedding_dot(unit_k23(), (frozenset({0, 2}), frozenset({1})))
+    lines = out.splitlines()
+    assert [ln for ln in lines if "dotted" in ln] == ["  3 [style=dotted];", "  4 [style=dotted];"]
 
 
 def test_ghtree_dot_lists_the_non_terminals_of_each_bag(tmp_path, capsys):

@@ -48,6 +48,11 @@ def test_onesum_block_structure():
     assert sizes and max(sizes) <= 5
 
 
+def test_onesum_rejects_an_unknown_block_spec():
+    with pytest.raises(GraphError, match="unknown block spec"):
+        gen_onesum([("k4",), ("wheel", 5)], 1)
+
+
 def test_zweb_shape_and_k23_freeness():
     for i in range(8):
         web = gen_zweb(ZWebSpec(5, 1, (2,)), split_seed(83, i))

@@ -240,6 +240,13 @@ def _mutate(name, gp, t):
         edges[0] = replace(edges[0], split=_with_tiers(edges[0].split, [0] * m, [0] * m))
     elif name == "split-pair-swapped":
         edges[0] = replace(edges[0], split=_swapped(edges[0].split))
+    elif name == "split-to-a-non-terminal":
+        bad = copy.copy(edges[0].split)
+        bad.t = next(v for v in range(gp.n) if v not in t.terminals)
+        edges[0] = replace(edges[0], split=bad)
+    elif name == "split-tiers-cut-short":
+        infs, fins = edges[0].split.tiers
+        edges[0] = replace(edges[0], split=_with_tiers(edges[0].split, infs[1:], fins[1:]))
     elif name == "capacity-raised":
         edges[-1] = replace(edges[-1], cap=edges[-1].cap + Cap(Fraction(1, 2**40)))
     elif name == "edge-end-moved":
@@ -264,8 +271,8 @@ def _mutate(name, gp, t):
 
 MUTATIONS = [
     "flow-unit-moved", "flow-over-capacity", "infinite-flow-over-capacity", "flow-zeroed",
-    "split-pair-swapped", "capacity-raised", "edge-end-moved", "edge-duplicated",
-    "vertex-moved-between-bags",
+    "split-pair-swapped", "split-to-a-non-terminal", "split-tiers-cut-short", "capacity-raised",
+    "edge-end-moved", "edge-duplicated", "vertex-moved-between-bags",
 ]
 
 # mutations that leave no tree: GHTree rejects them before verify_encoding runs

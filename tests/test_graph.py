@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from ghkit import capgraph
 from ghkit.capacity import Cap
 from ghkit.graph import (
+    CapGraph,
+    Edge,
     GraphError,
     blocks,
     connector,
@@ -32,6 +34,12 @@ def test_parallel_edges_merge():
 def test_self_loop_rejected():
     with pytest.raises(GraphError):
         capgraph(2, [(0, 0, ONE)])
+
+
+def test_capgraph_rejects_a_parallel_edge():
+    # capgraph merges parallel edges; the constructor itself refuses them
+    with pytest.raises(GraphError, match="parallel edge 1-0"):
+        CapGraph(2, (Edge(0, 1, ONE), Edge(1, 0, ONE)))
 
 
 def test_cut_submodular_identity():

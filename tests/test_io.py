@@ -60,6 +60,8 @@ def test_parse_errors():
         ("3 2 0\n0 1 1\n", "line 3"),  # truncated edge list
         ("2 1 0\n0 1 1/0\n", "line 2"),  # zero denominator
         ("2 1 0\n0 1 1\nD 0 1\n", "line 3"),  # demand without a value
+        ("2 1 -1\n0 1 1\n", "line 1: negative count in header"),
+        ("2 1 0\n0 1 1\nE 0 1 1\n", "line 3: unrecognized trailer line"),
     ],
 )
 def test_malformed_input_names_the_line(text, line):

@@ -85,6 +85,11 @@ def test_cut_oracles_reject_bad_vertices(oracle):
             oracle(g, s, t)
 
 
+def test_lambda_matrix_needs_two_terminals():
+    with pytest.raises(GraphError, match="need at least two terminals"):
+        lambda_matrix(unit_k23(terminals=(0,)))
+
+
 def test_all_shore_capacities_agrees_with_cut_capacity():
     g = unit_k23()
     caps = all_shore_capacities(g)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ghkit import capgraph
 from ghkit.generators import gen_k23_subdivision, split_seed
 from ghkit.graph import GraphError
+from ghkit.maxflow import BoundExceeded
 from ghkit.minors import (
     MinorEmbedding,
     MinorPattern,
@@ -127,6 +128,17 @@ def test_verify_embedding_rejects_faults(k23_graph):
     swapped = (0, 2, 1, 3, 4)
     sets = tuple(frozenset({v}) for v in swapped)
     assert not verify_embedding(k23_graph, z, k23(), MinorEmbedding(k23(), sets, swapped))
+
+
+def test_verify_embedding_rejects_a_seed_outside_z(k23_graph):
+    emb = detect_terminal_minor(k23_graph, tuple(range(5)), k23())
+    assert not verify_embedding(k23_graph, (0, 1, 2, 3), k23(), emb)
+
+
+def test_slow_oracle_stops_at_its_bound():
+    path = capgraph(10, [(v, v + 1, ONE) for v in range(9)])
+    with pytest.raises(BoundExceeded, match="slow minor search bound 9"):
+        slow_detect_terminal_minor(path, tuple(range(5)), k23())
 
 
 EDGE_PATTERN = MinorPattern("k2", 2, ((0, 1),))

@@ -115,14 +115,30 @@ def test_canonical_gap_lp_solution_is_pinned():
     }
 
 
+def source_flows(inst, src, x):
+    """The merged LP's vector x as (source, edge id) -> (forward,
+    reverse), nonzero pairs only: source number gi's flow on arc a of
+    ``CapGraph.adj`` is column 1 + 2m * gi + a."""
+    m = inst.supply.m
+    flows = {}
+    for gi, s in enumerate(sorted(set(src))):
+        base = 1 + 2 * m * gi
+        for eid in range(m):
+            f, r = x[base + 2 * eid], x[base + 2 * eid + 1]
+            if f or r:
+                flows[(s, eid)] = (f, r)
+    return flows
+
+
 def test_merged_gap_lp_solution_is_pinned():
     # Demands 0-1, 2-3, 3-4, 4-2: the greedy cover takes 2, then 0, then
     # 3, so 4-2 is routed from 2 and the LP has three sources, not four.
     q, e, h = F(1, 4), F(3, 8), F(3, 4)
-    lam, src, flows, unbounded = _concurrent_lp(canonical_gap_instance())
+    inst = canonical_gap_instance()
+    lam, src, x, unbounded = _concurrent_lp(inst)
     assert lam == F(3, 4) and not unbounded
     assert src == [0, 2, 3, 2]
-    assert flows == {
+    assert source_flows(inst, src, x) == {
         (0, 0): (q, 0), (0, 1): (q, 0), (0, 2): (q, 0),
         (0, 3): (0, q), (0, 4): (0, q), (0, 5): (0, q),
         (2, 0): (0, h), (2, 1): (e, 0), (2, 2): (e, 0),
@@ -424,21 +440,21 @@ def shared_source_instances(draw):
 @given(shared_source_instances())
 def test_merged_lp_lambda_matches_the_per_demand_lp(inst):
     res = solve_lp(*per_commodity_lp(inst))
-    lam, src, flows, unbounded = _concurrent_lp(inst)
+    lam, src, x, unbounded = _concurrent_lp(inst)
     if res.status == UNBOUNDED:
         # lambda and flows come from the merged LP's improving ray: they
         # use infinite edges only and split into the demands themselves
         assert unbounded and lam > 0
         g = inst.supply
-        assert all(not g.edges[eid][2].is_finite for _, eid in flows)
-        assert_routes_demands(inst, FeasibilityCert(True, flows=_split_flows(inst, src, flows, lam)))
+        assert all(not g.edges[eid][2].is_finite for _, eid in source_flows(inst, src, x))
+        assert_routes_demands(inst, FeasibilityCert(True, flows=_split_flows(inst, src, x, lam)))
         return
     assert res.status == OPTIMAL and not unbounded
     assert lam == res.x[0]
     if lam > 0:
         # the sources' flows split into one flow per demand carrying lambda * d
         tight = MultiflowInstance(inst.supply, tuple((s, t, d * lam) for s, t, d in inst.demands))
-        assert_routes_demands(tight, FeasibilityCert(True, flows=_split_flows(tight, src, flows, 1)))
+        assert_routes_demands(tight, FeasibilityCert(True, flows=_split_flows(tight, src, x, 1)))
 
 
 def test_cover_orients_demands_from_shared_sources():
