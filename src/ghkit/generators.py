@@ -168,23 +168,26 @@ def gen_zweb(spec: ZWebSpec, seed: int) -> ZWebInstance:
     for i in range(k):
         add_edge(i, (i + 1) % k)
 
-    # Random triangulation of the k-gon by recursive splitting.
-    def triangulate(poly):
+    # Random triangulation of the k-gon by splitting, left part first.  An
+    # explicit stack, not a recursive closure: a closure that calls itself
+    # is a reference cycle, which would keep rng and the faces alive until
+    # the garbage collector finds it.
+    stack = [list(range(k))]
+    while stack:
+        poly = stack.pop()
         if len(poly) == 3:
             faces.append(tuple(poly))
-            return
+            continue
         i = rng.randint(1, len(poly) - 2)
         a, b = poly[0], poly[-1]
         c = poly[i]
         add_edge(a, c)
         add_edge(b, c)
         faces.append((a, c, b))
-        if i >= 2:
-            triangulate(poly[: i + 1])
         if i <= len(poly) - 3:
-            triangulate(poly[i:])
-
-    triangulate(list(range(k)))
+            stack.append(poly[i:])
+        if i >= 2:
+            stack.append(poly[: i + 1])
 
     n = k
     for _ in range(spec.interior_vertices):

@@ -21,6 +21,13 @@ frozensets, then of ``g.adj``, not ascending bit order (see `_search`).
 Its prune only cuts subtrees that hold no solution, so it changes the
 work done, never the answer; the same holds for the slow oracle's prune
 on the terminals it has left.
+
+For K4, K4+ and K2,3, "none" may also come from a certificate, tried
+once the first seeding is refuted: a checked plane embedding of the
+torso of (G, Z) plus an apex joined to every terminal (``ghkit._apex``),
+which turns any terminal model of these patterns into a K5 or K3,3
+minor.  Without a certificate the search goes on, so it never changes
+an embedding returned, only how soon "none" is known.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from functools import cache
 from itertools import permutations
 from operator import itemgetter
 
+from ._apex import _apex_torso, _certified_planar
 from .graph import CapGraph, GraphError, check_terminals, is_two_connected, model_connectors
 from .maxflow import BoundExceeded
 
@@ -268,10 +276,20 @@ def _search(g: CapGraph, pattern, seeds, nb):
     )
 
 
+# The patterns whose terminal models an apex over the terminals turns
+# into a K5 or K3,3 minor, by their vertex count and edges.
+_APEX_NONPLANAR = frozenset((p.k, p.edges) for p in (f() for f in PATTERNS.values()))
+
+
 def detect_terminal_minor(
     g: CapGraph, z, pattern: MinorPattern, bound: int = DEFAULT_MINOR_BOUND
 ):
     """Exhaustively search for a terminal minor; None certifies absence.
+
+    For K4, K4+ and K2,3, once the first seeding is refuted, a checked
+    plane embedding of the torso plus an apex (`_apex_torso`) certifies
+    absence without searching the other seedings; without one the search
+    goes on, so every embedding returned is the search's.
 
     Raises GraphError if a terminal of z is out of range or repeated."""
     if g.n > bound:
@@ -281,7 +299,10 @@ def detect_terminal_minor(
     if len(z) < pattern.k:
         return None
     nb = [sum(1 << v for v, _ in row) for row in g.adj]
-    for seeds in _seed_assignments(pattern, z):
+    apex = (pattern.k, pattern.edges) in _APEX_NONPLANAR
+    for i, seeds in enumerate(_seed_assignments(pattern, z)):
+        if i == 1 and apex and _certified_planar(_apex_torso(g, z)):
+            return None
         sets = _search(g, pattern, seeds, nb)
         if sets is not None:
             emb = MinorEmbedding(pattern, sets, seeds)

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -323,3 +324,17 @@ def test_adversarial_rejects_a_branch_family_that_is_not_a_minor_model():
     for sets, seeds in ((overlapping, z), (unjoined, swapped)):
         with pytest.raises(GraphError, match="not a minor model"):
             gen_adversarial_from_minor(g, MinorEmbedding(k23(), sets, seeds))
+
+
+def test_gen_zweb_leaves_no_reference_cycle():
+    """The k-gon is triangulated from an explicit stack, not by a closure
+    that calls itself, so reference counting frees everything a call
+    makes: no Random, face list or edge set waits for the collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(20):
+            gen_zweb(ZWebSpec(7, 2, (2,)), seed)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

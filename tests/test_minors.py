@@ -1,12 +1,15 @@
 import hashlib
 import random
+import time
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghkit import capgraph
-from ghkit.generators import gen_k23_subdivision, split_seed
+from ghkit._apex import _apex_torso, _certified_planar, _is_plane, _plane_turns
+from ghkit.generators import ZWebSpec, gen_k23_subdivision, gen_outerplanar, gen_zweb, split_seed
 from ghkit.graph import GraphError
 from ghkit.maxflow import BoundExceeded
 from ghkit.minors import (
@@ -363,3 +366,137 @@ def test_one_vertex_pattern_takes_the_first_terminal(k23_graph):
         assert emb == MinorEmbedding(single, (frozenset({3}),), (3,))
         assert verify_embedding(k23_graph, (3, 1), single, emb)
         assert detect(k23_graph, (), single) is None
+
+
+# -- the apex-planar certificate ---------------------------------------------
+
+
+def _naive_turns(adj):
+    """Some rotation: each vertex's neighbours in ascending cyclic order."""
+    turn = {}
+    for v, row in adj.items():
+        row = sorted(row)
+        turn[v] = dict(zip(row, row[1:] + row[:1]))
+    return turn
+
+
+@st.composite
+def certificate_cases(draw):
+    """(g, z, free) on at most nine vertices, one of three kinds:
+    - a random connected graph with a random Z of at least four vertices;
+    - a plane Z-web: no attachment, and Z four or more of its outer-cycle
+      vertices.  Z lies on the outer face of a plane graph, so the torso
+      plus an apex is planar too (each piece leaves a face holding its at
+      most three neighbours), and free is True: the certificate must hold;
+    - a Z-web with Z so chosen, an attachment of up to three vertices and
+      perhaps one extra edge."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    kind = draw(st.sampled_from(("graph", "plane", "web")))
+    if kind == "graph":
+        g = random_connected_graph(seed, max_n=9, min_n=4)
+        order = draw(st.permutations(range(g.n)))
+        return g, tuple(sorted(order[: draw(st.integers(4, g.n))])), False
+    k = draw(st.integers(4, 8))
+    interior = draw(st.integers(0, 9 - k))
+    attach = draw(st.integers(0, min(3, 9 - k - interior))) if kind == "web" else 0
+    g = gen_zweb(ZWebSpec(k, interior, (attach,) if attach else ()), seed).graph
+    z = tuple(sorted(draw(st.permutations(range(k)))[: draw(st.integers(4, k))]))
+    missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    if kind == "web" and missing and draw(st.booleans()):
+        g = capgraph(g.n, [*g.edges, (*draw(st.sampled_from(missing)), ONE)], z)
+    return g, z, kind == "plane"
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_cases())
+def test_apex_certificate_agrees_with_the_slow_oracle(case):
+    """A certified pair has no terminal K4 or K2,3 (a K4+ model holds a
+    K4 model): the search finds no checked embedding, and each of its
+    "none" answers, which the certificate may give, is the slow
+    oracle's.  When the embedder finds no embedding, the face check
+    accepts no rotation either."""
+    g, z, free = case
+    adj = _apex_torso(g, z)
+    certified = _certified_planar(adj)
+    assert certified or not free
+    for pattern in (k4(), k23()):
+        emb = detect_terminal_minor(g, z, pattern)
+        if emb is None:
+            assert slow_detect_terminal_minor(g, z, pattern) is None, (g.edges, z, pattern.name)
+        else:
+            assert verify_embedding(g, z, pattern, emb) and not certified, (g.edges, z, pattern.name)
+    if _plane_turns(adj) is None:
+        assert not _is_plane(adj, _naive_turns(adj))
+
+
+def test_outerplanar_with_every_vertex_a_terminal_is_refuted_at_once():
+    # the search alone took minutes at n = 18: every seeding is refuted
+    g = gen_outerplanar(18, 1)
+    start = time.perf_counter()
+    assert detect_terminal_minor(g, range(18), k23()) is None
+    assert time.perf_counter() - start < 1
+
+
+def _complete(n):
+    return {v: set(range(n)) - {v} for v in range(n)}
+
+
+def _every_rotation(adj):
+    """Every rotation system, as turns: per vertex, each cyclic order of
+    its neighbours (the first neighbour fixed)."""
+    orders = []
+    for v, row in adj.items():
+        first, *rest = sorted(row)
+        orders.append([(first, *p) for p in permutations(rest)])
+    for choice in product(*orders):
+        yield {v: dict(zip(o, o[1:] + o[:1])) for v, o in zip(adj, choice)}
+
+
+def _face_count(adj, turn):
+    seen, faces = set(), 0
+    for v, row in adj.items():
+        for u in row:
+            if (u, v) not in seen:
+                faces += 1
+                dart = (u, v)
+                while dart not in seen:
+                    seen.add(dart)
+                    dart = (dart[1], turn[dart[1]][dart[0]])
+    return faces
+
+
+def test_face_check_rejects_every_rotation_of_k5_and_k33():
+    k33 = {v: ({3, 4, 5} if v < 3 else {0, 1, 2}) for v in range(6)}
+    for adj, count in ((_complete(5), 6**5), (k33, 2**6)):
+        rotations = list(_every_rotation(adj))
+        assert len(rotations) == count
+        assert not any(_is_plane(adj, turn) for turn in rotations)
+        assert _plane_turns(adj) is None
+
+
+def test_face_check_accepts_the_embedders_faces_and_rejects_broken_ones():
+    wheel = {6: set(range(6))}
+    for v in range(6):
+        wheel[v] = {(v - 1) % 6, (v + 1) % 6, 6}
+    # two triangles at the cut vertex 0, a pendant vertex 5 at 1, and a tree
+    bowtie = {0: {1, 2, 3, 4}, 1: {0, 2, 5}, 2: {0, 1}, 3: {0, 4}, 4: {0, 3}, 5: {1}}
+    tree = {0: {1, 2, 3}, 1: {0}, 2: {0, 4}, 3: {0}, 4: {2}}
+    for adj in (_complete(4), bowtie, tree, wheel):
+        turn = _plane_turns(adj)
+        assert _is_plane(adj, turn)
+    # the hub's six spokes as two corner cycles of three
+    hub = {0: 2, 2: 4, 4: 0, 1: 3, 3: 5, 5: 1}
+    assert not _is_plane(wheel, {**turn, 6: hub})
+    # two corners of vertex 0 turning to one neighbour; a turn to a vertex
+    # that is no neighbour
+    assert not _is_plane(wheel, {**turn, 0: {1: 6, 5: 6, 6: 1}})
+    assert not _is_plane(wheel, {**turn, 0: {1: 6, 5: 2, 6: 1}})
+    # K5 on the torus (V - E + F = 0) beside a plane triangle (2) sums to
+    # V - E + F = 2, but the graph is not connected
+    k5 = _complete(5)
+    torus = next(t for t in _every_rotation(k5) if _face_count(k5, t) == 5)
+    triangle = {5: {6, 7}, 6: {5, 7}, 7: {5, 6}}
+    both = {**k5, **triangle}
+    assert 8 - 13 + _face_count(both, {**torus, **_naive_turns(triangle)}) == 2
+    assert not _is_plane(both, {**torus, **_naive_turns(triangle)})
+
