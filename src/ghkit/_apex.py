@@ -4,9 +4,11 @@ K4+ or K2,3 minor, for ``minors.detect_terminal_minor``.
 The torso of (G, Z) (`_torso`) plus an apex joined to every terminal
 (`_apex_torso`) is embedded in the plane by path addition
 (`_plane_turns`), and the embedding is trusted only after a face check
-of its own (`_is_plane`); `_certified_planar` does both.  Graphs are
-adjacency sets, vertex -> set of neighbours.  Everything here is
-private to the minor search.
+of its own (`_is_plane`); `_certified_planar` does both.  Path addition
+embeds 2-connected graphs only: for a connected G the torso plus apex
+has no cut vertex (`_apex_torso`), and a disconnected G gets no
+certificate, so the search decides.  Graphs are adjacency sets, vertex
+-> set of neighbours.  Everything here is private to the minor search.
 
 It is a module of its own, not part of ``minors``: without a bytecode
 cache every import compiles each module whole, and the two together
@@ -122,64 +124,33 @@ def _torso(adj, zset):
             adj[a] |= ends - {a}
 
 
-def _cycle(adj):
-    """Some cycle of the connected graph `adj`, as a vertex list, or None
-    for a tree.  In a depth-first search the first edge to an earlier
-    vertex, other than the tree edge back, reaches an ancestor."""
-    root = next(iter(adj))
-    parent = {root: None}
-    path = [root]
-    walks = [iter(adj[root])]
-    while walks:
-        x = path[-1]
-        for y in walks[-1]:
-            if y not in parent:
-                parent[y] = x
-                path.append(y)
-                walks.append(iter(adj[y]))
-                break
-            if y != parent[x]:
-                return path[path.index(y):]
-        else:
-            path.pop()
-            walks.pop()
-    return None
-
-
 def _plane_turns(adj):
-    """A plane embedding of the connected graph `adj` (vertex -> set of
+    """A plane embedding of the 2-connected graph `adj` (vertex -> set of
     neighbours) by path addition (Demoucron, Malgrange & Pertuiset 1964),
-    or None if the graph is not planar.  The embedding is returned as
-    turns: ``turn[v][u]`` is the neighbour w such that the face entering v
-    from u leaves it towards w.
+    or None if the graph is not planar or has a cut vertex.  The
+    embedding is returned as turns: ``turn[v][u]`` is the neighbour w
+    such that the face entering v from u leaves it towards w.
 
     Faces are (vertex list, vertex set) pairs, and each edge direction
     lies on exactly one face; ``work`` keeps the edges not yet embedded.
-    The embedded part H starts as a cycle.  A fragment is an edge outside
-    H between two of its vertices, or a component of G - H with the edges
-    to its attachments in H; it fits a face that holds all its
-    attachments.  Each step embeds a path between two attachments of a
-    fragment in a face it fits, splitting that face; a fragment that fits
-    no face proves G non-planar, and one that fits a single face goes
-    first.  A fragment with one attachment a hangs at the cut vertex a:
-    it is embedded on its own and its turns at a are spliced into a's.
-    Path addition is exact on a 2-connected graph; every path embedded
-    here closes a cycle with H, so it stays in H's block.
+    The embedded part H starts as one edge ab with one face [a, b].  A
+    fragment is an edge outside H between two of its vertices, or a
+    component of G - H with the edges to its attachments in H; it fits a
+    face that holds all its attachments.  Each step embeds a path between
+    two attachments of a fragment in a face it fits, splitting that face;
+    a fragment that fits no face proves G non-planar, and one that fits a
+    single face goes first.  In a 2-connected graph every fragment has
+    two attachments or more, so the first path closes a cycle; a fragment
+    with one attachment hangs at a cut vertex.  On a disconnected graph
+    the turns cover one component only, and `_is_plane` rejects them.
     """
-    cycle = _cycle(adj)
-    if cycle is None:  # a tree: any cyclic order of each vertex's neighbours
-        turn = {}
-        for v, row in adj.items():
-            row = list(row)
-            turn[v] = dict(zip(row, row[1:] + row[:1]))
-        return turn
+    a = next(iter(adj))
+    b = next(iter(adj[a]))
     work = {v: set(row) for v, row in adj.items()}
-    placed = set(cycle)
-    faces = [(cycle, set(cycle)), (cycle[::-1], set(cycle))]
-    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-        work[x].discard(y)
-        work[y].discard(x)
-    hanging = []
+    work[a].discard(b)
+    work[b].discard(a)
+    placed = {a, b}
+    faces = [([a, b], {a, b})]
     while True:
         fragments = []
         seen = set()
@@ -203,18 +174,8 @@ def _plane_turns(adj):
                     fragments.append((attach, body))
         best = None
         for attach, body in fragments:
-            if len(attach) == 1:
-                (a,) = attach
-                piece = {x: work.pop(x) for x in body}
-                piece[a] = work[a] & body
-                work[a] -= body
-                turns = _plane_turns(piece)
-                if turns is None:
-                    return None
-                hanging.append((a, turns))
-                continue
             fits = [f for f in faces if attach <= f[1]]
-            if not fits:
+            if len(attach) == 1 or not fits:
                 return None
             if best is None or len(fits) < len(best[2]):
                 best = (attach, body, fits)
@@ -253,16 +214,6 @@ def _plane_turns(adj):
     for face, _ in faces:
         for i, v in enumerate(face):
             turn[v][face[i - 1]] = face[(i + 1) % len(face)]
-    for a, turns in hanging:
-        for x, t in turns.items():
-            if x != a:
-                turn[x] = t
-        # join a's two corner cycles into one: p -> q' ... q -> p' ...
-        mine, theirs = turn[a], turns[a]
-        p, q = next(iter(mine)), next(iter(theirs))
-        joined = {**mine, **theirs}
-        joined[p], joined[q] = theirs[q], mine[p]
-        turn[a] = joined
     return turn
 
 
@@ -335,6 +286,18 @@ def _apex_torso(g: CapGraph, z):
     model (its subdividing branch set merged into a neighbour) too, and a
     K2,3 model into a K3,3 minor, the apex joining the degree-3 side.  A
     planar graph has neither.
+
+    No cut vertex.  If g is connected, so is the torso: a deleted piece C
+    has N(C) non-empty, and the clique on N(C) replaces any path through
+    C.  So deleting the apex leaves a connected graph.  Delete a torso
+    vertex c instead: a component D of what is left that misses the apex
+    holds no terminal, as every terminal is adjacent to the apex.  So D
+    is connected and terminal-free with N(D) within {c}, and its vertices
+    have at most one vertex-disjoint path to Z; but every non-terminal
+    that `_torso` keeps has four.  So D does not exist, and
+    `_plane_turns`, which embeds 2-connected graphs only, applies.  If
+    two components of g hold terminals, the apex is a cut vertex and no
+    certificate is found.
     """
     zset = set(z)
     adj = {v: {w for w, _ in row} for v, row in enumerate(g.adj)}

@@ -115,6 +115,31 @@ def test_every_public_definition_has_a_caller():
     assert not uncalled, uncalled
 
 
+def test_every_private_definition_is_read_elsewhere_in_the_package():
+    """Each private module-level function, class and constant of the
+    package is read, as a Name or an Attribute, in some module of the
+    package outside the statement that defines it, so a function that
+    only calls itself is not read.  Name reads count as in
+    `test_every_public_definition_has_a_caller`."""
+    reads = {}  # top-level statement -> the names read in it
+    defined = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            attrs = {a.attr for a in ast.walk(node) if isinstance(a, ast.Attribute)}
+            reads[node] = set(_free_reads(node)) | attrs
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            names = [getattr(node, "name", None), *(t.id for t in targets if isinstance(t, ast.Name))]
+            defined += [
+                (node, f"{path.stem}.{name}") for name in names
+                if name and name.startswith("_") and not name.startswith("__")
+            ]
+    unread = [
+        name for node, name in defined
+        if not any(name.split(".")[1] in r for stmt, r in reads.items() if stmt is not node)
+    ]
+    assert not unread, unread
+
+
 def test_every_defaulted_parameter_is_set_by_a_caller():
     """Each defaulted parameter of a public function of the package, or
     of a public method of its public classes, is set, by keyword or by

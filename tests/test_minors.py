@@ -381,30 +381,43 @@ def _naive_turns(adj):
 
 
 @st.composite
-def certificate_cases(draw):
-    """(g, z, free) on at most nine vertices, one of three kinds:
-    - a random connected graph with a random Z of at least four vertices;
-    - a plane Z-web: no attachment, and Z four or more of its outer-cycle
-      vertices.  Z lies on the outer face of a plane graph, so the torso
-      plus an apex is planar too (each piece leaves a face holding its at
-      most three neighbours), and free is True: the certificate must hold;
-    - a Z-web with Z so chosen, an attachment of up to three vertices and
-      perhaps one extra edge."""
+def certificate_cases(draw, max_n=9, kinds=("graph", "plane", "web", "disconnected")):
+    """(g, z, kind) on at most max_n vertices, of one of the kinds:
+    - graph: a random connected graph with a random Z of at least four
+      vertices;
+    - plane: a plane Z-web, with no attachment and Z four or more of its
+      outer-cycle vertices.  Z lies on the outer face of a plane graph, so
+      the torso plus an apex is planar too (each piece leaves a face
+      holding its at most three neighbours), and the certificate must
+      hold;
+    - web: a Z-web with Z so chosen, an attachment of up to three
+      vertices and perhaps one extra edge;
+    - disconnected: two random connected graphs side by side, with Z of
+      at least four vertices drawn from both."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    kind = draw(st.sampled_from(("graph", "plane", "web")))
+    kind = draw(st.sampled_from(kinds))
     if kind == "graph":
-        g = random_connected_graph(seed, max_n=9, min_n=4)
+        g = random_connected_graph(seed, max_n=max_n, min_n=4)
         order = draw(st.permutations(range(g.n)))
-        return g, tuple(sorted(order[: draw(st.integers(4, g.n))])), False
+        return g, tuple(sorted(order[: draw(st.integers(4, g.n))])), kind
+    if kind == "disconnected":
+        left = random_connected_graph(seed, max_n=max_n - 2, min_n=2)
+        right = random_connected_graph(seed + 1, max_n=max_n - left.n, min_n=2)
+        i = draw(st.integers(max(1, 4 - right.n), left.n))
+        j = draw(st.integers(max(1, 4 - i), right.n))
+        z = draw(st.permutations(range(left.n)))[:i]
+        z += [left.n + v for v in draw(st.permutations(range(right.n)))[:j]]
+        shifted = [(u + left.n, v + left.n, c) for u, v, c in right.edges]
+        return capgraph(left.n + right.n, [*left.edges, *shifted], ()), tuple(sorted(z)), kind
     k = draw(st.integers(4, 8))
-    interior = draw(st.integers(0, 9 - k))
-    attach = draw(st.integers(0, min(3, 9 - k - interior))) if kind == "web" else 0
+    interior = draw(st.integers(0, max_n - k))
+    attach = draw(st.integers(0, min(3, max_n - k - interior))) if kind == "web" else 0
     g = gen_zweb(ZWebSpec(k, interior, (attach,) if attach else ()), seed).graph
     z = tuple(sorted(draw(st.permutations(range(k)))[: draw(st.integers(4, k))]))
     missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
     if kind == "web" and missing and draw(st.booleans()):
         g = capgraph(g.n, [*g.edges, (*draw(st.sampled_from(missing)), ONE)], z)
-    return g, z, kind == "plane"
+    return g, z, kind
 
 
 @settings(max_examples=150, deadline=None)
@@ -413,20 +426,47 @@ def test_apex_certificate_agrees_with_the_slow_oracle(case):
     """A certified pair has no terminal K4 or K2,3 (a K4+ model holds a
     K4 model): the search finds no checked embedding, and each of its
     "none" answers, which the certificate may give, is the slow
-    oracle's.  When the embedder finds no embedding, the face check
-    accepts no rotation either."""
-    g, z, free = case
+    oracle's.  A disconnected pair with terminals on both sides is never
+    certified, as its apex is a cut vertex.  On a connected pair, when
+    the embedder finds no embedding, the face check accepts no rotation
+    either."""
+    g, z, kind = case
     adj = _apex_torso(g, z)
     certified = _certified_planar(adj)
-    assert certified or not free
+    assert certified or kind != "plane"
+    assert not (certified and kind == "disconnected")
     for pattern in (k4(), k23()):
         emb = detect_terminal_minor(g, z, pattern)
         if emb is None:
             assert slow_detect_terminal_minor(g, z, pattern) is None, (g.edges, z, pattern.name)
         else:
             assert verify_embedding(g, z, pattern, emb) and not certified, (g.edges, z, pattern.name)
-    if _plane_turns(adj) is None:
+    if kind != "disconnected" and _plane_turns(adj) is None:
         assert not _is_plane(adj, _naive_turns(adj))
+
+
+def _connected(adj, gone):
+    """Whether the graph `adj` stays connected when vertex gone is deleted."""
+    rest = [v for v in adj if v != gone]
+    reached = {rest[0]}
+    stack = [rest[0]]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y != gone and y not in reached:
+                reached.add(y)
+                stack.append(y)
+    return len(reached) == len(rest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_cases(max_n=12, kinds=("graph", "plane", "web")))
+def test_apex_torso_of_a_connected_pair_has_no_cut_vertex(case):
+    """The embedder takes 2-connected graphs only: on a connected g with
+    |z| >= 4, deleting any one vertex of the torso plus apex leaves it
+    connected."""
+    g, z, _ = case
+    adj = _apex_torso(g, z)
+    assert all(_connected(adj, v) for v in adj), (g.edges, z)
 
 
 def test_outerplanar_with_every_vertex_a_terminal_is_refuted_at_once():
@@ -481,7 +521,16 @@ def test_face_check_accepts_the_embedders_faces_and_rejects_broken_ones():
     # two triangles at the cut vertex 0, a pendant vertex 5 at 1, and a tree
     bowtie = {0: {1, 2, 3, 4}, 1: {0, 2, 5}, 2: {0, 1}, 3: {0, 4}, 4: {0, 3}, 5: {1}}
     tree = {0: {1, 2, 3}, 1: {0}, 2: {0, 4}, 3: {0}, 4: {2}}
-    for adj in (_complete(4), bowtie, tree, wheel):
+    # the embedder takes 2-connected graphs only; the face check takes
+    # any plane rotation, here hand-written
+    assert _plane_turns(bowtie) is None
+    assert _is_plane(bowtie, {
+        0: {1: 2, 2: 3, 3: 4, 4: 1}, 1: {0: 5, 5: 2, 2: 0}, 2: {0: 1, 1: 0},
+        3: {0: 4, 4: 0}, 4: {0: 3, 3: 0}, 5: {1: 1},
+    })
+    assert _plane_turns(tree) is None
+    assert _is_plane(tree, {0: {1: 2, 2: 3, 3: 1}, 1: {0: 0}, 2: {0: 4, 4: 0}, 3: {0: 0}, 4: {2: 2}})
+    for adj in (_complete(4), wheel):
         turn = _plane_turns(adj)
         assert _is_plane(adj, turn)
     # the hub's six spokes as two corner cycles of three
