@@ -1,14 +1,13 @@
 """The apex-planar certificate that a pair (G, Z) has no terminal K4,
-K4+ or K2,3 minor, for ``minors.detect_terminal_minor``.
+K4+ or K2,3 minor, for ``minors.detect_terminal_minor``, block by block
+(`_block_certificate`).
 
-The torso of (G, Z) (`_torso`) plus an apex joined to every terminal
-(`_apex_torso`) is embedded in the plane by path addition
-(`_plane_turns`), and the embedding is trusted only after a face check
-of its own (`_is_plane`); `_certified_planar` does both.  Path addition
-embeds 2-connected graphs only: for a connected G the torso plus apex
-has no cut vertex (`_apex_torso`), and a disconnected G gets no
-certificate, so the search decides.  Graphs are adjacency sets, vertex
--> set of neighbours.  Everything here is private to the minor search.
+The torso of a block with its terminals (`_torso`) plus an apex joined
+to every terminal (`_apex_torso`) has no cut vertex.  Path addition
+(`_plane_turns`) embeds it in the plane, and the embedding is trusted
+only after a face check of its own (`_is_plane`); `_certified_planar`
+does both.  Graphs are adjacency sets, vertex -> set of neighbours.
+Everything here is private to the minor search.
 
 It is a module of its own, not part of ``minors``: without a bytecode
 cache every import compiles each module whole, and the two together
@@ -18,7 +17,7 @@ the package.
 
 from __future__ import annotations
 
-from .graph import CapGraph
+from .graph import CapGraph, _block_terminals
 
 
 def _piece(adj, zset, v):
@@ -270,10 +269,10 @@ def _is_plane(adj, turn):
     return len(adj) - darts // 2 + faces == 2
 
 
-def _apex_torso(g: CapGraph, z):
-    """The torso of (g, z) (`_torso`) plus an apex g.n joined to every
-    terminal, as adjacency sets.  If it is planar, (g, z) has no terminal
-    K4, K4+ (``k4plus``) or K2,3 minor.
+def _apex_torso(g: CapGraph, z, block):
+    """The torso of (g[block], z) (`_torso`) plus an apex g.n joined to
+    every terminal, as adjacency sets.  If it is planar, (g[block], z)
+    has no terminal K4, K4+ (``k4plus``) or K2,3 minor.
 
     Soundness.  Take a terminal model of such a pattern H: disjoint
     connected branch sets, each holding a terminal.  A branch set that
@@ -287,25 +286,47 @@ def _apex_torso(g: CapGraph, z):
     K2,3 model into a K3,3 minor, the apex joining the degree-3 side.  A
     planar graph has neither.
 
-    No cut vertex.  If g is connected, so is the torso: a deleted piece C
-    has N(C) non-empty, and the clique on N(C) replaces any path through
-    C.  So deleting the apex leaves a connected graph.  Delete a torso
-    vertex c instead: a component D of what is left that misses the apex
-    holds no terminal, as every terminal is adjacent to the apex.  So D
-    is connected and terminal-free with N(D) within {c}, and its vertices
-    have at most one vertex-disjoint path to Z; but every non-terminal
-    that `_torso` keeps has four.  So D does not exist, and
-    `_plane_turns`, which embeds 2-connected graphs only, applies.  If
-    two components of g hold terminals, the apex is a cut vertex and no
-    certificate is found.
+    No cut vertex.  If g[block] is connected, as a block is, so is the
+    torso: a deleted piece C has N(C) non-empty, and the clique on N(C)
+    replaces any path through C.  So deleting the apex leaves a connected
+    graph.  Delete a torso vertex c instead: a component D of what is
+    left that misses the apex holds no terminal, as every terminal is
+    adjacent to the apex.  So D is connected and terminal-free with N(D)
+    within {c}, and its vertices have at most one vertex-disjoint path to
+    z; but every non-terminal that `_torso` keeps has four.  So D does
+    not exist, and `_plane_turns`, which embeds 2-connected graphs only,
+    applies.
     """
     zset = set(z)
-    adj = {v: {w for w, _ in row} for v, row in enumerate(g.adj)}
+    adj = {v: {w for w, _ in g.adj[v] if w in block} for v in block}
     _torso(adj, zset)
     adj[g.n] = set(zset)
     for t in zset:
         adj[t].add(g.n)
     return adj
+
+
+def _block_certificate(g: CapGraph, z, k) -> bool:
+    """True when each block B of g with k or more terminals Z_B
+    (``graph._block_terminals``) has a certified torso plus apex.  Then
+    (g, z) has no terminal minor of a 2-connected pattern on k vertices
+    that the apex turns into a K5 or K3,3 minor: K4 (k = 4), K4+ and
+    K2,3 (k = 5).  A block with fewer is free outright, so a certificate
+    for k = 4 is one for k = 5.
+
+    Lemma.  For a 2-connected pattern H, a terminal H model of (g, z)
+    gives one of some block B with terminals Z_B.  Two pattern edges lie
+    on a cycle of H, which lifts through the branch sets to a cycle of g,
+    and a cycle lies in one block; so one block B holds an edge for every
+    pattern edge, and every branch set meets B.  A path that leaves B
+    returns through the cut vertex it left by, so each branch set meets B
+    in a connected set, which holds c when the set's terminal lies beyond
+    a cut vertex c of B: these parts are a model with seeds in Z_B.
+    """
+    return all(
+        len(zb) < k or _certified_planar(_apex_torso(g, zb, block))
+        for block, zb in _block_terminals(g, z)
+    )
 
 
 def _certified_planar(adj) -> bool:

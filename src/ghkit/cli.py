@@ -40,6 +40,9 @@ EXIT_VIOLATION = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
+_MINOR_BOUND_HELP = (
+    "largest n to search (default %(default)s); not a bound on the k23/k4/k4plus 'none' certificate")
+
 
 def _ids(vertices):
     return " ".join(str(v) for v in sorted(vertices))
@@ -226,7 +229,7 @@ def build_parser():
     s = sub.add_parser("detect-minor", help="search for a terminal minor")
     s.add_argument("input")
     s.add_argument("--pattern", type=_pattern, required=True, help="k23|k4|k4plus|cycle:<k>")
-    s.add_argument("--bound-n", type=_bound, default=DEFAULT_MINOR_BOUND)
+    s.add_argument("--bound-n", type=_bound, default=DEFAULT_MINOR_BOUND, help=_MINOR_BOUND_HELP)
     s.add_argument("--format", choices=["text", "dot"], default="text")
 
     s = sub.add_parser("gen", help="generate a certified instance family")
@@ -243,7 +246,7 @@ def build_parser():
         f.add_argument("--seed", type=int, default=1)
     f = fam.add_parser("adversarial", help="adversarial capacities from a terminal K2,3")
     f.add_argument("--input", required=True)
-    f.add_argument("--bound-n", type=_bound, default=DEFAULT_MINOR_BOUND)
+    f.add_argument("--bound-n", type=_bound, default=DEFAULT_MINOR_BOUND, help=_MINOR_BOUND_HELP)
 
     s = sub.add_parser("reduce", help="star-reduce declared 3-separated sets")
     s.add_argument("input")

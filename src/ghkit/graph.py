@@ -331,5 +331,39 @@ def blocks(g: CapGraph):
     return out
 
 
+def _block_terminals(g: CapGraph, z):
+    """Each block B of ``blocks(g)``, in its order, as a pair (B, Z_B):
+    Z_B holds the terminals of z in B and each cut vertex c of B whose
+    far side (the part of G - c away from B) holds a terminal.
+
+    `blocks` emits a block after the blocks below it, so its list is a
+    post-order of each component's block-cut tree.  A block's top, the
+    vertex nearest the DFS root, is the one it shares with a later block;
+    the last block of a component has none.  One pass forward counts the
+    terminals in each block's subtree, its top left out, and adds them to
+    ``below[top]``: the far side of any other vertex x holds ``below[x]``.
+    One pass back hands each block its component's total, the count of
+    its last block, so the far side of its top holds total - count.
+    """
+    zset = set(z)
+    out = blocks(g)
+    last = {x: i for i, block in enumerate(out) for x in block}
+    below = [0] * g.n
+    counted = []
+    for i, block in enumerate(out):
+        top = next((x for x in block if last[x] > i), None)
+        count = sum((x in zset) + below[x] for x in block if x != top)
+        counted.append((top, count))
+        if top is not None:
+            below[top] += count
+    total = 0
+    for i in reversed(range(len(out))):
+        top, count = counted[i]
+        if top is None:
+            total = count
+        out[i] = out[i], {x for x in out[i] if x in zset or (total > count if x == top else below[x])}
+    return out
+
+
 def is_two_connected(g: CapGraph) -> bool:
     return g.n >= 3 and len(blocks(g)) == 1

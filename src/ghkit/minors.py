@@ -23,11 +23,11 @@ work done, never the answer; the same holds for the slow oracle's prune
 on the terminals it has left.
 
 For K4, K4+ and K2,3, "none" may also come from a certificate, tried
-once the first seeding is refuted: a checked plane embedding of the
-torso of (G, Z) plus an apex joined to every terminal (``ghkit._apex``),
-which turns any terminal model of these patterns into a K5 or K3,3
-minor.  Without a certificate the search goes on, so it never changes
-an embedding returned, only how soon "none" is known.
+before any seeding and before the bound, block by block: a checked plane
+embedding of each block's torso plus an apex joined to its terminals
+(``ghkit._apex``), which turns any terminal model of these patterns into
+a K5 or K3,3 minor.  Without one the search decides, so the certificate
+never changes an embedding returned, only how soon "none" is known.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import cache
 from itertools import permutations
 from operator import itemgetter
 
-from ._apex import _apex_torso, _certified_planar
+from ._apex import _block_certificate
 from .graph import CapGraph, GraphError, check_terminals, is_two_connected, model_connectors
 from .maxflow import BoundExceeded
 
@@ -281,28 +281,27 @@ def _search(g: CapGraph, pattern, seeds, nb):
 _APEX_NONPLANAR = frozenset((p.k, p.edges) for p in (f() for f in PATTERNS.values()))
 
 
-def detect_terminal_minor(
-    g: CapGraph, z, pattern: MinorPattern, bound: int = DEFAULT_MINOR_BOUND
-):
+def detect_terminal_minor(g: CapGraph, z, pattern: MinorPattern, bound: int = DEFAULT_MINOR_BOUND):
     """Exhaustively search for a terminal minor; None certifies absence.
 
-    For K4, K4+ and K2,3, once the first seeding is refuted, a checked
-    plane embedding of the torso plus an apex (`_apex_torso`) certifies
-    absence without searching the other seedings; without one the search
-    goes on, so every embedding returned is the search's.
-
+    For K4, K4+ and K2,3, the apex certificate (`_block_certificate`)
+    answers None at any n, before the bound and any seeding; the bound
+    limits only the search, which decides every uncertified pair.
     Raises GraphError if a terminal of z is out of range or repeated."""
-    if g.n > bound:
-        raise BoundExceeded(f"minor search bound {bound} exceeded (n={g.n})")
     z = tuple(z)
     check_terminals(g.n, z)
-    if len(z) < pattern.k:
-        return None
-    nb = [sum(1 << v for v, _ in row) for row in g.adj]
     apex = (pattern.k, pattern.edges) in _APEX_NONPLANAR
-    for i, seeds in enumerate(_seed_assignments(pattern, z)):
-        if i == 1 and apex and _certified_planar(_apex_torso(g, z)):
-            return None
+    if len(z) < pattern.k or apex and _block_certificate(g, z, pattern.k):
+        return None
+    return _seeded_search(g, z, pattern, bound)
+
+
+def _seeded_search(g: CapGraph, z, pattern, bound=DEFAULT_MINOR_BOUND):
+    """`detect_terminal_minor` past its checks and certificate."""
+    if g.n > bound:
+        raise BoundExceeded(f"minor search bound {bound} exceeded (n={g.n})")
+    nb = [sum(1 << v for v, _ in row) for row in g.adj]
+    for seeds in _seed_assignments(pattern, z):
         sets = _search(g, pattern, seeds, nb)
         if sets is not None:
             emb = MinorEmbedding(pattern, sets, seeds)
@@ -408,19 +407,20 @@ class ImpliedMinorReport:
 
 def implied_minor_checks(g: CapGraph, z):
     """Cross-check the structural implications on one instance:
-    (a) |Z| >= 5 and terminal-K4 implies terminal-K2,3;
+    (a) 2-connected, |Z| >= 5 and terminal-K4 implies terminal-K2,3;
     (b) 2-connected, |Z| >= 5, K2,3-free implies a spanning terminal cycle.
     Violations indicate implementation bugs, not instance properties.
-    Each search runs on at most DEFAULT_MINOR_BOUND vertices."""
+    One certificate answers K4 and K2,3 (`_block_certificate`, k = 4);
+    without it each search runs on at most DEFAULT_MINOR_BOUND vertices."""
     z = tuple(z)
-    k4_emb = detect_terminal_minor(g, z, k4()) if len(z) >= 4 else None
-    k23_emb = detect_terminal_minor(g, z, k23()) if len(z) >= 5 else None
+    check_terminals(g.n, z)
+    free = _block_certificate(g, z, 4)  # so |z| >= 4 without it
+    k4_emb = None if free else _seeded_search(g, z, k4())
+    k23_emb = None if free or len(z) < 5 else _seeded_search(g, z, k23())
     two_conn = is_two_connected(g)
-    cyc_emb = None
-    if len(z) >= 3 and two_conn:
-        cyc_emb = detect_terminal_minor(g, z, cycle(len(z)))
-    # with |Z| >= 5 and no K2,3, (a) needs no K4 and (b) a cycle if 2-connected
-    ok = len(z) < 5 or k23_emb is not None or (k4_emb is None and (not two_conn or cyc_emb is not None))
+    cyc_emb = detect_terminal_minor(g, z, cycle(len(z))) if len(z) >= 3 and two_conn else None
+    # with |Z| >= 5, 2-connected and no K2,3, (a) needs no K4 and (b) a cycle
+    ok = len(z) < 5 or not two_conn or k23_emb is not None or (k4_emb is None and cyc_emb is not None)
     return ImpliedMinorReport(
         k4_found=k4_emb is not None,
         k23_found=k23_emb is not None,

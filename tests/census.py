@@ -9,8 +9,8 @@ The statements, for a graph G and terminals Z:
         capacity and demand set.
 ``census(n)`` checks them on every connected graph with n vertices and
 every Z of at least five of its vertices, and counts the pairs that the
-minor search's apex-planar certificate (a plane embedding of the torso
-plus an apex, ``ghkit._apex``) calls free.
+minor search's apex-planar certificate (a plane embedding of each
+block's torso plus an apex, ``ghkit._apex``) calls free.
 """
 
 import random
@@ -22,8 +22,14 @@ from ghkit import capgraph
 from ghkit.capacity import Cap
 from ghkit.embedding import is_gh_subgraph
 from ghkit.generators import gen_adversarial_from_minor, random_capacity
-from ghkit._apex import _apex_torso, _certified_planar
-from ghkit.minors import detect_terminal_minor, k23, slow_detect_terminal_minor, verify_embedding
+from ghkit._apex import _block_certificate
+from ghkit.minors import (
+    detect_terminal_minor,
+    implied_minor_checks,
+    k23,
+    slow_detect_terminal_minor,
+    verify_embedding,
+)
 from ghkit.multiflow import MultiflowInstance, cut_condition, max_concurrent_flow
 from ghkit.suite import random_demands
 
@@ -85,8 +91,9 @@ def census(n):
     every Z of at least five vertices.  Returns (counts, faults), faults
     naming the check, the edges and Z of each pair that fails one.
 
-    Every pair: the fast and slow K2,3 searches agree, and a certified
-    pair (counted as "certified") has no K2,3 by either.  A pair with a
+    Every pair: the fast and slow K2,3 searches agree, a pair certified
+    block by block (counted as "certified") has no K2,3 by either, and
+    ``implied_minor_checks`` reports no violation.  A pair with a
     minor: the adversarial instance from ``gen_adversarial_from_minor``
     satisfies the cut condition with lambda* < 1, and for Z = V its GH
     tree is no subgraph.  A free pair, under two random capacity draws:
@@ -104,7 +111,9 @@ def census(n):
                 slow = slow_detect_terminal_minor(g, z, k23())
                 if (emb is None) != (slow is None) or slow is not None and not verify_embedding(g, z, k23(), slow):
                     faults.append(("fast and slow search", edges, z))
-                if _certified_planar(_apex_torso(g, z)):
+                if not implied_minor_checks(g, z).ok:
+                    faults.append(("implied minor checks", edges, z))
+                if _block_certificate(g, z, 5):
                     counts["certified"] += 1
                     if emb is not None or slow is not None:
                         faults.append(("certified pair with a minor", edges, z))

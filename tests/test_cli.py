@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +52,27 @@ def test_detect_minor_exit_codes(k23_file, tmp_path, capsys):
     assert main(["detect-minor", k23_file, "--pattern", "bogus"]) == 3
     assert main(["detect-minor", k23_file, "--pattern", "k23", "--bound-n", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        ["outerplanar", "--n", "200"],
+        ["onesum", "--blocks", ",".join(["20"] * 8 + ["k4"] * 24)],
+        ["zweb", "--k", "40", "--interior", "200", "--attach", ",".join(["4"] * 30)],
+    ],
+    ids=["outerplanar", "onesum", "zweb"],
+)
+def test_detect_minor_answers_none_past_the_bound_within_a_second(family, tmp_path, capsys):
+    """A K2,3-free pair with n >= 200 is certified block by block: no
+    BoundExceeded, and `none` in under a second, reading included."""
+    path = tmp_path / "g.txt"
+    assert main(["gen", *family, "--out", str(path)]) == 0
+    assert parse_instance(path.read_text()).graph.n >= 200
+    start = time.perf_counter()
+    assert main(["detect-minor", str(path), "--pattern", "k23"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "none\n"
 
 
 def test_detect_minor_cycle_longer_than_terminals(k23_file, monkeypatch, capsys):

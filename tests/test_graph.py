@@ -11,6 +11,7 @@ from ghkit.graph import (
     CapGraph,
     Edge,
     GraphError,
+    _block_terminals,
     blocks,
     connector,
     deperturb_value,
@@ -203,6 +204,27 @@ def test_blocks_are_the_maximal_two_connected_sets(g):
             maximal.append(mask)
     expected = sorted(members[m] for m in maximal) + [[v] for v in range(g.n) if not nbr[v]]
     assert sorted(sorted(b) for b in blocks(g)) == sorted(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.data())
+def test_block_terminals_match_a_search_per_cut_vertex(g, data):
+    """``_block_terminals`` keeps the order of ``blocks``, and its Z_B is
+    the terminals in B plus each vertex c of B from which a search in
+    g - c, started off B, reaches a terminal."""
+    z = set(data.draw(st.sets(st.sampled_from(range(g.n)))))
+    pairs = _block_terminals(g, z)
+    assert [b for b, _ in pairs] == blocks(g)
+    everything = set(range(g.n))
+    for b, zb in pairs:
+        expected = b & z
+        for c in b:
+            rest = everything - {c}
+            near = set().union(*(g.component_of(x, rest) for x in b - {c}))
+            far = {y for y, _ in g.adj[c] if y not in near}
+            if any(set(g.component_of(y, rest)) & z for y in far):
+                expected.add(c)
+        assert zb == expected, (g.edges, sorted(z), sorted(b))
 
 
 @settings(max_examples=300, deadline=None)

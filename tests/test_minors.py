@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghkit import capgraph
-from ghkit._apex import _apex_torso, _certified_planar, _is_plane, _plane_turns
-from ghkit.generators import ZWebSpec, gen_k23_subdivision, gen_outerplanar, gen_zweb, split_seed
+from ghkit import minors
+from ghkit._apex import _apex_torso, _block_certificate, _is_plane, _plane_turns
+from ghkit.generators import ZWebSpec, gen_k23_subdivision, gen_onesum, gen_outerplanar, gen_zweb, split_seed
 from ghkit.graph import GraphError
 from ghkit.maxflow import BoundExceeded
 from ghkit.minors import (
@@ -71,6 +72,10 @@ def test_searches_reject_bad_terminal_sets(z, message):
         detect_terminal_minor(g, z, k23())
     with pytest.raises(GraphError, match=message):
         slow_detect_terminal_minor(g, z, k23())
+    # a path is certified free, and no search would see the terminals
+    path = capgraph(5, [(v, v + 1, ONE) for v in range(4)])
+    with pytest.raises(GraphError, match=message):
+        implied_minor_checks(path, z)
 
 
 def test_cycle_graph_is_k23_free():
@@ -171,6 +176,60 @@ def test_k5_implies_k4_implies_k23():
     assert detect_terminal_minor(g, g.terminals, k23()) is not None
     report = implied_minor_checks(g, g.terminals)
     assert report.ok
+
+
+def test_implied_minor_checks_reads_implication_a_on_2_connected_graphs_only():
+    """A K4 on 0..3 with vertex 4 pendant at 0 and Z = V has a terminal
+    K4 but no terminal K2,3: vertex 0 is a cut vertex, so (a) does not
+    apply, and the report is ok."""
+    edges = [(i, j, ONE) for i in range(4) for j in range(i + 1, 4)] + [(0, 4, ONE)]
+    g = capgraph(5, edges, tuple(range(5)))
+    report = implied_minor_checks(g, g.terminals)
+    assert (report.k4_found, report.k23_found, report.two_connected) == (True, False, False)
+    assert report.ok
+
+
+def _spy(monkeypatch, name, calls):
+    real = getattr(minors, name)
+
+    def spy(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(minors, name, spy)
+
+
+def test_a_certified_pair_enters_no_search(monkeypatch):
+    """On a 2-connected Z-web, certified, the certificate answers K4,
+    K4+ and K2,3 without entering the search, and `implied_minor_checks`
+    certifies once for both K4 and K2,3; only its cycle search runs.  On
+    an uncertified pair it still certifies once, then searches."""
+    g = gen_zweb(ZWebSpec(6, 4, ()), 3).graph
+    calls = []
+    for name in ("_search", "_block_certificate"):
+        _spy(monkeypatch, name, calls)
+    for pattern in (k4(), k4_plus(), k23()):
+        assert detect_terminal_minor(g, g.terminals, pattern) is None
+    assert calls == ["_block_certificate"] * 3
+    calls.clear()
+    report = implied_minor_checks(g, g.terminals)
+    assert report.ok and report.cycle_found and not (report.k4_found or report.k23_found)
+    assert calls.count("_block_certificate") == 1 and calls.count("_search") >= 1
+    calls.clear()
+    report = implied_minor_checks(unit_k23(), range(5))
+    assert report.ok and report.k23_found and not report.k4_found
+    assert calls.count("_block_certificate") == 1 and calls.count("_search") >= 2
+
+
+def test_the_bound_limits_the_search_not_the_certificate():
+    """Past the bound, a certified pair answers None and an uncertified
+    one raises BoundExceeded; a bad terminal raises GraphError first."""
+    g = gen_outerplanar(30, 2)
+    assert detect_terminal_minor(g, g.terminals, k23(), bound=5) is None
+    with pytest.raises(BoundExceeded, match="minor search bound 4"):
+        detect_terminal_minor(unit_k23(), range(5), k23(), bound=4)
+    with pytest.raises(GraphError, match="terminal 30 out of range"):
+        detect_terminal_minor(g, (0, 1, 30), k23(), bound=5)
 
 
 PATTERN_MAKERS = {
@@ -381,7 +440,7 @@ def _naive_turns(adj):
 
 
 @st.composite
-def certificate_cases(draw, max_n=9, kinds=("graph", "plane", "web", "disconnected")):
+def certificate_cases(draw, max_n=9, kinds=("graph", "plane", "web", "disconnected", "onesum")):
     """(g, z, kind) on at most max_n vertices, of one of the kinds:
     - graph: a random connected graph with a random Z of at least four
       vertices;
@@ -393,11 +452,23 @@ def certificate_cases(draw, max_n=9, kinds=("graph", "plane", "web", "disconnect
     - web: a Z-web with Z so chosen, an attachment of up to three
       vertices and perhaps one extra edge;
     - disconnected: two random connected graphs side by side, with Z of
-      at least four vertices drawn from both."""
+      at least four vertices drawn from both;
+    - onesum: outerplanar blocks of 3 to 5 vertices and K4 blocks glued
+      at single vertices (``gen_onesum``), with a random Z of at least
+      four vertices."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     kind = draw(st.sampled_from(kinds))
     if kind == "graph":
         g = random_connected_graph(seed, max_n=max_n, min_n=4)
+    if kind == "onesum":
+        specs, n = [], 1
+        for size in draw(st.lists(st.sampled_from((3, 4, 5, "k4")), min_size=2, max_size=4)):
+            grow = (4 if size == "k4" else size) - 1
+            if n + grow <= max_n:
+                specs.append(("k4",) if size == "k4" else ("outerplanar", size))
+                n += grow
+        g = gen_onesum(specs, seed)
+    if kind in ("graph", "onesum"):
         order = draw(st.permutations(range(g.n)))
         return g, tuple(sorted(order[: draw(st.integers(4, g.n))])), kind
     if kind == "disconnected":
@@ -423,24 +494,26 @@ def certificate_cases(draw, max_n=9, kinds=("graph", "plane", "web", "disconnect
 @settings(max_examples=150, deadline=None)
 @given(certificate_cases())
 def test_apex_certificate_agrees_with_the_slow_oracle(case):
-    """A certified pair has no terminal K4 or K2,3 (a K4+ model holds a
-    K4 model): the search finds no checked embedding, and each of its
-    "none" answers, which the certificate may give, is the slow
-    oracle's.  A disconnected pair with terminals on both sides is never
-    certified, as its apex is a cut vertex.  On a connected pair, when
-    the embedder finds no embedding, the face check accepts no rotation
+    """A pair certified per block has no terminal K4 (k = 4) or K2,3
+    (k = 5) (a K4+ model holds a K4 model): the search finds no checked
+    embedding, and each of its "none" answers, which the certificate may
+    give, is the slow oracle's.  A plane Z-web is one block, so its k = 4
+    certificate is the whole graph's, and it always holds; the k = 4
+    certificate implies the k = 5 one.  On a connected pair, when the embedder finds no embedding of
+    the whole graph's torso plus apex, the face check accepts no rotation
     either."""
     g, z, kind = case
-    adj = _apex_torso(g, z)
-    certified = _certified_planar(adj)
-    assert certified or kind != "plane"
-    assert not (certified and kind == "disconnected")
+    certified = {k: _block_certificate(g, z, k) for k in (4, 5)}
+    assert certified[4] or kind != "plane"
+    assert certified[5] or not certified[4]
     for pattern in (k4(), k23()):
         emb = detect_terminal_minor(g, z, pattern)
         if emb is None:
             assert slow_detect_terminal_minor(g, z, pattern) is None, (g.edges, z, pattern.name)
         else:
-            assert verify_embedding(g, z, pattern, emb) and not certified, (g.edges, z, pattern.name)
+            assert verify_embedding(g, z, pattern, emb), (g.edges, z, pattern.name)
+            assert not certified[pattern.k], (g.edges, z, pattern.name)
+    adj = _apex_torso(g, z, range(g.n))
     if kind != "disconnected" and _plane_turns(adj) is None:
         assert not _is_plane(adj, _naive_turns(adj))
 
@@ -459,13 +532,13 @@ def _connected(adj, gone):
 
 
 @settings(max_examples=150, deadline=None)
-@given(certificate_cases(max_n=12, kinds=("graph", "plane", "web")))
+@given(certificate_cases(max_n=12, kinds=("graph", "plane", "web", "onesum")))
 def test_apex_torso_of_a_connected_pair_has_no_cut_vertex(case):
     """The embedder takes 2-connected graphs only: on a connected g with
     |z| >= 4, deleting any one vertex of the torso plus apex leaves it
     connected."""
     g, z, _ = case
-    adj = _apex_torso(g, z)
+    adj = _apex_torso(g, z, range(g.n))
     assert all(_connected(adj, v) for v in adj), (g.edges, z)
 
 

@@ -6,7 +6,7 @@ with n vertices and every Z of at least five of them (``tests/census.py``).
 Run from the root of the repository.  Prints one JSON line with n, the
 count per column, the seconds taken and every fault, and exits 1 if
 there is a fault.  The tier-1 tests run n = 5 and 6; n = 7 (853
-graphs, 24,737 pairs) takes about 80 s on one core.
+graphs, 24,737 pairs) takes about 100 s on one core.
 """
 
 from __future__ import annotations
